@@ -525,10 +525,17 @@ fn parse_scalar(text: &str, line: usize) -> Result<Value, ParseError> {
 
 fn parse_number(text: &str, line: usize) -> Result<Value, ParseError> {
     let clean: String = text.chars().filter(|&c| c != '_').collect();
-    if !clean.contains(['.', 'e', 'E']) {
-        if let Ok(i) = clean.parse::<i64>() {
-            return Ok(Value::Int(i));
-        }
+    let digits = clean.strip_prefix(['+', '-']).unwrap_or(&clean);
+    if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
+        // TOML integers are signed 64-bit: a longer one is an error, not
+        // a float (floats always carry a `.` or an exponent).
+        return clean
+            .parse::<i64>()
+            .map(Value::Int)
+            .map_err(|_| ParseError {
+                line,
+                message: format!("integer out of range (signed 64-bit): {text}"),
+            });
     }
     match clean.parse::<f64>() {
         Ok(x) if x.is_finite() => Ok(Value::Float(x)),
@@ -1013,5 +1020,22 @@ hotspots = [0, 3]
         assert_eq!(v.get("a").unwrap().as_int(), Some(-42));
         assert_eq!(v.get("b").unwrap().as_int(), Some(1000));
         assert!((v.get("c").unwrap().as_float().unwrap() + 0.035).abs() < 1e-12);
+    }
+
+    #[test]
+    fn integers_beyond_i64_are_a_typed_error_not_a_float() {
+        let v = Value::parse_toml("max = 9223372036854775807\nmin = -9223372036854775808").unwrap();
+        assert_eq!(v.get("max").unwrap().as_int(), Some(i64::MAX));
+        assert_eq!(v.get("min").unwrap().as_int(), Some(i64::MIN));
+        let err = Value::parse_toml("seed = 1\nhorizon = 18446744073709551615").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("integer out of range"), "{err}");
+        assert!(err.message.contains("18446744073709551615"), "{err}");
+        let err = Value::parse_json("{\"a\": 1,\n \"b\": -9223372036854775809}").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("integer out of range"), "{err}");
+        // Floats keep their `.` or exponent, so a huge one still parses.
+        let v = Value::parse_toml("x = 1.8446744073709552e19").unwrap();
+        assert_eq!(v.get("x"), Some(&Value::Float(1.844_674_407_370_955_2e19)));
     }
 }

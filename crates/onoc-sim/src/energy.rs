@@ -22,7 +22,7 @@
 //! tolerance (see `tests/probe.rs`).
 
 use onoc_photonics::{EnergyParams, WavelengthId};
-use onoc_topology::{OnocArchitecture, Transmission, power_budgets};
+use onoc_topology::{Direction, NodeId, OnocArchitecture, lone_prefix_budgets};
 
 use crate::fault::DropFact;
 use crate::probe::{SimProbe, TxFact};
@@ -101,11 +101,12 @@ impl EnergyModel {
     /// per-communication laser sizing with the allocation-dependent
     /// ON-MR crossings replaced by the traffic-free budget.
     ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate architecture (the spectrum engine rejecting
-    /// a single-transmission budget would be a bug in the architecture,
-    /// not a property of the input).
+    /// Each pair's loss is the [`PowerBudget`](onoc_topology::PowerBudget)
+    /// of a lone channel-0 transmission on its shortest route. dB losses
+    /// add along a path, so one [`lone_prefix_budgets`] walk per source
+    /// and direction gives every destination's budget: O(n² · λ) for the
+    /// whole model, with the same floating-point result as a
+    /// [`power_budgets`](onoc_topology::power_budgets) call per pair.
     #[must_use]
     pub fn from_architecture(
         arch: &OnocArchitecture,
@@ -115,20 +116,37 @@ impl EnergyModel {
         let laser = arch.laser();
         let extinction = (laser.power_off() - laser.power_on()).to_linear();
         let duty = 0.5 * (1.0 + extinction);
-        let nodes = arch.ring().node_count();
+        let ring = arch.ring();
+        let nodes = ring.node_count();
+        // Shortest routes reach at most `nodes / 2` hops clockwise (which
+        // wins ties) and `(nodes - 1) / 2` counter-clockwise.
+        let reach = |src: usize, direction: Direction, hops: usize| {
+            if hops == 0 {
+                return Vec::new();
+            }
+            let far = match direction {
+                Direction::Clockwise => (src + hops) % nodes,
+                Direction::CounterClockwise => (src + nodes - hops) % nodes,
+            };
+            let path = arch.route(NodeId(src), NodeId(far), direction);
+            lone_prefix_budgets(arch, &path, WavelengthId(0))
+        };
         let mut total_mw = 0.0;
         let mut pairs = 0usize;
         for src in 0..nodes {
+            let cw = reach(src, Direction::Clockwise, nodes / 2);
+            let ccw = reach(src, Direction::CounterClockwise, (nodes - 1) / 2);
             for dst in 0..nodes {
                 if src == dst {
                     continue;
                 }
-                let path =
-                    arch.route_shortest(onoc_topology::NodeId(src), onoc_topology::NodeId(dst));
-                let tx = Transmission::new(0, path, vec![WavelengthId(0)]);
-                let budgets = power_budgets(arch, std::slice::from_ref(&tx))
-                    .expect("a single transmission always has a valid budget");
-                let loss = budgets[0].total();
+                let direction = ring.shortest_direction(NodeId(src), NodeId(dst));
+                let hops = ring.hops(NodeId(src), NodeId(dst), direction);
+                let walk = match direction {
+                    Direction::Clockwise => &cw,
+                    Direction::CounterClockwise => &ccw,
+                };
+                let loss = walk[hops - 1].total();
                 let launch = arch.detector().required_launch_power(loss);
                 total_mw += (laser.electrical_power(launch.to_milliwatts()) * duty).value();
                 pairs += 1;
@@ -761,6 +779,55 @@ mod tests {
         // Larger rings mean longer mean paths, hence more launch power.
         let big = EnergyModel::paper(32, 8);
         assert!(big.laser_mw > model.laser_mw);
+    }
+
+    /// The per-pair model before the one-walk rewrite: a spectrum-engine
+    /// `power_budgets` call for every ordered pair's lone channel-0
+    /// transmission.
+    #[allow(clippy::cast_precision_loss)]
+    fn per_pair_laser_mw(arch: &OnocArchitecture) -> f64 {
+        use onoc_topology::{Transmission, power_budgets};
+        let laser = arch.laser();
+        let extinction = (laser.power_off() - laser.power_on()).to_linear();
+        let duty = 0.5 * (1.0 + extinction);
+        let nodes = arch.ring().node_count();
+        let mut total_mw = 0.0;
+        let mut pairs = 0usize;
+        for src in 0..nodes {
+            for dst in 0..nodes {
+                if src == dst {
+                    continue;
+                }
+                let path = arch.route_shortest(NodeId(src), NodeId(dst));
+                let tx = Transmission::new(0, path, vec![WavelengthId(0)]);
+                let loss = power_budgets(arch, std::slice::from_ref(&tx)).unwrap()[0].total();
+                let launch = arch.detector().required_launch_power(loss);
+                total_mw += (laser.electrical_power(launch.to_milliwatts()) * duty).value();
+                pairs += 1;
+            }
+        }
+        total_mw / pairs as f64
+    }
+
+    #[test]
+    fn one_walk_model_is_bit_identical_to_the_per_pair_budgets() {
+        for nodes in [2, 3, 5, 16, 17, 32, 33, 64] {
+            for comb in [1, 8, 31, 64] {
+                let (rows, cols) = OnocArchitecture::near_square_grid(nodes);
+                let arch = OnocArchitecture::builder()
+                    .grid_dimensions(rows, cols)
+                    .wavelengths(comb)
+                    .build()
+                    .unwrap();
+                let model = EnergyModel::from_architecture(&arch, EnergyParams::paper(), 1.0);
+                assert_eq!(
+                    model.laser_mw.to_bits(),
+                    per_pair_laser_mw(&arch).to_bits(),
+                    "{nodes} nodes × {comb} λ"
+                );
+                assert_eq!(model, EnergyModel::paper(nodes, comb));
+            }
+        }
     }
 
     #[test]

@@ -911,8 +911,19 @@ pub struct SimScratch {
     /// Streaming static mode: live transmissions per
     /// `segment_index * wavelengths + lane` (online conflict counting).
     pub(crate) active_per_lane_seg: Vec<u32>,
-    /// Full static mode: retired spans for the offline conflict sweep.
+    /// Full static mode: retired spans for the offline conflict sweep,
+    /// on [`shared_lanes`](Self::shared_lanes) slots only.
     pub(crate) spans: Vec<FlatSpan>,
+    /// Static mode: per dense segment, the lanes that two or more mapped
+    /// flows drive there. Only these slots can ever hold overlapping
+    /// spans — a flow's own attempts serialise on `flow_free_at` — so
+    /// full-mode runs keep spans for these slots only, and the PDES
+    /// merger replays streaming counts only when some slot is shared.
+    /// Every slot is marked when a re-pack policy may swap masks mid-run:
+    /// spans retire with the flow's *current* mask, so a swap can put a
+    /// later span on a slot whose earlier spans were skipped, while any
+    /// superset of the truly shared slots stays exact.
+    pub(crate) shared_lanes: Vec<u128>,
     /// Flat route table: `path_offsets[flow]..path_offsets[flow + 1]`
     /// slices `path_segs` into the flow's dense segment indices in
     /// traversal order. Replaces per-claim ring arithmetic.
@@ -929,12 +940,13 @@ pub struct SimScratch {
     waiter_words: usize,
     /// Per-release candidate accumulator (`waiter_words` long).
     candidates: Vec<u64>,
-    /// PDES runs: only build route/mask rows for these flows (sorted
+    /// Only build route/mask rows for these flows (sorted
     /// `src * nodes + dst` indices) — other rows stay empty, which is
-    /// safe when the engine provably never admits them (a worker only
-    /// admits its shard's trace flows; the merger only replays trace
-    /// flows). `None` (every public path) builds the full table, whose
-    /// cost is quadratic in ring size.
+    /// safe when the engine provably never admits them. PDES workers
+    /// list their shard's trace flows and the merger every trace flow;
+    /// serial `run_spec` and `run_sweep` runs list the flows their trace
+    /// injects (through [`SimScratch::set_flow_rows`]). `None` builds
+    /// the full table, whose cost is quadratic in ring size.
     pub(crate) flow_rows: Option<Vec<u32>>,
 }
 
@@ -960,6 +972,7 @@ impl SimScratch {
             lane_busy: Vec::new(),
             active_per_lane_seg: Vec::new(),
             spans: Vec::new(),
+            shared_lanes: Vec::new(),
             path_offsets: Vec::new(),
             path_segs: Vec::new(),
             flow_lane_masks: Vec::new(),
@@ -1028,6 +1041,7 @@ impl SimScratch {
                 .resize(segment_count(nodes) * wavelengths, 0);
         }
         self.spans.clear();
+        self.shared_lanes.clear();
         self.path_offsets.clear();
         self.path_segs.clear();
         self.flow_lane_masks.clear();
@@ -1040,7 +1054,8 @@ impl SimScratch {
     }
 
     /// Builds the flat per-flow route table (and, in static mode, the
-    /// per-flow lane masks) for the run's geometry.
+    /// per-flow lane masks and the shared-lane table) for the run's
+    /// geometry.
     pub(crate) fn build_flow_tables(&mut self, sim: &OpenLoopSimulator) {
         let n = sim.ring.node_count();
         // Sorted-cursor membership test against `flow_rows`; flows are
@@ -1089,6 +1104,24 @@ impl SimScratch {
                             .fold(0u128, |m, l| m | (1 << l.index()))
                     };
                     self.flow_lane_masks.push(mask);
+                }
+            }
+            let segments = segment_count(n);
+            if sim.healing.is_some_and(|h| h.policy != HealPolicy::Park) {
+                self.shared_lanes.resize(segments, u128::MAX);
+            } else {
+                self.shared_lanes.resize(segments, 0);
+                let mut seen = vec![0u128; segments];
+                for (flow, &mask) in self.flow_lane_masks.iter().enumerate() {
+                    let (lo, hi) = (
+                        self.path_offsets[flow] as usize,
+                        self.path_offsets[flow + 1] as usize,
+                    );
+                    for &seg in &self.path_segs[lo..hi] {
+                        let seg = seg as usize;
+                        self.shared_lanes[seg] |= seen[seg] & mask;
+                        seen[seg] |= mask;
+                    }
                 }
             }
         }
@@ -2667,15 +2700,17 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
                 // recorded this way (a partial outage narrows the lanes
                 // an attempt drives without narrowing the span); under a
                 // mid-run heal the approximation extends to messages
-                // retired after the swap.
+                // retired after the swap. Slots no other flow drives
+                // never overlap, so only shared ones are kept.
                 let mask = self.s.flow_lane_masks[flow];
                 let (lo, hi) = (
                     self.s.path_offsets[flow] as usize,
                     self.s.path_offsets[flow + 1] as usize,
                 );
                 for i in lo..hi {
-                    let row = u64::from(self.s.path_segs[i]) * w;
-                    let mut rest = mask;
+                    let seg = self.s.path_segs[i];
+                    let row = u64::from(seg) * w;
+                    let mut rest = mask & self.s.shared_lanes[seg as usize];
                     while rest != 0 {
                         let lane = u64::from(rest.trailing_zeros());
                         rest &= rest - 1;
@@ -2823,6 +2858,7 @@ pub(crate) fn sweep_conflicts_flat(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FlowAllocPolicy, FlowMatrix};
     use onoc_topology::Direction;
 
     fn rate() -> BitsPerCycle {
@@ -3026,6 +3062,191 @@ mod tests {
             }
         );
         assert_eq!((c.first, c.second), (MsgId(0), MsgId(1)));
+    }
+
+    /// Counts retirements until the first heal, so the reference sweep
+    /// knows which mask each message retired under.
+    #[derive(Default)]
+    struct RetiredBeforeHeal {
+        retired: usize,
+        at_heal: Option<usize>,
+    }
+
+    impl SimProbe for RetiredBeforeHeal {
+        fn retired(&mut self, _: &MsgRecord, _: f64, _: usize) {
+            self.retired += 1;
+        }
+
+        fn heal(&mut self, _: HealFact) {
+            self.at_heal.get_or_insert(self.retired);
+        }
+    }
+
+    fn lane_masks(map: &StaticFlowMap, nodes: usize) -> Vec<u128> {
+        (0..nodes * nodes)
+            .map(|flow| {
+                map.lanes(NodeId(flow / nodes), NodeId(flow % nodes))
+                    .iter()
+                    .fold(0u128, |m, l| m | (1 << l.index()))
+            })
+            .collect()
+    }
+
+    /// Runs `events` in full mode and checks the shared-slot conflict
+    /// report against the unfiltered sweep over every retired span (each
+    /// message's route × its flow's mask at retirement). Returns the
+    /// report, the spans the engine kept and the unfiltered span count.
+    fn check_against_unfiltered_sweep(
+        sim: &OpenLoopSimulator,
+        events: &[TrafficEvent],
+    ) -> (OpenLoopReport, usize, usize) {
+        let WavelengthMode::Static(map) = &sim.mode else {
+            panic!("conflict sweeps are static-mode only")
+        };
+        let n = sim.ring.node_count();
+        let before = lane_masks(map, n);
+        let mut probe = RetiredBeforeHeal::default();
+        let mut scratch = SimScratch::new();
+        let report = sim
+            .run_with_scratch_probed(
+                events.iter().copied(),
+                &mut scratch,
+                ReportMode::Full,
+                &mut probe,
+            )
+            .unwrap();
+        assert_eq!(report.lost_messages, 0, "record index = message id");
+        let swap = probe.at_heal.unwrap_or(usize::MAX);
+        let after = &scratch.flow_lane_masks;
+        let w = sim.wavelengths as u64;
+        let mut spans = Vec::new();
+        for (id, r) in report.records.iter().enumerate() {
+            let flow = r.src.0 * n + r.dst.0;
+            let mask = if id < swap { before[flow] } else { after[flow] };
+            for seg in sim.route(r.src, r.dst).segments() {
+                let row = seg.segment_index() as u64 * w;
+                for lane in (0..w).filter(|&l| mask & (1 << l) != 0) {
+                    spans.push((row + lane, r.started, r.completed, id));
+                }
+            }
+        }
+        let unfiltered = spans.len();
+        let (count, examples) = sweep_conflicts_flat(&mut spans, sim.wavelengths);
+        assert_eq!(report.conflict_count, count, "conflict count");
+        assert_eq!(report.conflict_examples, examples, "conflict examples");
+        (report, scratch.spans.len(), unfiltered)
+    }
+
+    /// 160 messages over 92 flows of a 16-node ring, three cycles apart.
+    fn busy_trace() -> Vec<TrafficEvent> {
+        (0..160usize)
+            .map(|k| {
+                let src = (k * 7) % 16;
+                event(3 * k as u64, src, (src + 1 + (k * 5) % 15) % 16, 64.0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn striped_map_keeps_every_span_and_matches_the_unfiltered_sweep() {
+        let sim = OpenLoopSimulator::new(
+            ring16(),
+            4,
+            rate(),
+            WavelengthMode::Static(StaticFlowMap::striped(16, 4, 1)),
+        );
+        let (report, kept, unfiltered) = check_against_unfiltered_sweep(&sim, &busy_trace());
+        assert!(report.conflict_count > 0);
+        assert_eq!(kept, unfiltered, "every slot of a striped map is shared");
+    }
+
+    #[test]
+    fn relaxed_synthesis_keeps_shared_spans_and_matches_the_unfiltered_sweep() {
+        let events = busy_trace();
+        let flows = FlowMatrix::from_events(16, events.iter());
+        let (map, summary) = StaticFlowMap::from_allocator_with_summary(
+            &ring16(),
+            4,
+            &flows,
+            FlowAllocPolicy::Relaxed,
+        )
+        .unwrap();
+        assert!(!summary.is_disjoint());
+        let sim = OpenLoopSimulator::new(ring16(), 4, rate(), WavelengthMode::Static(map));
+        let (report, kept, unfiltered) = check_against_unfiltered_sweep(&sim, &events);
+        assert!(report.conflict_count > 0);
+        assert!(
+            0 < kept && kept < unfiltered,
+            "{kept} of {unfiltered} spans kept"
+        );
+    }
+
+    #[test]
+    fn disjoint_synthesis_keeps_no_spans_and_matches_the_unfiltered_sweep() {
+        let events = busy_trace();
+        let flows = FlowMatrix::from_events(16, events.iter());
+        let map = StaticFlowMap::from_allocator(
+            &ring16(),
+            64,
+            &flows,
+            FlowAllocPolicy::Proportional {
+                max_lanes_per_flow: 4,
+            },
+        )
+        .unwrap();
+        let sim = OpenLoopSimulator::new(ring16(), 64, rate(), WavelengthMode::Static(map));
+        let (report, kept, unfiltered) = check_against_unfiltered_sweep(&sim, &events);
+        assert_eq!(report.conflict_count, 0);
+        assert_eq!(kept, 0, "a disjoint map shares no slot");
+        assert!(unfiltered > 0);
+    }
+
+    #[test]
+    fn relaxed_heal_run_matches_the_unfiltered_sweep() {
+        // 4-node ring, 2 lanes. X = 0→2 (CW s0, s1) alone on λ0 over s1;
+        // Y = 1→2 (CW s1) and 1→3 (CW s1, s2) on λ1; W = 2→3 (CW s2)
+        // holds the retirement window open. λ1 dies at 60 and the relaxed
+        // re-pack moves Y onto λ0. Y's message ran at [2, 12) on λ1 but
+        // retires after W, under its healed mask — so its span lands on
+        // (s1, λ0), where X's earlier span, retired before the heal, must
+        // still be on record.
+        let nodes = 4;
+        let mut table = vec![vec![WavelengthId(0)]; nodes * nodes];
+        for d in 0..nodes {
+            table[d * nodes + d].clear();
+        }
+        table[nodes + 2] = vec![WavelengthId(1)]; // Y = 1→2
+        table[nodes + 3] = vec![WavelengthId(1)]; // 1→3
+        let sim = OpenLoopSimulator::new(
+            RingTopology::new(nodes),
+            2,
+            rate(),
+            WavelengthMode::Static(StaticFlowMap::from_table(nodes, 2, table)),
+        )
+        .with_faults(FaultPlan::new(1).with_scheduled(fault::LaneFault {
+            lane: 1,
+            at: 60,
+            duration: u64::MAX,
+        }))
+        .with_healing(HealingConfig {
+            policy: HealPolicy::RePackRelaxed,
+            ber_threshold: None,
+        });
+        let events = [
+            event(0, 0, 2, 50.0),   // X: [0, 50)
+            event(1, 2, 3, 1000.0), // W: [1, 1001)
+            event(2, 1, 2, 10.0),   // Y: [2, 12)
+        ];
+        let (report, kept, unfiltered) = check_against_unfiltered_sweep(&sim, &events);
+        assert_eq!(
+            kept, unfiltered,
+            "a run that may swap masks keeps every span"
+        );
+        assert_eq!(report.conflict_count, 1);
+        let c = report.conflict_examples[0];
+        assert_eq!((c.first, c.second), (MsgId(0), MsgId(2)));
+        assert_eq!(c.channel, WavelengthId(0));
+        assert_eq!(c.overlap, (2, 12));
     }
 
     #[test]

@@ -539,9 +539,9 @@ impl<'a, P: SimProbe> Merger<'a, P> {
         let n = sim.ring.node_count();
         let mut s = SimScratch::new();
         s.prepare(n, sim.wavelengths, true, mode == ReportMode::Streaming);
-        // The merger only ever walks trace flows (the contention scan
-        // below, streaming active counts, full-mode span synthesis), so
-        // only their rows are built.
+        // The merger only ever walks trace flows (streaming active
+        // counts, full-mode span synthesis), so only their rows are
+        // built.
         s.flow_rows = Some(used_flows.to_vec());
         s.build_flow_tables(sim);
         // A slot touched by a single flow never counts a conflict: the
@@ -549,33 +549,8 @@ impl<'a, P: SimProbe> Merger<'a, P> {
         // `Completed < Started` tie-break releases before re-claiming at
         // equal times. Only replay active counts when two trace flows
         // actually share a slot.
-        let track_conflicts = mode == ReportMode::Streaming && {
-            let w = sim.wavelengths;
-            let mut owner = vec![u32::MAX; segment_count(n) * w];
-            let mut contended = false;
-            'scan: for &flow in used_flows {
-                let (lo, hi) = (
-                    s.path_offsets[flow as usize] as usize,
-                    s.path_offsets[flow as usize + 1] as usize,
-                );
-                let mask = s.flow_lane_masks[flow as usize];
-                for i in lo..hi {
-                    let row = s.path_segs[i] as usize * w;
-                    let mut rest = mask;
-                    while rest != 0 {
-                        let lane = rest.trailing_zeros() as usize;
-                        rest &= rest - 1;
-                        let slot = row + lane;
-                        if owner[slot] != u32::MAX && owner[slot] != flow {
-                            contended = true;
-                            break 'scan;
-                        }
-                        owner[slot] = flow;
-                    }
-                }
-            }
-            contended
-        };
+        let track_conflicts =
+            mode == ReportMode::Streaming && s.shared_lanes.iter().any(|&lanes| lanes != 0);
         Self {
             probe,
             report: ReportProbe::new(mode == ReportMode::Full),
@@ -739,8 +714,9 @@ impl<'a, P: SimProbe> Merger<'a, P> {
                     self.s.path_offsets[flow + 1] as usize,
                 );
                 for i in lo..hi {
-                    let row = u64::from(self.s.path_segs[i]) * w;
-                    let mut rest = mask;
+                    let seg = self.s.path_segs[i];
+                    let row = u64::from(seg) * w;
+                    let mut rest = mask & self.s.shared_lanes[seg as usize];
                     while rest != 0 {
                         let lane = u64::from(rest.trailing_zeros());
                         rest &= rest - 1;

@@ -5,10 +5,10 @@
 //! contributions (Eq. 6 term by term), which is what an architect needs to
 //! see to understand *why* a design point costs what it costs.
 
-use onoc_photonics::{MrState, WavelengthId};
+use onoc_photonics::{MrElement, MrState, WavelengthId};
 use onoc_units::Decibels;
 
-use crate::{NodeId, OnocArchitecture, SpectrumEngine, SpectrumError, Transmission};
+use crate::{NodeId, OnocArchitecture, RingPath, SpectrumEngine, SpectrumError, Transmission};
 
 /// The loss of one signal decomposed into physical contributions.
 ///
@@ -87,6 +87,63 @@ pub fn power_budgets(
         }
     }
     Ok(budgets)
+}
+
+/// The budgets of a lone transmission on `channel` over every prefix of
+/// `path`, in hop order: element `h - 1` equals, bit for bit, what
+/// [`power_budgets`] reports for the single transmission (id 0) from the
+/// path's source to its `h`-th node on `channel`.
+///
+/// dB losses add along a path, so one walk yields all `path.hops()`
+/// budgets in O(hops · comb), where one [`power_budgets`] call per prefix
+/// costs O(hops² · comb). With a single transmission the only ON ring is
+/// the receiver's own drop ring, so every stack the signal crosses is
+/// OFF; the walk snapshots the budget on arrival (destination stack
+/// prefix plus the drop) before adding the node's full OFF stack, which
+/// keeps the floating-point addition order of the per-prefix walk.
+#[must_use]
+pub fn lone_prefix_budgets(
+    arch: &OnocArchitecture,
+    path: &RingPath,
+    channel: WavelengthId,
+) -> Vec<PowerBudget> {
+    let geo = arch.geometry();
+    let params = arch.losses();
+    let grid = arch.grid();
+    let off = |c: usize| MrElement::new(WavelengthId(c), MrState::Off);
+    let cross_off = |budget: &mut PowerBudget, stack_end: usize| {
+        for c in 0..stack_end {
+            budget.off_mr_count += 1;
+            budget.off_mr_through += off(c).through_loss(channel, grid, params);
+        }
+    };
+    let drop = MrElement::new(channel, MrState::On).drop_loss(channel, grid, params);
+    let mut walk = PowerBudget {
+        transmission: 0,
+        channel,
+        propagation: Decibels::ZERO,
+        bending: Decibels::ZERO,
+        off_mr_through: Decibels::ZERO,
+        on_mr_through: Decibels::ZERO,
+        drop: Decibels::ZERO,
+        off_mr_count: 0,
+        on_mr_count: 0,
+    };
+    let hops = path.hops();
+    let mut budgets = Vec::with_capacity(hops);
+    for (h, segment) in path.segments().enumerate() {
+        walk.propagation +=
+            params.propagation_per_cm * geo.segment_length(segment.index).to_centimeters().value();
+        walk.bending += params.bending_per_90deg * geo.segment_bends(segment.index) as f64;
+        let mut arrived = walk;
+        cross_off(&mut arrived, channel.index());
+        arrived.drop = drop;
+        budgets.push(arrived);
+        if h + 1 < hops {
+            cross_off(&mut walk, grid.count());
+        }
+    }
+    budgets
 }
 
 fn budget_for(
@@ -261,6 +318,42 @@ mod tests {
         let b = &power_budgets(&a, &traffic).unwrap()[0];
         let text = b.to_string();
         assert!(text.contains("t3") && text.contains("λ2") && text.contains("drop"));
+    }
+
+    #[test]
+    fn prefix_walk_matches_one_budget_per_prefix() {
+        for (rows, cols, nw) in [(1, 2, 1), (4, 4, 8), (3, 5, 31)] {
+            let a = OnocArchitecture::builder()
+                .grid_dimensions(rows, cols)
+                .wavelengths(nw)
+                .build()
+                .unwrap();
+            let n = rows * cols;
+            for direction in Direction::BOTH {
+                for chan in [0, nw / 2, nw - 1] {
+                    let far = match direction {
+                        Direction::Clockwise => NodeId(n - 1),
+                        Direction::CounterClockwise => NodeId(1),
+                    };
+                    let path = a.route(NodeId(0), far, direction);
+                    let walk = lone_prefix_budgets(&a, &path, ch(&a, chan));
+                    assert_eq!(walk.len(), n - 1);
+                    for (h, (budget, dst)) in walk.iter().zip(path.nodes().skip(1)).enumerate() {
+                        let traffic = vec![Transmission::new(
+                            0,
+                            a.route(NodeId(0), dst, direction),
+                            vec![ch(&a, chan)],
+                        )];
+                        let oracle = power_budgets(&a, &traffic).unwrap().remove(0);
+                        assert_eq!(*budget, oracle, "hop {} on λ{chan}", h + 1);
+                        assert_eq!(
+                            budget.total().value().to_bits(),
+                            oracle.total().value().to_bits()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

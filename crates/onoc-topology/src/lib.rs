@@ -45,7 +45,7 @@ mod spectrum;
 
 pub use analysis::{CrosstalkBound, worst_case_bounds};
 pub use arch::{ArchBuilder, ArchError, OnocArchitecture};
-pub use budget::{PowerBudget, power_budgets};
+pub use budget::{PowerBudget, lone_prefix_budgets, power_budgets};
 pub use geometry::{Centimeters, Millimeters, RingGeometry};
 pub use path::{DirectedSegment, RingPath, segment_count};
 pub use ring::{Direction, NodeId, RingTopology};

@@ -101,16 +101,11 @@ pub fn assign_disjoint_lanes(
         "{wavelengths} wavelengths exceed the 128-channel mask limit"
     );
     let n = demands.len();
-    for &(a, b) in conflicts {
-        assert!(
-            a < n && b < n,
-            "conflict pair ({a}, {b}) out of range 0..{n}"
-        );
-    }
+    let neighbours = neighbour_lists(n, conflicts);
     let mut masks = vec![0u128; n];
     let mut lanes: Vec<Vec<WavelengthId>> = vec![Vec::new(); n];
     for (k, &count) in demands.iter().enumerate() {
-        let occupied = conflict_neighbour_mask(k, conflicts, &masks);
+        let occupied = neighbours[k].iter().fold(0u128, |m, &o| m | masks[o]);
         let assigned = fill_free_lanes(occupied, count, wavelengths, &mut lanes[k], &mut masks[k]);
         if assigned < count {
             return Err(LanePackingError {
@@ -121,6 +116,30 @@ pub fn assign_disjoint_lanes(
         }
     }
     Ok(lanes)
+}
+
+/// Each item's conflict neighbours, in `conflicts` order (the order the
+/// relaxed packer reports sharing pairs in). Built once per packing
+/// call, so packing item `k` ORs only its own neighbours' masks instead
+/// of rescanning every pair; OR does not depend on order, so the lanes
+/// are those of [`conflict_neighbour_mask`].
+///
+/// # Panics
+///
+/// Panics if a conflict pair names an item outside `0..n`.
+fn neighbour_lists(n: usize, conflicts: &[(usize, usize)]) -> Vec<Vec<usize>> {
+    let mut neighbours = vec![Vec::new(); n];
+    for &(a, b) in conflicts {
+        assert!(
+            a < n && b < n,
+            "conflict pair ({a}, {b}) out of range 0..{n}"
+        );
+        neighbours[a].push(b);
+        if a != b {
+            neighbours[b].push(a);
+        }
+    }
+    neighbours
 }
 
 /// Wavelengths already held by item `k`'s conflict neighbours.
@@ -216,26 +235,14 @@ pub fn assign_shared_lanes(
         "relaxed packing needs a comb of 1..=128 wavelengths, got {wavelengths}"
     );
     let n = demands.len();
-    for &(a, b) in conflicts {
-        assert!(
-            a < n && b < n,
-            "conflict pair ({a}, {b}) out of range 0..{n}"
-        );
-    }
+    let all_neighbours = neighbour_lists(n, conflicts);
     let mut masks = vec![0u128; n];
     let mut lanes: Vec<Vec<WavelengthId>> = vec![Vec::new(); n];
     let mut shared = Vec::new();
     for (k, &count) in demands.iter().enumerate() {
         let count = count.min(wavelengths);
-        let neighbours: Vec<usize> = conflicts
-            .iter()
-            .filter_map(|&(a, b)| match () {
-                () if a == k => Some(b),
-                () if b == k => Some(a),
-                () => None,
-            })
-            .collect();
-        let occupied = conflict_neighbour_mask(k, conflicts, &masks);
+        let neighbours = &all_neighbours[k];
+        let occupied = neighbours.iter().fold(0u128, |m, &o| m | masks[o]);
         // Free channels first — the same greedy fill as the strict
         // packer, so the two agree while the comb lasts.
         let mut assigned =
@@ -253,7 +260,7 @@ pub fn assign_shared_lanes(
                         .count()
                 })
                 .expect("count is clamped to the comb size");
-            for &o in &neighbours {
+            for &o in neighbours {
                 if masks[o] & (1 << choice) != 0 {
                     shared.push((k, o, WavelengthId(choice)));
                 }
@@ -634,5 +641,101 @@ mod tests {
         let relaxed = assign_shared_lanes(&[5], &[], 3);
         assert_eq!(relaxed.lanes[0].len(), 3);
         assert!(relaxed.is_disjoint());
+    }
+
+    /// The strict packer before neighbour lists: every item rescans the
+    /// whole pair list.
+    fn list_scan_disjoint(
+        demands: &[usize],
+        conflicts: &[(usize, usize)],
+        wavelengths: usize,
+    ) -> Result<Vec<Vec<WavelengthId>>, LanePackingError> {
+        let mut masks = vec![0u128; demands.len()];
+        let mut lanes = vec![Vec::new(); demands.len()];
+        for (k, &count) in demands.iter().enumerate() {
+            let occupied = conflict_neighbour_mask(k, conflicts, &masks);
+            let assigned =
+                fill_free_lanes(occupied, count, wavelengths, &mut lanes[k], &mut masks[k]);
+            if assigned < count {
+                return Err(LanePackingError {
+                    index: k,
+                    requested: count,
+                    available: assigned,
+                });
+            }
+        }
+        Ok(lanes)
+    }
+
+    /// The relaxed packer before neighbour lists.
+    fn list_scan_shared(
+        demands: &[usize],
+        conflicts: &[(usize, usize)],
+        wavelengths: usize,
+    ) -> RelaxedAssignment {
+        let mut masks = vec![0u128; demands.len()];
+        let mut lanes: Vec<Vec<WavelengthId>> = vec![Vec::new(); demands.len()];
+        let mut shared = Vec::new();
+        for (k, &count) in demands.iter().enumerate() {
+            let count = count.min(wavelengths);
+            let neighbours: Vec<usize> = conflicts
+                .iter()
+                .filter_map(|&(a, b)| match () {
+                    () if a == k => Some(b),
+                    () if b == k => Some(a),
+                    () => None,
+                })
+                .collect();
+            let occupied = conflict_neighbour_mask(k, conflicts, &masks);
+            let mut assigned =
+                fill_free_lanes(occupied, count, wavelengths, &mut lanes[k], &mut masks[k]);
+            while assigned < count {
+                let choice = (0..wavelengths)
+                    .filter(|&w| masks[k] & (1 << w) == 0)
+                    .min_by_key(|&w| {
+                        neighbours
+                            .iter()
+                            .filter(|&&o| masks[o] & (1 << w) != 0)
+                            .count()
+                    })
+                    .unwrap();
+                for &o in &neighbours {
+                    if masks[o] & (1 << choice) != 0 {
+                        shared.push((k, o, WavelengthId(choice)));
+                    }
+                }
+                lanes[k].push(WavelengthId(choice));
+                masks[k] |= 1 << choice;
+                assigned += 1;
+            }
+            lanes[k].sort_unstable_by_key(|w| w.index());
+        }
+        RelaxedAssignment { lanes, shared }
+    }
+
+    proptest::proptest! {
+        /// Neighbour lists pick the same lanes (and fail on the same
+        /// demand) as rescanning every pair per item, on random graphs
+        /// with repeated pairs and self-pairs.
+        #[test]
+        fn packers_match_the_list_scan_fold(
+            items in 1usize..24,
+            demands in proptest::collection::vec(0usize..5, 24),
+            lhs in proptest::collection::vec(0usize..24, 0..80),
+            rhs in proptest::collection::vec(0usize..24, 80),
+            wavelengths in 1usize..12,
+        ) {
+            let demands = &demands[..items];
+            let conflicts: Vec<(usize, usize)> =
+                lhs.iter().zip(&rhs).map(|(&a, &b)| (a % items, b % items)).collect();
+            proptest::prop_assert_eq!(
+                assign_disjoint_lanes(demands, &conflicts, wavelengths),
+                list_scan_disjoint(demands, &conflicts, wavelengths)
+            );
+            proptest::prop_assert_eq!(
+                assign_shared_lanes(demands, &conflicts, wavelengths),
+                list_scan_shared(demands, &conflicts, wavelengths)
+            );
+        }
     }
 }
