@@ -101,8 +101,6 @@ pub struct BenchRecord {
     pub simulate_ms: f64,
     /// Report-folding wall time summed over the scenario's points.
     pub report_ms: f64,
-    /// Intra-run PDES workers the scenario's grid ran with (1 = serial).
-    pub workers: usize,
 }
 
 /// The pinned scenario set. `quick` divides horizons by 10 for CI smoke
@@ -212,30 +210,19 @@ pub fn pinned_scenarios(quick: bool) -> Vec<BenchScenario> {
             ..base.clone()
         })),
     });
-    // The PDES scale pair: one 256-node tornado scenario in static
-    // wavelength mode, run serial and at 4 intra-run workers. Same grid
-    // apart from `workers`, so the wall-time ratio between the two
-    // records *is* the parallel speedup, and the determinism invariant
-    // makes their pJ/bit identical by construction.
-    let tornado_256 = SweepGrid {
-        patterns: vec![TrafficPattern::Tornado],
-        injection_rates: vec![0.02],
-        wavelengths: vec![128],
-        ring_sizes: vec![256],
-        horizon: scale(20_000),
-        energy: Some(EnergyModel::paper(256, 128)),
-        static_map: Some(source_striped_map(256, 128)),
-        ..base
-    };
+    // The scale scenario: one 256-node tornado run in static wavelength
+    // mode.
     out.push(BenchScenario {
         name: "serial-256n".into(),
-        work: BenchWork::Sweep(Box::new(tornado_256.clone())),
-    });
-    out.push(BenchScenario {
-        name: "pdes-256n-4w".into(),
         work: BenchWork::Sweep(Box::new(SweepGrid {
-            workers: 4,
-            ..tornado_256
+            patterns: vec![TrafficPattern::Tornado],
+            injection_rates: vec![0.02],
+            wavelengths: vec![128],
+            ring_sizes: vec![256],
+            horizon: scale(20_000),
+            energy: Some(EnergyModel::paper(256, 128)),
+            static_map: Some(source_striped_map(256, 128)),
+            ..base
         })),
     });
     // The online-serve scenario: the incremental grant/release loop of
@@ -266,7 +253,7 @@ pub fn pinned_scenarios(quick: bool) -> Vec<BenchScenario> {
     out
 }
 
-/// The explicit single-lane static map behind the 256-node scenarios:
+/// The explicit single-lane static map behind the 256-node scenario:
 /// every flow out of `src` owns lane `src % wavelengths`. Under the
 /// tornado pattern (⌈n/2⌉ − 1 hops) the two sources sharing a lane sit
 /// half a ring apart, so their paths never meet on a directed segment —
@@ -351,7 +338,6 @@ fn run_sweep_record(name: String, grid: &SweepGrid) -> BenchRecord {
         setup_ms: phases.setup_ms,
         simulate_ms: phases.simulate_ms,
         report_ms: phases.report_ms,
-        workers: grid.workers,
     }
 }
 
@@ -384,7 +370,6 @@ fn run_serve_record(
         setup_ms: ms(setup),
         simulate_ms: ms(simulate),
         report_ms: 0.0,
-        workers: 1,
     }
 }
 
@@ -402,7 +387,6 @@ fn record_value(r: &BenchRecord) -> Value {
     row.insert("setup_ms", ms(r.setup_ms));
     row.insert("simulate_ms", ms(r.simulate_ms));
     row.insert("report_ms", ms(r.report_ms));
-    row.insert("workers", r.workers);
     row
 }
 
@@ -432,8 +416,8 @@ pub fn history_line(records: &[BenchRecord], quick: bool, unix_ms: u64) -> Strin
     doc.insert("schema", BENCH_HISTORY_SCHEMA);
     doc.insert("unix_ms", unix_ms);
     doc.insert("tier", if quick { "quick" } else { "full" });
-    // PDES wall times only compare across commits at equal physical
-    // parallelism, so every history record names the host it ran on.
+    // Wall times only compare across commits on like hosts, so every
+    // history record names its host's core count.
     doc.insert(
         "host_cores",
         std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get),
@@ -461,13 +445,14 @@ pub const PJ_GATE_TOLERANCE: f64 = 0.01;
 /// Compares `current` (a run at the given tier) against a baseline
 /// artifact (the JSON produced by [`render_json`]). Returns the list of
 /// regressions — scenarios whose wall time exceeds `factor ×` the
-/// baseline, or whose mean pJ/bit drifts more than [`PJ_GATE_TOLERANCE`]
+/// baseline, whose mean pJ/bit drifts more than [`PJ_GATE_TOLERANCE`]
 /// relative (the deterministic energy fold must not move unless the
-/// model does) — or an error when the baseline cannot be interpreted or
-/// was recorded at a different tier (full-tier wall times are ~10× the
-/// quick tier's, so a tier mismatch would silently neuter the gate).
-/// Scenarios absent from the baseline, and wall times whose baseline is
-/// under [`MIN_GATE_MS`], are ignored.
+/// model does), or which the baseline records but this run lacks (a
+/// scenario must not leave the suite unnoticed) — or an error when the
+/// baseline cannot be interpreted or was recorded at a different tier
+/// (full-tier wall times are ~10× the quick tier's, so a tier mismatch
+/// would silently neuter the gate). Scenarios absent from the baseline,
+/// and wall times whose baseline is under [`MIN_GATE_MS`], are ignored.
 ///
 /// # Errors
 ///
@@ -529,6 +514,14 @@ pub fn check_regressions(
             }
         }
     }
+    for name in scenarios
+        .iter()
+        .filter_map(|s| s.get("name").and_then(Value::as_str))
+    {
+        if !current.iter().any(|r| r.name == name) {
+            regressions.push(format!("{name}: in the baseline but missing from this run"));
+        }
+    }
     Ok(regressions)
 }
 
@@ -542,8 +535,8 @@ mod tests {
         let quick = pinned_scenarios(true);
         assert_eq!(
             full.len(),
-            19,
-            "2 headline + 3×2×2 matrix + 1 fault + 1 heal + 2 PDES + 1 serve"
+            18,
+            "2 headline + 3×2×2 matrix + 1 fault + 1 heal + 1 scale + 1 serve"
         );
         assert_eq!(full.len(), quick.len());
         for (f, q) in full.iter().zip(&quick) {
@@ -567,30 +560,13 @@ mod tests {
         assert!(names.contains(&"gbn-fault-8l"));
         assert!(names.contains(&"heal-perm-fault"));
         assert!(names.contains(&"serial-256n"));
-        assert!(names.contains(&"pdes-256n-4w"));
         assert!(names.contains(&"online-serve-8l"));
-        // The PDES pair differs only in worker count, so the wall-time
-        // ratio between the two records is the parallel speedup.
         let serial = full
             .iter()
             .find(|s| s.name == "serial-256n")
             .and_then(BenchScenario::grid)
             .unwrap();
-        let pdes = full
-            .iter()
-            .find(|s| s.name == "pdes-256n-4w")
-            .and_then(BenchScenario::grid)
-            .unwrap();
-        assert_eq!(serial.workers, 1);
-        assert_eq!(pdes.workers, 4);
-        assert_eq!(
-            &SweepGrid {
-                workers: 1,
-                ..pdes.clone()
-            },
-            serial
-        );
-        assert!(serial.static_map.is_some(), "PDES needs static mode");
+        assert!(serial.static_map.is_some());
         // The serve scenario keeps the paper point and a seeded workload.
         let serve = full.iter().find(|s| s.name == "online-serve-8l").unwrap();
         assert!(serve.grid().is_none());
@@ -612,7 +588,6 @@ mod tests {
             setup_ms: wall_ms * 0.3,
             simulate_ms: wall_ms * 0.6,
             report_ms: wall_ms * 0.05,
-            workers: 1,
         }
     }
 
@@ -635,9 +610,10 @@ mod tests {
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].contains("open-uniform-8l"));
         // A scenario the baseline never saw is not a regression.
-        slowed[1].name = "brand-new".into();
+        let mut grown = records.clone();
+        grown.push(record("brand-new", 500.0, 9.0));
         assert!(
-            check_regressions(&slowed, true, &json, 2.0)
+            check_regressions(&grown, true, &json, 2.0)
                 .unwrap()
                 .is_empty()
         );
@@ -658,6 +634,33 @@ mod tests {
         // versa) instead of silently passing against ~10x-off numbers.
         let err = check_regressions(&records, false, &json, 2.0).unwrap_err();
         assert!(err.contains("tier"), "{err}");
+    }
+
+    #[test]
+    fn missing_baseline_scenario_is_a_regression() {
+        let base = vec![
+            record("saturation-sweep-16n", 100.0, 1.25),
+            record("open-uniform-8l", 50.0, 2.5),
+        ];
+        let json = render_json(&base, true);
+        // Dropping a scenario from the suite fails the gate by name.
+        let regressions = check_regressions(&base[..1], true, &json, 2.0).unwrap();
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+        assert!(
+            regressions[0].contains("open-uniform-8l"),
+            "{regressions:?}"
+        );
+        assert!(regressions[0].contains("missing"), "{regressions:?}");
+        // So does renaming one: the old name is missing, the new one is
+        // ungated.
+        let mut renamed = base.clone();
+        renamed[1].name = "open-uniform-8l-v2".into();
+        let regressions = check_regressions(&renamed, true, &json, 2.0).unwrap();
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+        assert!(
+            regressions[0].starts_with("open-uniform-8l:"),
+            "{regressions:?}"
+        );
     }
 
     #[test]
@@ -729,7 +732,6 @@ mod tests {
         assert_eq!(record.points, 1);
         assert_eq!(record.messages, churn.sessions);
         assert_eq!(record.pj_per_bit, 0.0, "no energy model over grants");
-        assert_eq!(record.workers, 1);
         assert!(record.wall_ms >= record.simulate_ms);
     }
 

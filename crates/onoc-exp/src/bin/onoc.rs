@@ -71,8 +71,6 @@ OPTIONS (run --spec only):
     --heal-policy <p>     park | re-pack-strict | re-pack-relaxed — self-healing
                           re-allocation on lane failure (overrides the spec's
                           [healing]; re-pack needs a static allocator)
-    --workers <n>         intra-run PDES worker threads (overrides the spec's
-                          [engine] workers; results are bit-identical to serial)
 
 OPTIONS (run, sweep):
     --quick               reduced GA/horizon configuration (scale = quick)
@@ -96,8 +94,84 @@ OPTIONS (sweep only):
     --fraction <f>        hotspot traffic share          [default: 0.5]
 ";
 
+/// Flags of `onoc run` that take a value (the rest of its flags are the
+/// `--quick`/`--json` switches).
+const RUN_VALUED: [&str; 12] = [
+    "--scale",
+    "--seed",
+    "--threads",
+    "--spec",
+    "--all",
+    "--out",
+    "--capture-trace",
+    "--export-chrome-trace",
+    "--fault-ber",
+    "--fault-seed",
+    "--transport",
+    "--heal-policy",
+];
+
+/// The flags a subcommand takes, as `(flags with a value, switches)`;
+/// `None` for commands that do not parse flags.
+fn flags_of(command: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match command {
+        "list" | "trace" => (&[], &[]),
+        "run" => (&RUN_VALUED, &["--quick", "--json"]),
+        "sweep" => (
+            &[
+                "--scale",
+                "--seed",
+                "--threads",
+                "--patterns",
+                "--rates",
+                "--wavelengths",
+                "--rings",
+                "--horizon",
+                "--message-bits",
+                "--policy",
+                "--hotspots",
+                "--fraction",
+            ],
+            &["--quick", "--json", "--bursty"],
+        ),
+        "serve" => (
+            &["--spec", "--out", "--scale", "--seed"],
+            &["--quick", "--json", "--compare"],
+        ),
+        "bench" => (
+            &["--out", "--check", "--factor", "--append-history"],
+            &["--quick"],
+        ),
+        "diff" => (&["--tolerance"], &[]),
+        _ => return None,
+    })
+}
+
+/// Names the first argument that looks like a flag but is neither in
+/// `valued` nor in `switches`; the argument after a valued flag is its
+/// value, never a flag.
+fn unknown_flag<'a>(args: &'a [String], valued: &[&str], switches: &[&str]) -> Option<&'a str> {
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg) {
+            rest.next();
+        } else if arg.starts_with('-') && arg.len() > 1 && !switches.contains(&arg) {
+            return Some(arg);
+        }
+    }
+    None
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(command) = args.first() {
+        if let Some((valued, switches)) = flags_of(command) {
+            if let Some(arg) = unknown_flag(&args[1..], valued, switches) {
+                eprintln!("`onoc {command}` does not take {arg}; see `onoc help`");
+                std::process::exit(2);
+            }
+        }
+    }
     let code = match args.first().map(String::as_str) {
         Some("list") => cmd_list(),
         Some("run") => cmd_run(&args[1..]),
@@ -216,7 +290,6 @@ fn cmd_run(args: &[String]) -> i32 {
         "--fault-seed",
         "--transport",
         "--heal-policy",
-        "--workers",
     ] {
         if value_of(args, only_spec).is_some()
             && (value_of(args, "--spec").is_none() || value_of(args, "--all").is_some())
@@ -242,21 +315,6 @@ fn cmd_run(args: &[String]) -> i32 {
         if let Err(message) = apply_reliability_flags(&mut spec, args) {
             eprintln!("{message}");
             return 2;
-        }
-        if let Some(raw) = value_of(args, "--workers") {
-            let Ok(workers) = raw.parse::<usize>() else {
-                eprintln!("--workers needs a positive integer, got {raw:?}");
-                return 2;
-            };
-            if workers == 0 {
-                eprintln!("--workers needs at least 1 worker");
-                return 2;
-            }
-            // The flag rides on the spec's own [engine] table when it
-            // has one, and implies the defaults when it does not.
-            let mut engine = spec.engine.clone().unwrap_or_default();
-            engine.workers = Some(workers);
-            spec.engine = Some(engine);
         }
         if let Some(trace_path) = value_of(args, "--export-chrome-trace") {
             if !matches!(
@@ -305,24 +363,7 @@ fn cmd_run(args: &[String]) -> i32 {
         .iter()
         .enumerate()
         .filter(|&(i, a)| {
-            !a.starts_with("--")
-                && (i == 0
-                    || !matches!(
-                        args[i - 1].as_str(),
-                        "--scale"
-                            | "--seed"
-                            | "--threads"
-                            | "--spec"
-                            | "--all"
-                            | "--out"
-                            | "--capture-trace"
-                            | "--export-chrome-trace"
-                            | "--fault-ber"
-                            | "--fault-seed"
-                            | "--transport"
-                            | "--heal-policy"
-                            | "--workers"
-                    ))
+            !a.starts_with("--") && (i == 0 || !RUN_VALUED.contains(&args[i - 1].as_str()))
         })
         .map(|(_, a)| a)
         .collect();

@@ -80,8 +80,29 @@ pub use experiment::{Experiment, Registry, RunContext, default_threads};
 pub use scenario::{ScenarioError, capture_trace, run_spec};
 pub use serve::{build_requests, run_serve, service_config};
 pub use spec::{
-    AimdSpec, AllocatorSpec, ArchSpec, DefragKind, EnergySpec, EngineSpec, FaultSpec, HealingSpec,
+    AimdSpec, AllocatorSpec, ArchSpec, DefragKind, EnergySpec, FaultSpec, HealingSpec,
     HeuristicKind, KernelKind, ReportKind, Scale, ScenarioSpec, ScenarioSpecBuilder, ServiceSpec,
     SpecError, TelemetrySpec, TransportSpec, WorkloadSpec,
 };
 pub use value::{ParseError, Value};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use onoc_wa::ObjectiveSet;
+
+    #[test]
+    fn scale_reexport_is_the_exp_scale() {
+        let quick = Scale::Quick.ga_config(ObjectiveSet::TimeBer, 2);
+        assert_eq!(quick.population_size, 120);
+        assert_eq!(quick.objectives, ObjectiveSet::TimeBer);
+    }
+
+    #[test]
+    fn count_formatting_matches_paper_style() {
+        assert_eq!(
+            artifact::paper_counts(&[2, 8, 6, 6, 4, 7]),
+            "[ 2. 8. 6. 6. 4. 7.]"
+        );
+    }
+}

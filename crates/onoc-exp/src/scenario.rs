@@ -27,8 +27,8 @@ use rand::rngs::StdRng;
 
 use crate::artifact::{Report, Table, counts_cell};
 use crate::spec::{
-    AllocatorSpec, EngineSpec, HealingSpec, HeuristicKind, KernelKind, Scale, ScenarioSpec,
-    TelemetrySpec, TransportSpec, WorkloadSpec, objectives_name,
+    AllocatorSpec, HealingSpec, HeuristicKind, KernelKind, Scale, ScenarioSpec, TelemetrySpec,
+    TransportSpec, WorkloadSpec, objectives_name,
 };
 
 /// Why a scenario could not be executed.
@@ -515,30 +515,16 @@ fn run_stream(
     let model = resolve_energy(spec);
     let mut probe = EnergyProbe::new(model, spec.arch.nodes, spec.arch.wavelengths);
     let mut rel = ReliabilityProbe::new(spec.arch.wavelengths);
-    // Serial runs restrict the per-run route/mask rebuild to the flows
-    // the trace actually exercises (O(active flows) instead of O(n²));
-    // the sharded engine keeps its own per-shard scratch.
+    // Restrict the per-run route/mask rebuild to the flows the trace
+    // actually exercises (O(active flows) instead of O(n²)).
     let mut scratch = SimScratch::new();
-    if spec.engine.as_ref().map_or(1, EngineSpec::workers) <= 1 {
-        let mut rows: Vec<u32> = trace
-            .events()
-            .iter()
-            .map(|e| (e.src.0 * spec.arch.nodes + e.dst.0) as u32)
-            .collect();
-        rows.sort_unstable();
-        rows.dedup();
-        scratch.set_flow_rows(Some(rows));
-    }
+    scratch.set_flow_rows(Some(trace.flow_rows(spec.arch.nodes)));
     let sim_err = |e: &dyn core::fmt::Display| ScenarioError::Simulation {
         message: e.to_string(),
     };
     // With a `[telemetry]` table the windowed series and the trace
     // exporter ride beside the energy probe in the same run; without one
     // the engine monomorphises over the energy probe alone, as before.
-    // An `[engine]` table with `workers > 1` routes the same probes
-    // through the sharded PDES engine (bit-identical by construction;
-    // ineligible configurations fall back to serial inside it).
-    let workers = spec.engine.as_ref().map_or(1, EngineSpec::workers);
     let mut telemetry_out: Option<(TimeSeries, ChromeTraceProbe)> = None;
     let run = if let Some(telemetry) = &spec.telemetry {
         let last_injection = trace.events().iter().map(|e| e.time).max().unwrap_or(0);
@@ -547,23 +533,16 @@ fn run_stream(
                 .with_horizon_hint(last_injection + telemetry.window());
         let mut chrome = ChromeTraceProbe::with_capacity(trace.len());
         let mut probes = ((&mut probe, &mut rel), (&mut series, &mut chrome));
-        let run = if workers > 1 {
-            sim.run_parallel_probed(trace.source(), workers, spec.report.mode(), &mut probes)
-        } else {
-            sim.run_with_scratch_probed(
+        let run = sim
+            .run_with_scratch_probed(
                 trace.source(),
                 &mut scratch,
                 spec.report.mode(),
                 &mut probes,
             )
-        }
-        .map_err(|e| sim_err(&e))?;
+            .map_err(|e| sim_err(&e))?;
         telemetry_out = Some((series.report(), chrome));
         run
-    } else if workers > 1 {
-        let mut probes = (&mut probe, &mut rel);
-        sim.run_parallel_probed(trace.source(), workers, spec.report.mode(), &mut probes)
-            .map_err(|e| sim_err(&e))?
     } else {
         let mut probes = (&mut probe, &mut rel);
         sim.run_with_scratch_probed(
@@ -915,9 +894,6 @@ fn run_sweep_workload(
         // still matters under a Gilbert–Elliott `[faults]` channel.
         healing: spec.healing.as_ref().map(HealingSpec::resolve),
         aimd,
-        // Spec sweeps are dynamic-allocator only, so the intra-run PDES
-        // engine (static mode) never applies; parallelism across sweep
-        // points comes from the thread pool instead.
         workers: 1,
         static_map: None,
     };
@@ -1451,29 +1427,6 @@ max_lanes_per_flow = 4
             horizon: 10_000,
             burstiness: None,
         }
-    }
-
-    #[test]
-    fn engine_workers_knob_is_bit_identical_to_serial() {
-        // The same spec at 1 and 3 intra-run workers must produce the
-        // exact same artifact — the PDES determinism guarantee surfaced
-        // at the spec layer (static striped allocation, so the run is
-        // actually sharded rather than falling back).
-        use crate::spec::EngineSpec;
-        let build = |workers: usize| {
-            ScenarioSpec::builder("sharded")
-                .scale(Scale::Smoke)
-                .workload(synthetic_uniform_small())
-                .allocator(AllocatorSpec::Striped { lanes_per_flow: 1 })
-                .engine(EngineSpec {
-                    workers: Some(workers),
-                })
-                .build()
-                .unwrap()
-        };
-        let serial = run_spec(&build(1), 2).unwrap();
-        let sharded = run_spec(&build(3), 2).unwrap();
-        assert_eq!(serial.to_json(), sharded.to_json());
     }
 
     #[test]

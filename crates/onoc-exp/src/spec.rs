@@ -538,36 +538,6 @@ impl TelemetrySpec {
     }
 }
 
-/// The `[engine]` table: execution knobs for the open-loop engine.
-///
-/// Every field that is `None` falls back to its default, so the
-/// document form round-trips exactly (only explicit keys are written
-/// back) — the same convention as [`TelemetrySpec`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct EngineSpec {
-    /// Override: intra-run PDES worker count (default 1 = the serial
-    /// engine). Values above 1 shard the event core by source; results
-    /// are bit-identical to serial, and configurations outside the
-    /// sharding eligibility (dynamic allocation, ECN/PFC) fall back to
-    /// the serial engine internally.
-    pub workers: Option<usize>,
-}
-
-impl EngineSpec {
-    /// The effective intra-run worker count.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers.unwrap_or(1)
-    }
-
-    fn validate(&self) -> Result<(), SpecError> {
-        if self.workers == Some(0) {
-            return Err(invalid("engine.workers", "must be at least 1"));
-        }
-        Ok(())
-    }
-}
-
 /// Defragmentation trigger of the `[service]` table (the spec form of
 /// [`onoc_serve::DefragPolicy`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1284,6 +1254,13 @@ pub enum SpecError {
         /// Allocator kind.
         allocator: &'static str,
     },
+    /// The document carries a key the schema does not know.
+    UnknownKey {
+        /// The key as written.
+        key: String,
+        /// The known key nearest to it by edit distance.
+        nearest: &'static str,
+    },
 }
 
 impl core::fmt::Display for SpecError {
@@ -1298,6 +1275,10 @@ impl core::fmt::Display for SpecError {
             } => write!(
                 f,
                 "a `{workload}` workload cannot run under a `{allocator}` allocator"
+            ),
+            SpecError::UnknownKey { key, nearest } => write!(
+                f,
+                "spec has unknown key `{key}` (the nearest known key is `{nearest}`)"
             ),
         }
     }
@@ -1346,9 +1327,6 @@ pub struct ScenarioSpec {
     /// [`TimeSeries`](onoc_sim::TimeSeries) (plus per-source and
     /// per-flow attribution artifacts) and can export a Chrome trace.
     pub telemetry: Option<TelemetrySpec>,
-    /// Optional `[engine]` table: execution knobs (intra-run PDES
-    /// worker count) for message-stream runs.
-    pub engine: Option<EngineSpec>,
     /// ECN AIMD pacing overrides, carried as `aimd_*` keys of the
     /// `[injection]` table (defaults when untouched; only meaningful in
     /// ECN mode).
@@ -1388,7 +1366,6 @@ impl ScenarioSpec {
             report: ReportKind::Full,
             energy: None,
             telemetry: None,
-            engine: None,
             aimd: AimdSpec::default(),
             faults: None,
             transport: None,
@@ -1600,13 +1577,6 @@ impl ScenarioSpec {
             }
             root.insert("telemetry", table);
         }
-        if let Some(engine) = &self.engine {
-            let mut table = Value::table();
-            if let Some(workers) = engine.workers {
-                table.insert("workers", workers);
-            }
-            root.insert("engine", table);
-        }
         if let Some(faults) = &self.faults {
             let mut table = Value::table();
             if let Some(seed) = faults.seed {
@@ -1740,9 +1710,11 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] when fields are missing, malformed, or the
-    /// combination is invalid.
+    /// Returns [`SpecError`] when fields are missing or malformed, the
+    /// root carries a key the schema does not know, or the combination
+    /// is invalid.
     pub fn from_value(value: &Value) -> Result<Self, SpecError> {
+        check_root_keys(value)?;
         let name = req_str(value, "name")?.to_string();
         let seed = opt_u64(value, "seed")?.unwrap_or(2017);
         let scale = match value.get("scale") {
@@ -1802,10 +1774,6 @@ impl ScenarioSpec {
             None => None,
             Some(table) => Some(parse_telemetry(table)?),
         };
-        let engine = match value.get("engine") {
-            None => None,
-            Some(table) => Some(parse_engine(table)?),
-        };
         let faults = match value.get("faults") {
             None => None,
             Some(table) => Some(parse_faults(table)?),
@@ -1834,7 +1802,6 @@ impl ScenarioSpec {
             report,
             energy,
             telemetry,
-            engine,
             aimd,
             faults,
             transport,
@@ -1843,6 +1810,64 @@ impl ScenarioSpec {
         }
         .build()
     }
+}
+
+/// The keys a spec document may carry at its root.
+const ROOT_KEYS: [&str; 15] = [
+    "name",
+    "seed",
+    "scale",
+    "objectives",
+    "report",
+    "arch",
+    "workload",
+    "allocator",
+    "injection",
+    "energy",
+    "telemetry",
+    "faults",
+    "transport",
+    "healing",
+    "service",
+];
+
+/// Rejects the first root key that [`ROOT_KEYS`] does not list, naming
+/// the known key nearest to it. Allocates only on the error path.
+fn check_root_keys(root: &Value) -> Result<(), SpecError> {
+    let Some(entries) = root.as_table() else {
+        return Ok(());
+    };
+    match entries
+        .keys()
+        .find(|key| !ROOT_KEYS.contains(&key.as_str()))
+    {
+        None => Ok(()),
+        Some(key) => Err(SpecError::UnknownKey {
+            key: key.clone(),
+            nearest: ROOT_KEYS
+                .into_iter()
+                .min_by_key(|k| edit_distance(key, k))
+                .expect("ROOT_KEYS is not empty"),
+        }),
+    }
+}
+
+/// Levenshtein distance between `a` and `b`, in chars.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diagonal = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let above = row[j + 1];
+            row[j + 1] = (above + 1)
+                .min(row[j] + 1)
+                .min(diagonal + usize::from(ca != cb));
+            diagonal = above;
+        }
+    }
+    row[b.len()]
 }
 
 /// Typed builder for [`ScenarioSpec`]; `build` validates the combination.
@@ -1859,7 +1884,6 @@ pub struct ScenarioSpecBuilder {
     report: ReportKind,
     energy: Option<EnergySpec>,
     telemetry: Option<TelemetrySpec>,
-    engine: Option<EngineSpec>,
     aimd: AimdSpec,
     faults: Option<FaultSpec>,
     transport: Option<TransportSpec>,
@@ -1942,13 +1966,6 @@ impl ScenarioSpecBuilder {
     #[must_use]
     pub fn telemetry(mut self, telemetry: TelemetrySpec) -> Self {
         self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Sets the `[engine]` table.
-    #[must_use]
-    pub fn engine(mut self, engine: EngineSpec) -> Self {
-        self.engine = Some(engine);
         self
     }
 
@@ -2290,16 +2307,6 @@ impl ScenarioSpecBuilder {
                 ));
             }
         }
-        if let Some(engine) = &self.engine {
-            engine.validate()?;
-            if !message_stream {
-                return Err(invalid(
-                    "engine",
-                    "engine knobs apply to message-stream workloads \
-                     (the open-loop engine)",
-                ));
-            }
-        }
         if let Some(service) = &self.service {
             service.validate()?;
             if !matches!(
@@ -2359,7 +2366,6 @@ impl ScenarioSpecBuilder {
             report: self.report,
             energy: self.energy,
             telemetry: self.telemetry,
-            engine: self.engine,
             aimd: self.aimd,
             faults: self.faults,
             transport: self.transport,
@@ -2776,19 +2782,6 @@ fn parse_energy(table: &Value) -> Result<EnergySpec, SpecError> {
         mr_tuning_mw: opt_float("mr_tuning_mw", "energy.mr_tuning_mw")?,
         clock_ghz: opt_float("clock_ghz", "energy.clock_ghz")?,
     })
-}
-
-fn parse_engine(table: &Value) -> Result<EngineSpec, SpecError> {
-    let workers = match table.get("workers") {
-        None => None,
-        Some(v) => {
-            let i = v
-                .as_int()
-                .ok_or_else(|| invalid("engine.workers", "not an integer"))?;
-            Some(usize::try_from(i).map_err(|_| invalid("engine.workers", "must be nonnegative"))?)
-        }
-    };
-    Ok(EngineSpec { workers })
 }
 
 fn parse_telemetry(table: &Value) -> Result<TelemetrySpec, SpecError> {
@@ -3288,6 +3281,41 @@ kind = "nsga2"
     }
 
     #[test]
+    fn unknown_root_keys_are_rejected_in_both_formats() {
+        let base = ScenarioSpec::builder("strict")
+            .workload(synthetic_uniform())
+            .allocator(AllocatorSpec::Striped { lanes_per_flow: 1 })
+            .build()
+            .unwrap();
+        let mut engine = Value::table();
+        engine.insert("workers", 2_i64);
+        let mut telemetery = Value::table();
+        telemetery.insert("window", 64_i64);
+        for (key, value, nearest) in [
+            ("engine", engine, "name"),
+            ("reprot", Value::from("streaming"), "report"),
+            ("telemetery", telemetery, "telemetry"),
+        ] {
+            let mut doc = base.to_value();
+            doc.insert(key, value);
+            for parsed in [
+                ScenarioSpec::from_toml_str(&doc.to_toml()),
+                ScenarioSpec::from_json_str(&doc.to_json()),
+            ] {
+                let err = parsed.unwrap_err();
+                assert_eq!(
+                    err,
+                    SpecError::UnknownKey {
+                        key: key.into(),
+                        nearest
+                    }
+                );
+                assert!(err.to_string().contains(&format!("`{key}`")), "{err}");
+            }
+        }
+    }
+
+    #[test]
     fn injection_table_round_trips_in_both_formats() {
         for injection in [
             InjectionMode::Credit { window: 3 },
@@ -3522,55 +3550,6 @@ kind = "nsga2"
             .build()
             .unwrap_err();
         assert!(matches!(err, SpecError::Invalid { field, .. } if field == "telemetry"));
-    }
-
-    #[test]
-    fn engine_table_round_trips_in_both_formats() {
-        // Defaults-only, and fully explicit: both must survive the TOML
-        // and JSON round trips exactly.
-        for engine in [EngineSpec::default(), EngineSpec { workers: Some(4) }] {
-            let spec = ScenarioSpec::builder("sharded")
-                .workload(synthetic_uniform())
-                .allocator(AllocatorSpec::Striped { lanes_per_flow: 1 })
-                .engine(engine.clone())
-                .build()
-                .unwrap();
-            let toml = spec.to_toml();
-            assert!(toml.contains("[engine]"), "{toml}");
-            assert_eq!(ScenarioSpec::from_toml_str(&toml).unwrap(), spec);
-            assert_eq!(ScenarioSpec::from_json_str(&spec.to_json()).unwrap(), spec);
-            assert_eq!(spec.engine, Some(engine));
-        }
-        // Omitted [engine] stays omitted, and the default is serial.
-        let plain = ScenarioSpec::builder("plain")
-            .workload(synthetic_uniform())
-            .allocator(AllocatorSpec::Dynamic {
-                policy: DynamicPolicy::Single,
-            })
-            .build()
-            .unwrap();
-        assert_eq!(plain.engine, None);
-        assert!(!plain.to_toml().contains("[engine]"));
-        assert_eq!(EngineSpec::default().workers(), 1);
-    }
-
-    #[test]
-    fn engine_validation_rejects_bad_tables() {
-        let err = ScenarioSpec::builder("bad")
-            .workload(synthetic_uniform())
-            .allocator(AllocatorSpec::Dynamic {
-                policy: DynamicPolicy::Single,
-            })
-            .engine(EngineSpec { workers: Some(0) })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, SpecError::Invalid { field, .. } if field == "engine.workers"));
-        // Task-graph workloads never run the open-loop engine.
-        let err = ScenarioSpec::builder("graphed")
-            .engine(EngineSpec { workers: Some(2) })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, SpecError::Invalid { field, .. } if field == "engine"));
     }
 
     #[test]

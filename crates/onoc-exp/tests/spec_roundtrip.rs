@@ -245,3 +245,21 @@ fn second_serialization_is_a_fixed_point() {
     let twice = ScenarioSpec::from_toml_str(&once).unwrap().to_toml();
     assert_eq!(once, twice, "serialize ∘ parse must be idempotent");
 }
+
+#[test]
+fn every_example_spec_parses() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+    let mut parsed = 0;
+    for entry in std::fs::read_dir(dir).expect("examples directory") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().and_then(|e| e.to_str()) != Some("toml") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("readable example");
+        if let Err(e) = ScenarioSpec::from_toml_str(&text) {
+            panic!("{}: {e}", path.display());
+        }
+        parsed += 1;
+    }
+    assert!(parsed >= 8, "found only {parsed} example specs");
+}

@@ -58,7 +58,6 @@ mod fault;
 mod flows;
 mod injection;
 mod openloop;
-mod pdes;
 mod probe;
 mod report;
 mod telemetry;

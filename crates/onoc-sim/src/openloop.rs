@@ -323,179 +323,18 @@ struct CompletedTx {
 
 /// Per-message flag bits kept in a compact deque parallel to the message
 /// window (1 byte instead of a full `MsgState` cache line on the
-/// completion path). Shared with the parallel merger (`pdes.rs`), whose
-/// global retirement replay mirrors the serial flag discipline.
-pub(crate) mod flag {
+/// completion path).
+mod flag {
     /// Transmission completed; the message may retire.
-    pub(crate) const DONE: u8 = 1;
+    pub(super) const DONE: u8 = 1;
     /// ECN congestion mark, set when the transmission starts.
-    pub(crate) const MARKED: u8 = 2;
+    pub(super) const MARKED: u8 = 2;
     /// Permanently lost (fault layer): retires silently, contributing to
     /// loss counters instead of delivery statistics.
-    pub(crate) const LOST: u8 = 4;
+    pub(super) const LOST: u8 = 4;
     /// At least one transmission attempt failed (recovery-latency
     /// tracking).
-    pub(crate) const FAILED: u8 = 8;
-}
-
-/// Instrumentation hooks for the conservative-PDES worker (`pdes.rs`): a
-/// tapped run reports every probe-visible fact *keyed by its global
-/// merge position*, so the deterministic merger can replay the exact
-/// serial fact order across shard boundaries. Every hook defaults to a
-/// no-op and [`NoTap`] runs monomorphise to the untapped engine (the
-/// same zero-cost contract as [`SimProbe`]); call sites that do real
-/// work to assemble hook arguments are guarded by [`EngineTap::ACTIVE`].
-pub(crate) trait EngineTap {
-    /// Whether this tap observes anything (guards argument assembly on
-    /// the serial hot path).
-    const ACTIVE: bool = false;
-
-    /// A queue event at `time` starts processing. `rank` is the serial
-    /// same-cycle tie-break (`1 + Event variant order`; rank 0 is
-    /// reserved for source-event registration) and `tie` the in-rank
-    /// tie-break key (global message id, source index, or lane).
-    #[inline]
-    fn context(&mut self, time: u64, rank: u8, tie: u64) {
-        let _ = (time, rank, tie);
-    }
-
-    /// Registration of the next source event (assigns the next local
-    /// message id, in trace order).
-    #[inline]
-    fn offered(&mut self, time: u64, src: NodeId, volume: f64) {
-        let _ = (time, src, volume);
-    }
-
-    /// Mirror of [`SimProbe::admitted`].
-    #[inline]
-    fn admitted(&mut self, now: u64, stall: u64, src: NodeId) {
-        let _ = (now, stall, src);
-    }
-
-    /// Mirror of [`SimProbe::started`], with the flow id for conflict
-    /// replay.
-    #[inline]
-    fn started(&mut self, fact: &TxFact, flow: u32) {
-        let _ = (fact, flow);
-    }
-
-    /// Mirror of [`SimProbe::completed`].
-    #[inline]
-    fn completed(&mut self, fact: &TxFact, flow: u32) {
-        let _ = (fact, flow);
-    }
-
-    /// Mirror of [`SimProbe::dropped`].
-    #[inline]
-    fn dropped(&mut self, fact: &DropFact, flow: u32) {
-        let _ = (fact, flow);
-    }
-
-    /// Mirror of [`SimProbe::lost`] (fires at the loss decision).
-    #[inline]
-    fn lost(&mut self, id: usize, record: &MsgRecord, volume: f64, attempts: u32) {
-        let _ = (id, record, volume, attempts);
-    }
-
-    /// Message `id` resolved (delivered or lost): the final flag byte and
-    /// retirement inputs, fired exactly where the serial engine runs
-    /// `retire_front` — the merger's global retirement replay runs here.
-    #[inline]
-    fn resolved(
-        &mut self,
-        id: usize,
-        record: &MsgRecord,
-        volume: f64,
-        flags: u8,
-        hops: usize,
-        recovery: u64,
-    ) {
-        let _ = (id, record, volume, flags, hops, recovery);
-    }
-
-    /// Mirror of [`SimProbe::lane_event`].
-    #[inline]
-    fn lane_event(&mut self, now: u64, lane: usize, down: bool) {
-        let _ = (now, lane, down);
-    }
-
-    /// Maps a local message id to its global id (identity when untapped);
-    /// keeps per-message corruption draws shard-invariant.
-    #[inline]
-    fn global_id(&self, id: usize) -> u64 {
-        id as u64
-    }
-
-    /// The run swept stranded traffic at its *local* horizon — a sharded
-    /// run cannot reproduce this globally. Unreachable under the
-    /// `pdes.rs` eligibility gate; the worker tap turns it into a loud
-    /// failure rather than silent divergence.
-    #[inline]
-    fn stranded_sweep(&mut self) {}
-}
-
-/// The do-nothing tap: serial runs compile to the untapped engine.
-pub(crate) struct NoTap;
-
-impl EngineTap for NoTap {}
-
-/// Forwarding through a mutable reference, so the PDES worker keeps
-/// ownership of its tap across the run.
-impl<T: EngineTap> EngineTap for &mut T {
-    const ACTIVE: bool = T::ACTIVE;
-
-    #[inline]
-    fn context(&mut self, time: u64, rank: u8, tie: u64) {
-        (**self).context(time, rank, tie);
-    }
-    #[inline]
-    fn offered(&mut self, time: u64, src: NodeId, volume: f64) {
-        (**self).offered(time, src, volume);
-    }
-    #[inline]
-    fn admitted(&mut self, now: u64, stall: u64, src: NodeId) {
-        (**self).admitted(now, stall, src);
-    }
-    #[inline]
-    fn started(&mut self, fact: &TxFact, flow: u32) {
-        (**self).started(fact, flow);
-    }
-    #[inline]
-    fn completed(&mut self, fact: &TxFact, flow: u32) {
-        (**self).completed(fact, flow);
-    }
-    #[inline]
-    fn dropped(&mut self, fact: &DropFact, flow: u32) {
-        (**self).dropped(fact, flow);
-    }
-    #[inline]
-    fn lost(&mut self, id: usize, record: &MsgRecord, volume: f64, attempts: u32) {
-        (**self).lost(id, record, volume, attempts);
-    }
-    #[inline]
-    fn resolved(
-        &mut self,
-        id: usize,
-        record: &MsgRecord,
-        volume: f64,
-        flags: u8,
-        hops: usize,
-        recovery: u64,
-    ) {
-        (**self).resolved(id, record, volume, flags, hops, recovery);
-    }
-    #[inline]
-    fn lane_event(&mut self, now: u64, lane: usize, down: bool) {
-        (**self).lane_event(now, lane, down);
-    }
-    #[inline]
-    fn global_id(&self, id: usize) -> u64 {
-        (**self).global_id(id)
-    }
-    #[inline]
-    fn stranded_sweep(&mut self) {
-        (**self).stranded_sweep();
-    }
+    pub(super) const FAILED: u8 = 8;
 }
 
 /// Hash-stream namespace for per-lane stochastic fault draws, disjoint
@@ -525,15 +364,15 @@ pub struct HealingConfig {
 /// The open/closed-loop engine. See the module docs for semantics.
 #[derive(Debug)]
 pub struct OpenLoopSimulator {
-    pub(crate) ring: RingTopology,
-    pub(crate) wavelengths: usize,
-    pub(crate) rate: BitsPerCycle,
-    pub(crate) mode: WavelengthMode,
-    pub(crate) injection: InjectionMode,
-    pub(crate) faults: Option<FaultPlan>,
-    pub(crate) transport: TransportMode,
-    pub(crate) aimd: AimdParams,
-    pub(crate) healing: Option<HealingConfig>,
+    ring: RingTopology,
+    wavelengths: usize,
+    rate: BitsPerCycle,
+    mode: WavelengthMode,
+    injection: InjectionMode,
+    faults: Option<FaultPlan>,
+    transport: TransportMode,
+    aimd: AimdParams,
+    healing: Option<HealingConfig>,
 }
 
 impl OpenLoopSimulator {
@@ -781,28 +620,12 @@ impl OpenLoopSimulator {
     /// only the facts emitted before the failure (and no `finished`).
     pub fn run_with_scratch_probed<S: TrafficSource, P: SimProbe>(
         &self,
-        source: S,
-        scratch: &mut SimScratch,
-        mode: ReportMode,
-        probe: &mut P,
-    ) -> Result<OpenLoopReport, OpenLoopError> {
-        self.run_tapped(source, scratch, mode, probe, NoTap)
-    }
-
-    /// Crate-internal entry point with an [`EngineTap`] attached — the
-    /// PDES worker (`pdes.rs`) runs the whole serial engine over its
-    /// shard's sub-trace with a tap that streams globally-keyed facts to
-    /// the merger. Serial runs pass [`NoTap`] and compile to the untapped
-    /// engine.
-    pub(crate) fn run_tapped<S: TrafficSource, P: SimProbe, T: EngineTap>(
-        &self,
         mut source: S,
         scratch: &mut SimScratch,
         mode: ReportMode,
         probe: &mut P,
-        tap: T,
     ) -> Result<OpenLoopReport, OpenLoopError> {
-        let mut run = RunState::new(self, std::mem::take(scratch), mode, probe, tap);
+        let mut run = RunState::new(self, std::mem::take(scratch), mode, probe);
         let outcome = run.drive(&mut source);
         match outcome {
             Ok(()) => {
@@ -883,7 +706,7 @@ impl MsgState {
 /// One `(segment, lane)` occupancy span retained for the full-mode
 /// conflict sweep: `(dense key, start, end, message id)` where the key is
 /// `segment_index() * wavelengths + lane`.
-pub(crate) type FlatSpan = (u64, u64, u64, usize);
+type FlatSpan = (u64, u64, u64, usize);
 
 /// Reusable buffers for [`OpenLoopSimulator::run_with_scratch`]: the
 /// calendar queue, message window, per-source FIFOs and gates, and the
@@ -900,7 +723,7 @@ pub struct SimScratch {
     /// Dynamic-mode NI FIFOs of `(message id, flow)` — the flow rides
     /// along so failed head retries never touch the message window.
     ni_queues: Vec<VecDeque<(usize, u32)>>,
-    pub(crate) gates: Vec<SourceGate>,
+    gates: Vec<SourceGate>,
     arbiter: LaneArbiter,
     /// Static-mode next free cycle per flow, indexed `src * nodes + dst`.
     flow_free_at: Vec<u64>,
@@ -910,28 +733,26 @@ pub struct SimScratch {
     lane_busy: Vec<u64>,
     /// Streaming static mode: live transmissions per
     /// `segment_index * wavelengths + lane` (online conflict counting).
-    pub(crate) active_per_lane_seg: Vec<u32>,
+    active_per_lane_seg: Vec<u32>,
     /// Full static mode: retired spans for the offline conflict sweep,
     /// on [`shared_lanes`](Self::shared_lanes) slots only.
-    pub(crate) spans: Vec<FlatSpan>,
+    spans: Vec<FlatSpan>,
     /// Static mode: per dense segment, the lanes that two or more mapped
     /// flows drive there. Only these slots can ever hold overlapping
     /// spans — a flow's own attempts serialise on `flow_free_at` — so
-    /// full-mode runs keep spans for these slots only, and the PDES
-    /// merger replays streaming counts only when some slot is shared.
-    /// Every slot is marked when a re-pack policy may swap masks mid-run:
+    /// full-mode runs keep spans for these slots only. Every slot is marked when a re-pack policy may swap masks mid-run:
     /// spans retire with the flow's *current* mask, so a swap can put a
     /// later span on a slot whose earlier spans were skipped, while any
     /// superset of the truly shared slots stays exact.
-    pub(crate) shared_lanes: Vec<u128>,
+    shared_lanes: Vec<u128>,
     /// Flat route table: `path_offsets[flow]..path_offsets[flow + 1]`
     /// slices `path_segs` into the flow's dense segment indices in
     /// traversal order. Replaces per-claim ring arithmetic.
-    pub(crate) path_offsets: Vec<u32>,
-    pub(crate) path_segs: Vec<u16>,
+    path_offsets: Vec<u32>,
+    path_segs: Vec<u16>,
     /// Static mode: per-flow lane mask (`0` on the diagonal and for
     /// unmapped flows).
-    pub(crate) flow_lane_masks: Vec<u128>,
+    flow_lane_masks: Vec<u128>,
     /// Dynamic mode: per dense segment, a bitset of sources whose blocked
     /// *head* message's path crosses it (`waiter_words` words per
     /// segment). A failed claim can only succeed after a release on its
@@ -942,12 +763,11 @@ pub struct SimScratch {
     candidates: Vec<u64>,
     /// Only build route/mask rows for these flows (sorted
     /// `src * nodes + dst` indices) — other rows stay empty, which is
-    /// safe when the engine provably never admits them. PDES workers
-    /// list their shard's trace flows and the merger every trace flow;
-    /// serial `run_spec` and `run_sweep` runs list the flows their trace
-    /// injects (through [`SimScratch::set_flow_rows`]). `None` builds
-    /// the full table, whose cost is quadratic in ring size.
-    pub(crate) flow_rows: Option<Vec<u32>>,
+    /// safe when the engine provably never admits them. `run_spec` and
+    /// `run_sweep` list the flows their trace injects (through
+    /// [`SimScratch::set_flow_rows`]). `None` builds the full table,
+    /// whose cost is quadratic in ring size.
+    flow_rows: Option<Vec<u32>>,
 }
 
 impl Default for SimScratch {
@@ -994,8 +814,7 @@ impl SimScratch {
     /// flow its trace injects — the engine trusts the list and a
     /// missing row makes the run meaningless (zero-hop routes, empty
     /// lane masks). Reports are bit-identical to a full-table run for
-    /// traces that respect the contract; the intra-run PDES workers use
-    /// the same mechanism internally.
+    /// traces that respect the contract.
     pub fn set_flow_rows(&mut self, rows: Option<Vec<u32>>) {
         debug_assert!(
             rows.as_deref()
@@ -1006,13 +825,7 @@ impl SimScratch {
     }
 
     /// Clears and (re)sizes every buffer for a run on the given geometry.
-    pub(crate) fn prepare(
-        &mut self,
-        nodes: usize,
-        wavelengths: usize,
-        static_mode: bool,
-        streaming: bool,
-    ) {
+    fn prepare(&mut self, nodes: usize, wavelengths: usize, static_mode: bool, streaming: bool) {
         self.msgs.clear();
         self.flags.clear();
         self.queue.clear();
@@ -1056,7 +869,7 @@ impl SimScratch {
     /// Builds the flat per-flow route table (and, in static mode, the
     /// per-flow lane masks and the shared-lane table) for the run's
     /// geometry.
-    pub(crate) fn build_flow_tables(&mut self, sim: &OpenLoopSimulator) {
+    fn build_flow_tables(&mut self, sim: &OpenLoopSimulator) {
         let n = sim.ring.node_count();
         // Sorted-cursor membership test against `flow_rows`; flows are
         // visited in `src * n + dst` order, so one forward walk suffices.
@@ -1222,7 +1035,7 @@ impl FaultState {
 /// gates, the gates themselves, and the fact consumers — the built-in
 /// [`ReportProbe`] plus the caller's [`SimProbe`]. Bulky reusable buffers
 /// live in the [`SimScratch`].
-struct RunState<'a, P: SimProbe, T: EngineTap> {
+struct RunState<'a, P: SimProbe> {
     sim: &'a OpenLoopSimulator,
     n: usize,
     mode: ReportMode,
@@ -1235,8 +1048,6 @@ struct RunState<'a, P: SimProbe, T: EngineTap> {
     report: ReportProbe,
     /// The caller's probe, fed the same fact stream.
     probe: &'a mut P,
-    /// PDES instrumentation ([`NoTap`] on serial runs).
-    tap: T,
     peak_in_flight: usize,
     /// Lane-segments currently driven by in-transit messages (the
     /// instantaneous occupancy numerator for ECN marks).
@@ -1256,13 +1067,12 @@ struct RunState<'a, P: SimProbe, T: EngineTap> {
     fault: Option<Box<FaultState>>,
 }
 
-impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
+impl<'a, P: SimProbe> RunState<'a, P> {
     fn new(
         sim: &'a OpenLoopSimulator,
         mut scratch: SimScratch,
         mode: ReportMode,
         probe: &'a mut P,
-        tap: T,
     ) -> Self {
         let n = sim.ring.node_count();
         let static_mode = matches!(sim.mode, WavelengthMode::Static(_));
@@ -1333,7 +1143,6 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
             next_id: 0,
             report: ReportProbe::new(mode == ReportMode::Full),
             probe,
-            tap,
             peak_in_flight: 0,
             active_lane_segments: 0,
             capacity,
@@ -1376,22 +1185,6 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
                 }
                 break;
             };
-            if T::ACTIVE {
-                // Global merge key of this event: ranks mirror the
-                // `Event` Ord (rank 0 is source registration), ties the
-                // in-rank ordering field mapped to its global value.
-                let (rank, tie) = match event {
-                    Event::Completed(tx) => (1, self.tap.global_id(tx.id)),
-                    Event::Started((id, _, _)) => (2, self.tap.global_id(id)),
-                    Event::GateWake(s) => (3, s as u64),
-                    Event::Offered(id) => (4, self.tap.global_id(id)),
-                    Event::LaneDown(lane) => (5, u64::from(lane)),
-                    Event::LaneUp(lane) => (6, u64::from(lane)),
-                    Event::Redo(id) => (7, self.tap.global_id(id)),
-                    Event::Abandon(id) => (8, self.tap.global_id(id)),
-                };
-                self.tap.context(now, rank, tie);
-            }
             if let Event::GateWake(s) = event {
                 // A wake superseded by a fresher, earlier one (the gate's
                 // `wake_at` moved on) is a no-op: every admission it could
@@ -1462,7 +1255,6 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
                         dst: NodeId(flow as usize % self.n),
                         marked,
                     };
-                    self.tap.started(&fact, flow);
                     self.probe.started(fact);
                 }
                 Event::Completed(tx) => self.on_completed(tx, now),
@@ -1519,8 +1311,6 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
         } else {
             0
         };
-        self.tap
-            .offered(event.time, event.src, event.volume.value());
         self.probe.offered(event.time, event.src);
         self.s.msgs.push_back(MsgState {
             ev: event,
@@ -1630,7 +1420,6 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
             m.admitted = now;
             (m.ev.src, m.ev.dst, m.ev.time)
         };
-        self.tap.admitted(now, now - offered, src_node);
         self.probe.admitted(now, now - offered, src_node);
         let src = src_node.0;
         if self.sim.injection.is_closed_loop() {
@@ -1856,7 +1645,6 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
             dst: NodeId(flow as usize % self.n),
             marked,
         };
-        self.tap.started(&fact, flow);
         self.probe.started(fact);
         true
     }
@@ -1928,7 +1716,6 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
                     dst: NodeId(flow as usize % self.n),
                     marked: self.s.flags[id - self.base] & flag::MARKED != 0,
                 };
-                self.tap.completed(&fact, flow);
                 self.probe.completed(fact);
             }
             Some(cause) => {
@@ -1955,7 +1742,6 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
                     cause,
                     attempt,
                 };
-                self.tap.dropped(&fact, flow);
                 self.probe.dropped(fact);
                 let fs = self
                     .fault
@@ -2065,12 +1851,10 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
                 let p = fault::message_error_probability(ber, m.ev.volume.value());
                 // Drawn from (message, attempt) so corruption outcomes
                 // are independent of event interleaving — runs replay
-                // exactly, and the corrupted sets nest as BER grows. The
-                // *global* message id keeps the draws shard-invariant
-                // under the PDES engine.
+                // exactly, and the corrupted sets nest as BER grows.
                 let draw = fault::unit_interval(fault::hash64(
                     plan.seed,
-                    self.tap.global_id(id),
+                    id as u64,
                     u64::from(m.attempts),
                 ));
                 if draw < p {
@@ -2131,20 +1915,6 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
             self.drain_gate(src, now);
         }
         self.drain_transport(flow, now);
-        if T::ACTIVE {
-            let flags = self.s.flags[id - self.base];
-            let (record, volume, recovery) = {
-                let m = &self.s.msgs[id - self.base];
-                (
-                    m.record(),
-                    m.ev.volume.value(),
-                    m.completed.saturating_sub(m.first_fail),
-                )
-            };
-            let hops = self.flow_hops(flow as usize);
-            self.tap
-                .resolved(id, &record, volume, flags, hops, recovery);
-        }
         self.retire_front();
     }
 
@@ -2223,7 +1993,6 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
         }
         self.s.flags[id - self.base] |= flag::DONE | flag::LOST;
         let record = self.s.msgs[id - self.base].record();
-        self.tap.lost(id, &record, volume, attempts.max(1));
         self.probe.lost(&record, volume, attempts.max(1));
         if self.sim.injection.is_closed_loop() {
             let src = flow as usize / self.n;
@@ -2235,11 +2004,6 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
             self.drain_gate(src, now);
         }
         self.drain_transport(flow, now);
-        if T::ACTIVE {
-            let flags = self.s.flags[id - self.base];
-            let hops = self.flow_hops(flow as usize);
-            self.tap.resolved(id, &record, volume, flags, hops, 0);
-        }
         self.retire_front();
     }
 
@@ -2485,7 +2249,6 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
         fs.down_mask |= 1 << lane;
         fs.down_since[lane] = now;
         self.s.arbiter.set_down(lane, true);
-        self.tap.lane_event(now, lane, true);
         self.probe.lane_event(now, lane, true);
         self.try_heal(lane, now);
     }
@@ -2518,7 +2281,6 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
             }
         }
         self.s.arbiter.set_down(lane, false);
-        self.tap.lane_event(now, lane, false);
         self.probe.lane_event(now, lane, false);
         // Recovered lanes may unblock parked static messages and blocked
         // dynamic heads.
@@ -2600,25 +2362,13 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
                     }
                     self.s.flags[id - self.base] |= flag::DONE | flag::LOST;
                     let record = self.s.msgs[id - self.base].record();
-                    self.tap.lost(id, &record, volume, 1);
                     self.probe.lost(&record, volume, 1);
                     self.s.gates[s].wake_at = None;
-                    if T::ACTIVE {
-                        let flags = self.s.flags[id - self.base];
-                        self.tap.resolved(id, &record, volume, flags, 0, 0);
-                    }
                     self.retire_front();
                     swept = true;
                     break;
                 }
             }
-        }
-        if swept {
-            // A sharded run sweeps at its *local* horizon, which need not
-            // be the global one — the PDES worker tap escalates instead
-            // of diverging silently (unreachable under its eligibility
-            // gate; see `pdes.rs`).
-            self.tap.stranded_sweep();
         }
         swept
     }
@@ -2820,7 +2570,7 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
 /// spans are keyed by `dense segment index × comb + lane`, so a single
 /// `sort_unstable` replaces the old per-`(segment, lane)` hash map and its
 /// per-key sorts, and keys iterate in the canonical report order for free.
-pub(crate) fn sweep_conflicts_flat(
+fn sweep_conflicts_flat(
     spans: &mut [FlatSpan],
     wavelengths: usize,
 ) -> (usize, Vec<OpenLoopConflict>) {

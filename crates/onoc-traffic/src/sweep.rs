@@ -29,6 +29,10 @@ use crate::pattern::TrafficPattern;
 use crate::rng::TrafficRng;
 use crate::trace::{OnOffConfig, TrafficConfig, generate};
 
+/// Why a grid with `workers != 1` is rejected instead of run serially.
+const SERIAL_CORE_ONLY: &str =
+    "SweepGrid.workers must be 1: every scenario runs on the serial event core";
+
 /// The declared sweep space.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepGrid {
@@ -71,14 +75,16 @@ pub struct SweepGrid {
     pub healing: Option<HealingConfig>,
     /// ECN AIMD pacing constants (only read in ECN injection mode).
     pub aimd: AimdParams,
-    /// Intra-run PDES workers per scenario (1 = the serial engine).
-    /// Values above 1 dispatch each scenario through
-    /// [`OpenLoopSimulator::run_parallel`]; results are bit-identical
-    /// to serial for any count.
+    /// Must be 1. Each scenario runs on the one serial event core;
+    /// parallelism is across scenarios (`run_sweep`'s `threads`). The
+    /// field is kept only because the benchmark harness
+    /// (`benchmark/src/traced.rs`) builds a `SweepGrid` literal with
+    /// `workers: 1`; [`run_sweep`] and [`run_scenario_phased`] panic on
+    /// any other value rather than run serially in silence.
     pub workers: usize,
     /// Optional static wavelength map shared by every scenario: when
     /// set, scenarios run in [`WavelengthMode::Static`] instead of the
-    /// dynamic `policy` (required for source-sharded parallel runs).
+    /// dynamic `policy`.
     pub static_map: Option<StaticFlowMap>,
 }
 
@@ -369,12 +375,17 @@ pub fn run_scenario_with(
 }
 
 /// [`run_scenario_with`] plus the wall-clock phase split of the run.
+///
+/// # Panics
+///
+/// Panics if `grid.workers != 1`.
 #[must_use]
 pub fn run_scenario_phased(
     grid: &SweepGrid,
     scenario: &Scenario,
     scratch: &mut SimScratch,
 ) -> (ScenarioResult, ScenarioPhases) {
+    assert_eq!(grid.workers, 1, "{SERIAL_CORE_ONLY}");
     let setup_start = Instant::now();
     let seed = TrafficRng::new(grid.seed)
         .split(scenario.index as u64)
@@ -411,64 +422,20 @@ pub fn run_scenario_phased(
         sim = sim.with_healing(healing);
     }
     let sim = sim;
-    let parallel = grid.workers > 1;
-    if !parallel {
-        // Serial runs adopt the PDES workers' restricted table build:
-        // route/mask rows only for the flows this trace actually
-        // injects, O(active flows) instead of O(nodes²) setup work.
-        let mut rows: Vec<u32> = trace
-            .events()
-            .iter()
-            .map(|e| {
-                #[allow(clippy::cast_possible_truncation)]
-                let row = (e.src.0 * scenario.nodes + e.dst.0) as u32;
-                row
-            })
-            .collect();
-        rows.sort_unstable();
-        rows.dedup();
-        scratch.set_flow_rows(Some(rows));
-    }
+    scratch.set_flow_rows(Some(trace.flow_rows(scenario.nodes)));
     let mut rel = ReliabilityProbe::new(scenario.wavelengths);
     let (report, energy): (_, Option<EnergyReport>) = match &grid.energy {
         Some(model) => {
             let mut probe = EnergyProbe::new(model.clone(), scenario.nodes, scenario.wavelengths);
             let mut pair = (&mut probe, &mut rel);
-            let report = if parallel {
-                sim.run_parallel_probed(
-                    trace.source(),
-                    grid.workers,
-                    ReportMode::Streaming,
-                    &mut pair,
-                )
-            } else {
-                sim.run_with_scratch_probed(
-                    trace.source(),
-                    scratch,
-                    ReportMode::Streaming,
-                    &mut pair,
-                )
-            }
-            .expect("generated traces are ordered and non-degenerate");
+            let report = sim
+                .run_with_scratch_probed(trace.source(), scratch, ReportMode::Streaming, &mut pair)
+                .expect("generated traces are ordered and non-degenerate");
             (report, Some(probe.report()))
         }
         None => (
-            if parallel {
-                sim.run_parallel_probed(
-                    trace.source(),
-                    grid.workers,
-                    ReportMode::Streaming,
-                    &mut rel,
-                )
-            } else {
-                sim.run_with_scratch_probed(
-                    trace.source(),
-                    scratch,
-                    ReportMode::Streaming,
-                    &mut rel,
-                )
-            }
-            .expect("generated traces are ordered and non-degenerate"),
+            sim.run_with_scratch_probed(trace.source(), scratch, ReportMode::Streaming, &mut rel)
+                .expect("generated traces are ordered and non-degenerate"),
             None,
         ),
     };
@@ -513,10 +480,12 @@ pub fn run_scenario_phased(
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0` or a worker panics (the panic is propagated).
+/// Panics if `threads == 0`, if `grid.workers != 1`, or if a worker
+/// panics (the panic is propagated).
 #[must_use]
 pub fn run_sweep(grid: &SweepGrid, threads: usize) -> SweepOutcome {
     assert!(threads > 0, "the sweep needs at least one worker thread");
+    assert_eq!(grid.workers, 1, "{SERIAL_CORE_ONLY}");
     let scenarios = grid.scenarios();
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<ScenarioResult>>> = Mutex::new(vec![None; scenarios.len()]);
@@ -774,6 +743,16 @@ mod tests {
         let outcome = run_sweep(&tiny_grid(), 4);
         assert!(outcome.workers_used >= 1 && outcome.workers_used <= 4);
         assert_eq!(outcome.threads, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "SweepGrid.workers must be 1")]
+    fn grid_workers_other_than_one_is_rejected() {
+        let grid = SweepGrid {
+            workers: 2,
+            ..tiny_grid()
+        };
+        let _ = run_sweep(&grid, 1);
     }
 
     #[test]

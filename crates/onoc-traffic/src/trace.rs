@@ -385,6 +385,23 @@ impl TrafficTrace {
             .max()
             .unwrap_or(0)
     }
+
+    /// The flows this trace injects on a `nodes`-node ring, as sorted,
+    /// deduplicated `src * nodes + dst` rows: the list
+    /// [`SimScratch::set_flow_rows`](onoc_sim::SimScratch::set_flow_rows)
+    /// takes to build route/mask rows for these flows only, O(active
+    /// flows) instead of O(nodes²) setup work.
+    #[must_use]
+    pub fn flow_rows(&self, nodes: usize) -> Vec<u32> {
+        let mut rows: Vec<u32> = self
+            .events
+            .iter()
+            .map(|e| u32::try_from(e.src.0 * nodes + e.dst.0).expect("ring rows fit in u32"))
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows
+    }
 }
 
 /// Borrowing [`TrafficSource`] over a [`TrafficTrace`].

@@ -10,8 +10,8 @@ fn main() {
     let instance = ProblemInstance::paper_with_wavelengths(8);
     let evaluator = instance.evaluator();
 
-    // A reduced configuration (the paper uses 400 × 300; see the
-    // onoc-bench fig6a binary for the full-scale run).
+    // A reduced configuration (the paper uses 400 × 300; `onoc run
+    // fig6a` runs the full scale).
     let config = Nsga2Config {
         population_size: 150,
         generations: 80,
