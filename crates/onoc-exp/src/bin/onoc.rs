@@ -12,10 +12,11 @@
 //! [`onoc_exp::run_spec`]; all experiment logic lives in the library.
 
 use onoc_exp::scenario::sweep_table;
+use onoc_exp::spec::{TRAFFIC_PATTERNS, traffic_pattern};
 use onoc_exp::{Registry, Report, RunContext, Scale, ScenarioSpec, bench, run_spec};
 use onoc_sim::DynamicPolicy;
 use onoc_topology::NodeId;
-use onoc_traffic::{OnOffConfig, SweepGrid, TrafficPattern, TrafficTrace, run_sweep};
+use onoc_traffic::{OnOffConfig, SweepGrid, TrafficTrace, run_sweep};
 use onoc_units::Bits;
 
 const USAGE: &str = "onoc — experiments for the ring-WDM-ONoC reproduction
@@ -312,25 +313,9 @@ fn cmd_run(args: &[String]) -> i32 {
                 return 1;
             }
         };
-        if let Err(message) = apply_reliability_flags(&mut spec, args) {
+        if let Err(message) = apply_override_flags(&mut spec, args) {
             eprintln!("{message}");
             return 2;
-        }
-        if let Some(trace_path) = value_of(args, "--export-chrome-trace") {
-            if !matches!(
-                spec.workload,
-                onoc_exp::WorkloadSpec::Synthetic { .. } | onoc_exp::WorkloadSpec::Trace { .. }
-            ) {
-                eprintln!(
-                    "--export-chrome-trace needs a message-stream (synthetic or trace) workload"
-                );
-                return 2;
-            }
-            // The flag rides on the spec's own [telemetry] table when it
-            // has one, and implies the defaults when it does not.
-            let mut telemetry = spec.telemetry.clone().unwrap_or_default();
-            telemetry.chrome_trace = Some(trace_path);
-            spec.telemetry = Some(telemetry);
         }
         if let Some(capture_path) = value_of(args, "--capture-trace") {
             match onoc_exp::capture_trace(&spec) {
@@ -385,45 +370,18 @@ fn cmd_run(args: &[String]) -> i32 {
 }
 
 /// Applies the `--fault-ber`/`--fault-seed`/`--transport`/`--heal-policy`
-/// overrides onto a loaded spec (the CLI fast path for "rerun this
-/// scenario under faults" without editing the file). Ranges are checked
-/// here because the overrides land after the spec's own validation pass.
-fn apply_reliability_flags(spec: &mut ScenarioSpec, args: &[String]) -> Result<(), String> {
-    let requested = [
-        "--fault-ber",
-        "--fault-seed",
-        "--transport",
-        "--heal-policy",
-    ]
-    .iter()
-    .any(|name| value_of(args, name).is_some());
-    if requested
-        && !matches!(
-            spec.workload,
-            onoc_exp::WorkloadSpec::Synthetic { .. }
-                | onoc_exp::WorkloadSpec::Trace { .. }
-                | onoc_exp::WorkloadSpec::Sweep { .. }
-        )
-    {
-        return Err(
-            "fault/transport overrides apply to message-stream workloads \
-             (synthetic, trace or sweep specs)"
-                .into(),
-        );
-    }
+/// and `--export-chrome-trace` overrides onto a loaded spec (the CLI fast
+/// path for "rerun this scenario under faults" without editing the file),
+/// then checks a changed spec with its own validation.
+fn apply_override_flags(spec: &mut ScenarioSpec, args: &[String]) -> Result<(), String> {
+    let loaded = spec.clone();
     if let Some(ber) = parsed_value::<f64>(args, "--fault-ber")? {
-        if !(ber.is_finite() && (0.0..1.0).contains(&ber)) {
-            return Err(format!("--fault-ber must be in [0, 1), got {ber}"));
-        }
-        let mut faults = spec.faults.clone().unwrap_or_default();
+        let faults = spec.faults.get_or_insert_default();
         faults.ber = Some(ber);
         faults.ber_model = None;
-        spec.faults = Some(faults);
     }
     if let Some(seed) = parsed_value::<u64>(args, "--fault-seed")? {
-        let mut faults = spec.faults.clone().unwrap_or_default();
-        faults.seed = Some(seed);
-        spec.faults = Some(faults);
+        spec.faults.get_or_insert_default().seed = Some(seed);
     }
     if let Some(mode) = value_of(args, "--transport") {
         spec.transport = match mode.as_str() {
@@ -442,27 +400,18 @@ fn apply_reliability_flags(spec: &mut ScenarioSpec, args: &[String]) -> Result<(
         };
     }
     if let Some(policy) = value_of(args, "--heal-policy") {
-        if onoc_sim::HealPolicy::parse(&policy).is_none() {
-            return Err(format!(
-                "unknown heal policy {policy:?} (park | re-pack-strict | re-pack-relaxed)"
-            ));
-        }
-        let mut healing = spec.healing.clone().unwrap_or_default();
-        healing.policy = Some(policy);
-        if healing.policy() != onoc_sim::HealPolicy::Park
-            && !matches!(
-                spec.allocator,
-                onoc_exp::AllocatorSpec::Striped { .. }
-                    | onoc_exp::AllocatorSpec::FlowSynthesis { .. }
-            )
-        {
-            return Err("re-pack heal policies re-synthesise a static flow map \
-                 (use a striped or flow-synthesis allocator)"
-                .into());
-        }
-        spec.healing = Some(healing);
+        spec.healing.get_or_insert_default().policy = Some(policy);
     }
-    Ok(())
+    if let Some(path) = value_of(args, "--export-chrome-trace") {
+        // The flag rides on the spec's own [telemetry] table when it has
+        // one, and implies the defaults when it does not.
+        spec.telemetry.get_or_insert_default().chrome_trace = Some(path);
+    }
+    if *spec == loaded {
+        return Ok(());
+    }
+    spec.validate()
+        .map_err(|e| format!("the command-line overrides leave an invalid spec: {e}"))
 }
 
 /// Parses one spec file (TOML unless the extension says JSON) and applies
@@ -881,18 +830,13 @@ fn build_sweep(args: &[String]) -> Result<(SweepGrid, RunContext, bool), String>
         let fraction = parsed_value::<f64>(args, "--fraction")?.unwrap_or(0.5);
         grid.patterns = names
             .iter()
-            .map(|name| match name.as_str() {
-                "uniform" => Ok(TrafficPattern::UniformRandom),
-                "transpose" => Ok(TrafficPattern::Transpose),
-                "bit-reversal" => Ok(TrafficPattern::BitReversal),
-                "bit-complement" => Ok(TrafficPattern::BitComplement),
-                "nearest-neighbor" => Ok(TrafficPattern::NearestNeighbor),
-                "tornado" => Ok(TrafficPattern::Tornado),
-                "hotspot" => Ok(TrafficPattern::Hotspot {
-                    hotspots: hotspots.clone(),
-                    fraction,
-                }),
-                other => Err(format!("unknown pattern {other:?}")),
+            .map(|name| {
+                traffic_pattern(name, &hotspots, fraction).ok_or_else(|| {
+                    format!(
+                        "unknown pattern {name:?} ({})",
+                        TRAFFIC_PATTERNS.join(" | ")
+                    )
+                })
             })
             .collect::<Result<Vec<_>, _>>()?;
     }
@@ -924,37 +868,29 @@ fn build_sweep(args: &[String]) -> Result<(SweepGrid, RunContext, bool), String>
                 let cap = greedy["greedy:".len()..]
                     .parse::<usize>()
                     .map_err(|_| format!("--policy could not parse cap in {greedy:?}"))?;
-                if cap == 0 {
-                    return Err("--policy greedy cap must be at least 1".into());
-                }
                 DynamicPolicy::Greedy { cap }
             }
             other => return Err(format!("unknown policy {other:?} (single | greedy:<cap>)")),
         };
     }
-    // Surface grid mistakes (empty axes, bad hotspot nodes) as CLI errors
-    // rather than worker panics.
-    if grid.patterns.is_empty()
-        || grid.injection_rates.is_empty()
-        || grid.wavelengths.is_empty()
-        || grid.ring_sizes.is_empty()
-    {
-        return Err("sweep axes must be non-empty".into());
-    }
-    for nodes in &grid.ring_sizes {
-        if *nodes < 2 {
-            return Err("--rings entries must be at least 2".into());
-        }
-        for pattern in &grid.patterns {
-            if let TrafficPattern::Hotspot { hotspots, .. } = pattern {
-                for h in hotspots {
-                    if h.0 >= *nodes {
-                        return Err(format!("hotspot {h} is not on a {nodes}-node ring"));
-                    }
-                }
-            }
-        }
-    }
+    // The spec layer's checks turn grid mistakes (rates, combs or rings
+    // out of range, hotspots off a ring) into CLI errors, not worker
+    // panics.
+    ScenarioSpec::builder("sweep")
+        .workload(onoc_exp::WorkloadSpec::Sweep {
+            patterns: grid.patterns.clone(),
+            injection_rates: grid.injection_rates.clone(),
+            wavelengths: grid.wavelengths.clone(),
+            ring_sizes: grid.ring_sizes.clone(),
+            message_bits: grid.message_volume.value(),
+            horizon: grid.horizon,
+            burstiness: grid.burstiness.as_ref().map(|b| (b.mean_on, b.mean_off)),
+        })
+        .allocator(onoc_exp::AllocatorSpec::Dynamic {
+            policy: grid.policy,
+        })
+        .build()
+        .map_err(|e| format!("invalid sweep: {e}"))?;
     // Match `run_spec` sweep workloads: energy columns fold the paper
     // model at the grid's nominal (first ring × first comb) point.
     grid.energy = Some(onoc_sim::EnergyModel::paper(

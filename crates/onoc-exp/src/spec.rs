@@ -55,25 +55,20 @@ impl Scale {
         Scale::Paper
     }
 
+    /// Document names, in variant order.
+    const NAMES: [&'static str; 3] = ["paper", "quick", "smoke"];
+    const ALL: [Scale; 3] = [Scale::Paper, Scale::Quick, Scale::Smoke];
+
     /// Parses `paper` / `quick` / `smoke`.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "paper" => Some(Scale::Paper),
-            "quick" => Some(Scale::Quick),
-            "smoke" => Some(Scale::Smoke),
-            _ => None,
-        }
+        position(&Self::NAMES, name).map(|i| Self::ALL[i])
     }
 
     /// The machine-friendly name (`paper` / `quick` / `smoke`).
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            Scale::Paper => "paper",
-            Scale::Quick => "quick",
-            Scale::Smoke => "smoke",
-        }
+        Self::NAMES[self as usize]
     }
 
     /// The NSGA-II configuration for this scale.
@@ -146,27 +141,25 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
+    /// Document names, in variant order.
+    const NAMES: [&'static str; 4] = ["pipeline", "fork-join", "butterfly", "reduction-tree"];
+    const ALL: [KernelKind; 4] = [
+        KernelKind::Pipeline,
+        KernelKind::ForkJoin,
+        KernelKind::Butterfly,
+        KernelKind::ReductionTree,
+    ];
+
     /// The machine-friendly name.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            KernelKind::Pipeline => "pipeline",
-            KernelKind::ForkJoin => "fork-join",
-            KernelKind::Butterfly => "butterfly",
-            KernelKind::ReductionTree => "reduction-tree",
-        }
+        Self::NAMES[self as usize]
     }
 
     /// Parses [`KernelKind::name`] output.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "pipeline" => Some(KernelKind::Pipeline),
-            "fork-join" => Some(KernelKind::ForkJoin),
-            "butterfly" => Some(KernelKind::Butterfly),
-            "reduction-tree" => Some(KernelKind::ReductionTree),
-            _ => None,
-        }
+        position(&Self::NAMES, name).map(|i| Self::ALL[i])
     }
 }
 
@@ -232,13 +225,24 @@ impl WorkloadSpec {
     /// The `kind` discriminator used in spec files.
     #[must_use]
     pub fn kind(&self) -> &'static str {
+        WORKLOAD_KINDS[self.shape()]
+    }
+
+    /// The position of this kind in [`WORKLOAD_KINDS`].
+    fn shape(&self) -> usize {
         match self {
-            WorkloadSpec::PaperApp => "paper-app",
-            WorkloadSpec::Kernel { .. } => "kernel",
-            WorkloadSpec::Synthetic { .. } => "synthetic",
-            WorkloadSpec::Trace { .. } => "trace",
-            WorkloadSpec::Sweep { .. } => "sweep",
+            WorkloadSpec::PaperApp => 0,
+            WorkloadSpec::Kernel { .. } => 1,
+            WorkloadSpec::Synthetic { .. } => 2,
+            WorkloadSpec::Trace { .. } => 3,
+            WorkloadSpec::Sweep { .. } => 4,
         }
+    }
+
+    /// Whether the workload is a message stream run by the open-loop
+    /// engine (as opposed to a dependence-gated task graph).
+    fn is_message_stream(&self) -> bool {
+        !matches!(self, WorkloadSpec::PaperApp | WorkloadSpec::Kernel { .. })
     }
 }
 
@@ -258,29 +262,25 @@ pub enum HeuristicKind {
 }
 
 impl HeuristicKind {
+    /// Document names, in variant order.
+    const NAMES: [&'static str; 5] = [
+        "first-fit",
+        "most-used",
+        "least-used",
+        "random",
+        "greedy-makespan",
+    ];
+
     /// The machine-friendly name.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            HeuristicKind::FirstFit => "first-fit",
-            HeuristicKind::MostUsed => "most-used",
-            HeuristicKind::LeastUsed => "least-used",
-            HeuristicKind::Random => "random",
-            HeuristicKind::GreedyMakespan => "greedy-makespan",
-        }
+        Self::NAMES[self as usize]
     }
 
     /// Parses [`HeuristicKind::name`] output.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "first-fit" => Some(HeuristicKind::FirstFit),
-            "most-used" => Some(HeuristicKind::MostUsed),
-            "least-used" => Some(HeuristicKind::LeastUsed),
-            "random" => Some(HeuristicKind::Random),
-            "greedy-makespan" => Some(HeuristicKind::GreedyMakespan),
-            _ => None,
-        }
+        position(&Self::NAMES, name).map(|i| Self::all()[i])
     }
 
     /// Every heuristic, in presentation order.
@@ -345,13 +345,18 @@ impl AllocatorSpec {
     /// The `kind` discriminator used in spec files.
     #[must_use]
     pub fn kind(&self) -> &'static str {
+        ALLOCATOR_KINDS[self.shape()]
+    }
+
+    /// The position of this kind in [`ALLOCATOR_KINDS`].
+    fn shape(&self) -> usize {
         match self {
-            AllocatorSpec::Nsga2 { .. } => "nsga2",
-            AllocatorSpec::Heuristic { .. } => "heuristic",
-            AllocatorSpec::Counts { .. } => "counts",
-            AllocatorSpec::Dynamic { .. } => "dynamic",
-            AllocatorSpec::FlowSynthesis { .. } => "flow-synthesis",
-            AllocatorSpec::Striped { .. } => "striped",
+            AllocatorSpec::Nsga2 { .. } => 0,
+            AllocatorSpec::Heuristic { .. } => 1,
+            AllocatorSpec::Counts { .. } => 2,
+            AllocatorSpec::Dynamic { .. } => 3,
+            AllocatorSpec::FlowSynthesis { .. } => 4,
+            AllocatorSpec::Striped { .. } => 5,
         }
     }
 }
@@ -371,23 +376,20 @@ pub enum ReportKind {
 }
 
 impl ReportKind {
+    /// Document names, in variant order.
+    const NAMES: [&'static str; 2] = ["full", "streaming"];
+    const ALL: [ReportKind; 2] = [ReportKind::Full, ReportKind::Streaming];
+
     /// The machine-friendly name (`full` / `streaming`).
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            ReportKind::Full => "full",
-            ReportKind::Streaming => "streaming",
-        }
+        Self::NAMES[self as usize]
     }
 
     /// Parses [`ReportKind::name`] output.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "full" => Some(ReportKind::Full),
-            "streaming" => Some(ReportKind::Streaming),
-            _ => None,
-        }
+        position(&Self::NAMES, name).map(|i| Self::ALL[i])
     }
 
     /// The engine-level report mode this spec value selects.
@@ -454,39 +456,6 @@ impl EnergySpec {
         }
         model
     }
-
-    fn validate(&self) -> Result<(), SpecError> {
-        let positive = [
-            ("energy.laser_mw", self.laser_mw),
-            ("energy.clock_ghz", self.clock_ghz),
-        ];
-        for (field, v) in positive {
-            if let Some(v) = v {
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(SpecError::Invalid {
-                        field,
-                        message: format!("must be positive and finite, got {v}"),
-                    });
-                }
-            }
-        }
-        let nonnegative = [
-            ("energy.tx_fj_per_bit", self.tx_fj_per_bit),
-            ("energy.rx_fj_per_bit", self.rx_fj_per_bit),
-            ("energy.mr_tuning_mw", self.mr_tuning_mw),
-        ];
-        for (field, v) in nonnegative {
-            if let Some(v) = v {
-                if !(v.is_finite() && v >= 0.0) {
-                    return Err(SpecError::Invalid {
-                        field,
-                        message: format!("must be finite and >= 0, got {v}"),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 /// The `[telemetry]` table: windowed time-series and attribution
@@ -524,18 +493,6 @@ impl TelemetrySpec {
     pub fn per_flow(&self) -> bool {
         self.per_flow.unwrap_or(true)
     }
-
-    fn validate(&self) -> Result<(), SpecError> {
-        if self.window == Some(0) {
-            return Err(invalid("telemetry.window", "must be at least 1 cycle"));
-        }
-        if let Some(path) = &self.chrome_trace {
-            if path.trim().is_empty() {
-                return Err(invalid("telemetry.chrome_trace", "must name a JSON file"));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Defragmentation trigger of the `[service]` table (the spec form of
@@ -552,25 +509,20 @@ pub enum DefragKind {
 }
 
 impl DefragKind {
+    /// Document names, in variant order.
+    const NAMES: [&'static str; 3] = ["never", "threshold", "idle"];
+    const ALL: [DefragKind; 3] = [DefragKind::Never, DefragKind::Threshold, DefragKind::Idle];
+
     /// The machine name used in spec documents.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            DefragKind::Never => "never",
-            DefragKind::Threshold => "threshold",
-            DefragKind::Idle => "idle",
-        }
+        Self::NAMES[self as usize]
     }
 
     /// Parses the machine name.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "never" => Some(DefragKind::Never),
-            "threshold" => Some(DefragKind::Threshold),
-            "idle" => Some(DefragKind::Idle),
-            _ => None,
-        }
+        position(&Self::NAMES, name).map(|i| Self::ALL[i])
     }
 }
 
@@ -693,59 +645,6 @@ impl ServiceSpec {
             },
         }
     }
-
-    fn validate(&self) -> Result<(), SpecError> {
-        if self.sessions == Some(0) {
-            return Err(invalid("service.sessions", "must offer at least 1 session"));
-        }
-        if let Some(rate) = self.arrival_rate
-            && !(rate.is_finite() && rate > 0.0)
-        {
-            return Err(invalid("service.arrival_rate", "must be a positive rate"));
-        }
-        if let Some(hold) = self.mean_hold
-            && !(hold.is_finite() && hold > 0.0)
-        {
-            return Err(invalid("service.mean_hold", "must be a positive duration"));
-        }
-        if self.max_demand == Some(0) {
-            return Err(invalid("service.max_demand", "must be at least 1 lane"));
-        }
-        if let Some(th) = self.defrag_threshold {
-            if !(th.is_finite() && th > 0.0 && th <= 1.0) {
-                return Err(invalid("service.defrag_threshold", "must be in (0, 1]"));
-            }
-            if self.defrag != Some(DefragKind::Threshold) {
-                return Err(invalid(
-                    "service.defrag_threshold",
-                    "applies to defrag = \"threshold\"",
-                ));
-            }
-        }
-        if let Some(idle) = self.defrag_idle {
-            if idle == 0 {
-                return Err(invalid("service.defrag_idle", "must be at least 1 cycle"));
-            }
-            if self.defrag != Some(DefragKind::Idle) {
-                return Err(invalid(
-                    "service.defrag_idle",
-                    "applies to defrag = \"idle\"",
-                ));
-            }
-        }
-        if self.max_wait == Some(0) {
-            return Err(invalid("service.max_wait", "must be at least 1 cycle"));
-        }
-        if self.trace_demand == Some(0) {
-            return Err(invalid("service.trace_demand", "must be at least 1 lane"));
-        }
-        if let Some(stretch) = self.stretch
-            && !(stretch.is_finite() && stretch > 0.0)
-        {
-            return Err(invalid("service.stretch", "must be a positive factor"));
-        }
-        Ok(())
-    }
 }
 
 /// The `[faults]` table: lane outages and BER-driven corruption for
@@ -845,137 +744,6 @@ impl FaultSpec {
         }
         plan
     }
-
-    fn validate(&self, max_lane: usize) -> Result<(), SpecError> {
-        if let Some(ber) = self.ber {
-            if !(ber.is_finite() && (0.0..1.0).contains(&ber)) {
-                return Err(invalid(
-                    "faults.ber",
-                    format!("must be in [0, 1), got {ber}"),
-                ));
-            }
-            if self.ber_model.is_some() {
-                return Err(invalid(
-                    "faults.ber",
-                    "ber and ber_model are mutually exclusive",
-                ));
-            }
-        }
-        if let Some(model) = &self.ber_model {
-            if model != FAULT_BER_MODEL_PAPER {
-                return Err(invalid(
-                    "faults.ber_model",
-                    format!("unknown model {model:?} (only \"paper\" is defined)"),
-                ));
-            }
-        }
-        let given = [
-            self.outage_lanes.is_some(),
-            self.outage_starts.is_some(),
-            self.outage_durations.is_some(),
-        ];
-        if given.iter().any(|g| *g) && !given.iter().all(|g| *g) {
-            return Err(invalid(
-                "faults.outage_lanes",
-                "outage_lanes, outage_starts and outage_durations must be given together",
-            ));
-        }
-        if let (Some(lanes), Some(starts), Some(durations)) = (
-            &self.outage_lanes,
-            &self.outage_starts,
-            &self.outage_durations,
-        ) {
-            if lanes.len() != starts.len() || lanes.len() != durations.len() {
-                return Err(invalid(
-                    "faults.outage_lanes",
-                    "the outage arrays must have the same length",
-                ));
-            }
-            for &lane in lanes {
-                if lane >= max_lane {
-                    return Err(invalid(
-                        "faults.outage_lanes",
-                        format!("lane {lane} is outside the {max_lane}-channel comb"),
-                    ));
-                }
-            }
-        }
-        let given = [
-            self.mean_up.is_some(),
-            self.mean_down.is_some(),
-            self.fault_horizon.is_some(),
-        ];
-        if given.iter().any(|g| *g) && !given.iter().all(|g| *g) {
-            return Err(invalid(
-                "faults.mean_up",
-                "mean_up, mean_down and fault_horizon must be given together",
-            ));
-        }
-        for (field, v) in [
-            ("faults.mean_up", self.mean_up),
-            ("faults.mean_down", self.mean_down),
-        ] {
-            if let Some(v) = v {
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(SpecError::Invalid {
-                        field,
-                        message: format!("must be positive and finite, got {v}"),
-                    });
-                }
-            }
-        }
-        let given = [
-            self.ge_p_gb.is_some(),
-            self.ge_p_bg.is_some(),
-            self.ge_ber_good.is_some(),
-            self.ge_ber_bad.is_some(),
-        ];
-        if given.iter().any(|g| *g) && !given.iter().all(|g| *g) {
-            return Err(invalid(
-                "faults.ge_p_gb",
-                "ge_p_gb, ge_p_bg, ge_ber_good and ge_ber_bad must be given together",
-            ));
-        }
-        if let (Some(p_gb), Some(p_bg), Some(ber_good), Some(ber_bad)) = (
-            self.ge_p_gb,
-            self.ge_p_bg,
-            self.ge_ber_good,
-            self.ge_ber_bad,
-        ) {
-            if self.ber.is_some() || self.ber_model.is_some() {
-                return Err(invalid(
-                    "faults.ge_p_gb",
-                    "the Gilbert–Elliott channel is mutually exclusive with ber/ber_model",
-                ));
-            }
-            for (field, p) in [("faults.ge_p_gb", p_gb), ("faults.ge_p_bg", p_bg)] {
-                if !(p.is_finite() && p > 0.0 && p <= 1.0) {
-                    return Err(SpecError::Invalid {
-                        field,
-                        message: format!("must be in (0, 1], got {p}"),
-                    });
-                }
-            }
-            for (field, ber) in [
-                ("faults.ge_ber_good", ber_good),
-                ("faults.ge_ber_bad", ber_bad),
-            ] {
-                if !(ber.is_finite() && (0.0..1.0).contains(&ber)) {
-                    return Err(SpecError::Invalid {
-                        field,
-                        message: format!("must be in [0, 1), got {ber}"),
-                    });
-                }
-            }
-            if ber_bad < ber_good {
-                return Err(invalid(
-                    "faults.ge_ber_bad",
-                    format!("bad-state BER {ber_bad} below good-state BER {ber_good}"),
-                ));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Per-flow worst-case path BERs on the near-square paper architecture:
@@ -1049,29 +817,6 @@ impl HealingSpec {
             .and_then(HealPolicy::parse)
             .unwrap_or_default()
     }
-
-    fn validate(&self) -> Result<(), SpecError> {
-        if let Some(policy) = &self.policy
-            && HealPolicy::parse(policy).is_none()
-        {
-            return Err(invalid(
-                "healing.policy",
-                format!(
-                    "unknown heal policy {policy:?} \
-                     (park, re-pack-strict, re-pack-relaxed)"
-                ),
-            ));
-        }
-        if let Some(th) = self.ber_threshold
-            && !(th.is_finite() && th > 0.0 && th < 1.0)
-        {
-            return Err(invalid(
-                "healing.ber_threshold",
-                format!("must be in (0, 1), got {th}"),
-            ));
-        }
-        Ok(())
-    }
 }
 
 /// The `[transport]` table: a reliable-transport recovery mode plus
@@ -1105,10 +850,10 @@ impl TransportSpec {
     /// The `mode` discriminator used in spec files.
     #[must_use]
     pub fn mode(&self) -> &'static str {
-        match self {
-            TransportSpec::GoBackN { .. } => "gbn",
-            TransportSpec::Pfc { .. } => "pfc",
-        }
+        TRANSPORT_MODES[match self {
+            TransportSpec::GoBackN { .. } => 0,
+            TransportSpec::Pfc { .. } => 1,
+        }]
     }
 
     /// Resolves the table into a concrete mode: the preset with this
@@ -1156,27 +901,6 @@ impl TransportSpec {
             }
         }
     }
-
-    fn validate(&self) -> Result<(), SpecError> {
-        match self {
-            TransportSpec::GoBackN {
-                window, timeout, ..
-            } => {
-                if *window == Some(0) {
-                    return Err(invalid("transport.window", "must be at least 1"));
-                }
-                if *timeout == Some(0) {
-                    return Err(invalid("transport.timeout", "must be at least 1 cycle"));
-                }
-            }
-            TransportSpec::Pfc { dst_window, .. } => {
-                if *dst_window == Some(0) {
-                    return Err(invalid("transport.dst_window", "must be at least 1"));
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 /// ECN AIMD pacing overrides, carried in the `[injection]` table
@@ -1209,25 +933,6 @@ impl AimdSpec {
             min_factor: self.min_factor.unwrap_or(d.min_factor),
         }
     }
-
-    fn validate(&self) -> Result<(), SpecError> {
-        if let Some(v) = self.additive_step {
-            if !(v.is_finite() && v > 0.0 && v <= 1.0) {
-                return Err(invalid("injection.aimd_step", "must be in (0, 1]"));
-            }
-        }
-        if let Some(v) = self.md_factor {
-            if !(v.is_finite() && v > 0.0 && v < 1.0) {
-                return Err(invalid("injection.aimd_md_factor", "must be in (0, 1)"));
-            }
-        }
-        if let Some(v) = self.min_factor {
-            if !(v.is_finite() && v > 0.0 && v <= 1.0) {
-                return Err(invalid("injection.aimd_min_factor", "must be in (0, 1]"));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Why a spec could not be built or parsed.
@@ -1256,9 +961,9 @@ pub enum SpecError {
     },
     /// The document carries a key the schema does not know.
     UnknownKey {
-        /// The key as written.
+        /// The key as written, with its table's dotted path.
         key: String,
-        /// The known key nearest to it by edit distance.
+        /// The known key of that table nearest to it by edit distance.
         nearest: &'static str,
     },
 }
@@ -1351,7 +1056,7 @@ impl ScenarioSpec {
     /// app, NSGA-II, seed 2017, paper scale).
     #[must_use]
     pub fn builder(name: impl Into<String>) -> ScenarioSpecBuilder {
-        ScenarioSpecBuilder {
+        ScenarioSpecBuilder(ScenarioSpec {
             name: name.into(),
             seed: 2017,
             scale: Scale::Paper,
@@ -1371,7 +1076,7 @@ impl ScenarioSpec {
             transport: None,
             healing: None,
             service: None,
-        }
+        })
     }
 
     /// Parses a TOML-subset spec document.
@@ -1404,393 +1109,95 @@ impl ScenarioSpec {
         self.to_value().to_json()
     }
 
-    /// The document form of this spec.
+    /// The document form of this spec: exactly the keys it sets.
     #[must_use]
     pub fn to_value(&self) -> Value {
-        let mut root = Value::table();
-        root.insert("name", self.name.as_str());
-        root.insert("seed", self.seed);
-        root.insert("scale", self.scale.name());
-        root.insert("objectives", objectives_name(self.objectives));
-        if self.report != ReportKind::Full {
-            root.insert("report", self.report.name());
-        }
-
-        let mut arch = Value::table();
-        arch.insert("nodes", self.arch.nodes);
-        arch.insert("wavelengths", self.arch.wavelengths);
-        root.insert("arch", arch);
-
-        let mut workload = Value::table();
-        workload.insert("kind", self.workload.kind());
-        match &self.workload {
-            WorkloadSpec::PaperApp => {}
-            WorkloadSpec::Trace { path } => {
-                workload.insert("path", path.as_str());
+        let injection = match self.injection {
+            InjectionMode::Open => None,
+            InjectionMode::Credit { window } => Some(INJECTION.write(1, [window.to_doc()])),
+            InjectionMode::CreditPerDst { window } => Some(INJECTION.write(2, [window.to_doc()])),
+            InjectionMode::Ecn { threshold } => {
+                Some(
+                    INJECTION.store(3, &(threshold, self.aimd), |(threshold, aimd), v| {
+                        v.key(threshold);
+                        aimd.visit(v);
+                    }),
+                )
             }
-            WorkloadSpec::Kernel {
-                kind,
-                stages,
-                exec_kcc,
-                volume_kbits,
-                mapping_seed,
-            } => {
-                workload.insert("kernel", kind.name());
-                workload.insert("stages", *stages);
-                workload.insert("exec_kcc", *exec_kcc);
-                workload.insert("volume_kbits", *volume_kbits);
-                workload.insert("mapping_seed", *mapping_seed);
-            }
-            WorkloadSpec::Synthetic {
-                pattern,
-                injection_rate,
-                message_bits,
-                horizon,
-                burstiness,
-            } => {
-                write_pattern(&mut workload, pattern);
-                workload.insert("injection_rate", *injection_rate);
-                workload.insert("message_bits", *message_bits);
-                workload.insert("horizon", *horizon);
-                write_burstiness(&mut workload, *burstiness);
-            }
-            WorkloadSpec::Sweep {
-                patterns,
-                injection_rates,
-                wavelengths,
-                ring_sizes,
-                message_bits,
-                horizon,
-                burstiness,
-            } => {
-                let mut names = Vec::new();
-                for p in patterns {
-                    if let TrafficPattern::Hotspot { hotspots, fraction } = p {
-                        workload
-                            .insert("hotspots", hotspots.iter().map(|h| h.0).collect::<Vec<_>>());
-                        workload.insert("fraction", *fraction);
-                    }
-                    names.push(pattern_name(p));
-                }
-                workload.insert("patterns", names);
-                workload.insert("injection_rates", injection_rates.clone());
-                workload.insert("wavelengths", wavelengths.clone());
-                workload.insert("ring_sizes", ring_sizes.clone());
-                workload.insert("message_bits", *message_bits);
-                workload.insert("horizon", *horizon);
-                write_burstiness(&mut workload, *burstiness);
-            }
-        }
-        root.insert("workload", workload);
-
-        let mut allocator = Value::table();
-        allocator.insert("kind", self.allocator.kind());
-        match &self.allocator {
-            AllocatorSpec::Nsga2 {
-                population,
-                generations,
-            } => {
-                if let Some(p) = population {
-                    allocator.insert("population", *p);
-                }
-                if let Some(g) = generations {
-                    allocator.insert("generations", *g);
-                }
-            }
-            AllocatorSpec::Heuristic { kind } => allocator.insert("name", kind.name()),
-            AllocatorSpec::Counts { counts } => allocator.insert("counts", counts.clone()),
-            AllocatorSpec::Dynamic { policy } => match policy {
-                DynamicPolicy::Single => allocator.insert("policy", "single"),
-                DynamicPolicy::Greedy { cap } => {
-                    allocator.insert("policy", "greedy");
-                    allocator.insert("cap", *cap);
-                }
-            },
-            AllocatorSpec::FlowSynthesis { policy, spares } => {
-                match policy {
-                    FlowAllocPolicy::FirstFit => allocator.insert("policy", "first-fit"),
-                    FlowAllocPolicy::Relaxed => allocator.insert("policy", "relaxed"),
-                    FlowAllocPolicy::Proportional { max_lanes_per_flow } => {
-                        allocator.insert("policy", "proportional");
-                        allocator.insert("max_lanes_per_flow", *max_lanes_per_flow);
-                    }
-                }
-                if *spares != 0 {
-                    allocator.insert("spares", *spares);
-                }
-            }
-            AllocatorSpec::Striped { lanes_per_flow } => {
-                allocator.insert("lanes_per_flow", *lanes_per_flow);
-            }
-        }
-        root.insert("allocator", allocator);
-
-        if self.injection != InjectionMode::Open {
-            let mut injection = Value::table();
-            injection.insert("mode", self.injection.name());
-            match self.injection {
-                InjectionMode::Open => unreachable!("open mode is the omitted default"),
-                InjectionMode::Credit { window } | InjectionMode::CreditPerDst { window } => {
-                    injection.insert("credit_window", window);
-                }
-                InjectionMode::Ecn { threshold } => injection.insert("ecn_threshold", threshold),
-            }
-            let overrides = [
-                ("aimd_step", self.aimd.additive_step),
-                ("aimd_md_factor", self.aimd.md_factor),
-                ("aimd_min_factor", self.aimd.min_factor),
-            ];
-            for (key, v) in overrides {
-                if let Some(v) = v {
-                    injection.insert(key, v);
-                }
-            }
-            root.insert("injection", injection);
-        }
-        if let Some(energy) = &self.energy {
-            let mut table = Value::table();
-            table.insert("preset", ENERGY_PRESET_PAPER);
-            let overrides = [
-                ("laser_mw", energy.laser_mw),
-                ("tx_fj_per_bit", energy.tx_fj_per_bit),
-                ("rx_fj_per_bit", energy.rx_fj_per_bit),
-                ("mr_tuning_mw", energy.mr_tuning_mw),
-                ("clock_ghz", energy.clock_ghz),
-            ];
-            for (key, v) in overrides {
-                if let Some(v) = v {
-                    table.insert(key, v);
-                }
-            }
-            root.insert("energy", table);
-        }
-        if let Some(telemetry) = &self.telemetry {
-            let mut table = Value::table();
-            if let Some(window) = telemetry.window {
-                table.insert("window", window);
-            }
-            if let Some(per_flow) = telemetry.per_flow {
-                table.insert("per_flow", per_flow);
-            }
-            if let Some(path) = &telemetry.chrome_trace {
-                table.insert("chrome_trace", path.clone());
-            }
-            root.insert("telemetry", table);
-        }
-        if let Some(faults) = &self.faults {
-            let mut table = Value::table();
-            if let Some(seed) = faults.seed {
-                table.insert("seed", seed);
-            }
-            if let Some(ber) = faults.ber {
-                table.insert("ber", ber);
-            }
-            if let Some(model) = &faults.ber_model {
-                table.insert("ber_model", model.clone());
-            }
-            if let Some(lanes) = &faults.outage_lanes {
-                table.insert("outage_lanes", lanes.clone());
-            }
-            if let Some(starts) = &faults.outage_starts {
-                table.insert("outage_starts", starts.clone());
-            }
-            if let Some(durations) = &faults.outage_durations {
-                table.insert("outage_durations", durations.clone());
-            }
-            if let Some(v) = faults.mean_up {
-                table.insert("mean_up", v);
-            }
-            if let Some(v) = faults.mean_down {
-                table.insert("mean_down", v);
-            }
-            if let Some(v) = faults.fault_horizon {
-                table.insert("fault_horizon", v);
-            }
-            let ge = [
-                ("ge_p_gb", faults.ge_p_gb),
-                ("ge_p_bg", faults.ge_p_bg),
-                ("ge_ber_good", faults.ge_ber_good),
-                ("ge_ber_bad", faults.ge_ber_bad),
-            ];
-            for (key, v) in ge {
-                if let Some(v) = v {
-                    table.insert(key, v);
-                }
-            }
-            root.insert("faults", table);
-        }
-        if let Some(transport) = &self.transport {
-            let mut table = Value::table();
-            table.insert("mode", transport.mode());
-            match transport {
-                TransportSpec::GoBackN {
-                    window,
-                    nack_delay,
-                    timeout,
-                    max_retries,
-                } => {
-                    if let Some(v) = window {
-                        table.insert("window", *v);
-                    }
-                    if let Some(v) = nack_delay {
-                        table.insert("nack_delay", *v);
-                    }
-                    if let Some(v) = timeout {
-                        table.insert("timeout", *v);
-                    }
-                    if let Some(v) = max_retries {
-                        table.insert("max_retries", u64::from(*v));
-                    }
-                }
-                TransportSpec::Pfc {
-                    dst_window,
-                    max_retries,
-                } => {
-                    if let Some(v) = dst_window {
-                        table.insert("dst_window", *v);
-                    }
-                    if let Some(v) = max_retries {
-                        table.insert("max_retries", u64::from(*v));
-                    }
-                }
-            }
-            root.insert("transport", table);
-        }
-        if let Some(healing) = &self.healing {
-            let mut table = Value::table();
-            if let Some(policy) = &healing.policy {
-                table.insert("policy", policy.clone());
-            }
-            if let Some(th) = healing.ber_threshold {
-                table.insert("ber_threshold", th);
-            }
-            root.insert("healing", table);
-        }
-        if let Some(service) = &self.service {
-            let mut table = Value::table();
-            if let Some(sessions) = service.sessions {
-                table.insert("sessions", sessions);
-            }
-            if let Some(rate) = service.arrival_rate {
-                table.insert("arrival_rate", rate);
-            }
-            if let Some(hold) = service.mean_hold {
-                table.insert("mean_hold", hold);
-            }
-            if let Some(demand) = service.max_demand {
-                table.insert("max_demand", demand);
-            }
-            if let Some(policy) = service.policy {
-                table.insert("policy", policy.name());
-            }
-            if let Some(defrag) = service.defrag {
-                table.insert("defrag", defrag.name());
-            }
-            if let Some(th) = service.defrag_threshold {
-                table.insert("defrag_threshold", th);
-            }
-            if let Some(idle) = service.defrag_idle {
-                table.insert("defrag_idle", idle);
-            }
-            if let Some(wait) = service.max_wait {
-                table.insert("max_wait", wait);
-            }
-            if let Some(demand) = service.trace_demand {
-                table.insert("trace_demand", demand);
-            }
-            if let Some(stretch) = service.stretch {
-                table.insert("stretch", stretch);
-            }
-            root.insert("service", table);
-        }
-        root
+        };
+        ROOT.write(
+            0,
+            [
+                self.name.to_doc(),
+                self.seed.to_doc(),
+                Some(self.scale.name().into()),
+                Some(objectives_name(self.objectives).into()),
+                Some(self.report.name().into()),
+                Some(ARCH.store(0, &self.arch, ArchSpec::visit)),
+                Some(self.workload.doc()),
+                Some(self.allocator.doc()),
+                injection,
+                self.energy
+                    .as_ref()
+                    .map(|e| ENERGY.store(0, e, EnergySpec::visit)),
+                self.telemetry
+                    .as_ref()
+                    .map(|t| TELEMETRY.store(0, t, TelemetrySpec::visit)),
+                self.faults
+                    .as_ref()
+                    .map(|f| FAULTS.store(0, f, FaultSpec::visit)),
+                self.transport.as_ref().map(TransportSpec::doc),
+                self.healing
+                    .as_ref()
+                    .map(|h| HEALING.store(0, h, HealingSpec::visit)),
+                self.service
+                    .as_ref()
+                    .map(|s| SERVICE.store(0, s, ServiceSpec::visit)),
+            ],
+        )
     }
 
     /// Reads and validates a spec from its document form.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] when fields are missing or malformed, the
-    /// root carries a key the schema does not know, or the combination
-    /// is invalid.
+    /// Returns [`SpecError`] when a key is unknown, misplaced, missing,
+    /// of the wrong type or out of range, or the combination is invalid.
     pub fn from_value(value: &Value) -> Result<Self, SpecError> {
-        check_root_keys(value)?;
-        let name = req_str(value, "name")?.to_string();
-        let seed = opt_u64(value, "seed")?.unwrap_or(2017);
-        let scale = match value.get("scale") {
-            None => Scale::Paper,
-            Some(v) => {
-                let raw = v.as_str().ok_or_else(|| invalid("scale", "not a string"))?;
-                Scale::from_name(raw)
-                    .ok_or_else(|| invalid("scale", format!("unknown scale {raw:?}")))?
-            }
-        };
-        let objectives = match value.get("objectives") {
-            None => ObjectiveSet::TimeEnergy,
-            Some(v) => {
-                let raw = v
-                    .as_str()
-                    .ok_or_else(|| invalid("objectives", "not a string"))?;
-                objectives_from_name(raw)
-                    .ok_or_else(|| invalid("objectives", format!("unknown set {raw:?}")))?
-            }
-        };
-        let arch = match value.get("arch") {
-            None => ArchSpec::default(),
-            Some(a) => ArchSpec {
-                nodes: opt_usize_in(a, "arch.nodes", "nodes")?.unwrap_or(16),
-                wavelengths: opt_usize_in(a, "arch.wavelengths", "wavelengths")?.unwrap_or(8),
-            },
-        };
-        let workload = parse_workload(
-            value
-                .get("workload")
-                .ok_or(SpecError::Missing { field: "workload" })?,
-        )?;
-        let allocator = parse_allocator(
-            value
-                .get("allocator")
-                .ok_or(SpecError::Missing { field: "allocator" })?,
-        )?;
-        let (injection, aimd) = match value.get("injection") {
+        let spec = Self::read(value)?;
+        spec.check_rules()?;
+        Ok(spec)
+    }
+
+    /// Checks the spec as [`ScenarioSpecBuilder::build`] does: every
+    /// field against the type and range of its key, then the rules that
+    /// relate fields. For a spec whose fields changed after it was built
+    /// or parsed.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`SpecError`] found.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        Self::read(&self.to_value())?;
+        self.check_rules()
+    }
+
+    /// Builds the typed spec from a document, checking every table
+    /// against its field list; the rules across fields are `check_rules`.
+    fn read(doc: &Value) -> Result<Self, SpecError> {
+        let mut r = ROOT.reader(doc, 0)?;
+        let (name, seed) = (r.val(), r.val());
+        let scale = Scale::ALL[r.index()];
+        let objectives = OBJECTIVE_SETS[r.index()];
+        let report = ReportKind::ALL[r.index()];
+        let arch = ARCH.load(r.table().unwrap_or(&EMPTY), ArchSpec::visit)?;
+        let workload = read_workload(r.table().unwrap_or(&EMPTY))?;
+        let allocator = read_allocator(r.table().unwrap_or(&EMPTY))?;
+        let (injection, aimd) = match r.table() {
+            Some(table) => read_injection(table)?,
             None => (InjectionMode::Open, AimdSpec::default()),
-            Some(table) => parse_injection(table)?,
         };
-        let report = match value.get("report") {
-            None => ReportKind::Full,
-            Some(v) => {
-                let raw = v
-                    .as_str()
-                    .ok_or_else(|| invalid("report", "not a string"))?;
-                ReportKind::from_name(raw)
-                    .ok_or_else(|| invalid("report", format!("unknown report mode {raw:?}")))?
-            }
-        };
-        let energy = match value.get("energy") {
-            None => None,
-            Some(table) => Some(parse_energy(table)?),
-        };
-        let telemetry = match value.get("telemetry") {
-            None => None,
-            Some(table) => Some(parse_telemetry(table)?),
-        };
-        let faults = match value.get("faults") {
-            None => None,
-            Some(table) => Some(parse_faults(table)?),
-        };
-        let transport = match value.get("transport") {
-            None => None,
-            Some(table) => Some(parse_transport(table)?),
-        };
-        let healing = match value.get("healing") {
-            None => None,
-            Some(table) => Some(parse_healing(table)?),
-        };
-        let service = match value.get("service") {
-            None => None,
-            Some(table) => Some(parse_service(table)?),
-        };
-        ScenarioSpecBuilder {
+        Ok(ScenarioSpec {
             name,
             seed,
             scale,
@@ -1800,56 +1207,266 @@ impl ScenarioSpec {
             allocator,
             injection,
             report,
-            energy,
-            telemetry,
             aimd,
-            faults,
-            transport,
-            healing,
-            service,
+            energy: r.load(&ENERGY, EnergySpec::visit)?,
+            telemetry: r.load(&TELEMETRY, TelemetrySpec::visit)?,
+            faults: r.load(&FAULTS, FaultSpec::visit)?,
+            transport: r.table().map(read_transport).transpose()?,
+            healing: r.load(&HEALING, HealingSpec::visit)?,
+            service: r.load(&SERVICE, ServiceSpec::visit)?,
+        })
+    }
+
+    /// The rules that relate fields to each other; every single-field
+    /// type and range check is the reader's.
+    fn check_rules(&self) -> Result<(), SpecError> {
+        let (nodes, comb) = (self.arch.nodes, self.arch.wavelengths);
+        match &self.workload {
+            WorkloadSpec::PaperApp if nodes != 16 => {
+                return Err(invalid(
+                    "arch.nodes",
+                    "the paper application is mapped on a 16-node ring",
+                ));
+            }
+            WorkloadSpec::Synthetic { pattern, .. } => hotspots_on_ring(pattern, nodes)?,
+            WorkloadSpec::Sweep {
+                patterns,
+                ring_sizes,
+                ..
+            } => {
+                for &nodes in ring_sizes {
+                    for pattern in patterns {
+                        hotspots_on_ring(pattern, nodes)?;
+                    }
+                }
+                // The document stores hotspot parameters in shared
+                // sibling keys, so two *different* hotspot
+                // parameterisations cannot round-trip.
+                let mut hot = patterns
+                    .iter()
+                    .filter(|p| matches!(p, TrafficPattern::Hotspot { .. }));
+                if let Some(first) = hot.next()
+                    && hot.any(|p| p != first)
+                {
+                    return Err(invalid(
+                        "workload.patterns",
+                        "a sweep supports at most one distinct hotspot \
+                         parameterisation (hotspots/fraction are shared keys)",
+                    ));
+                }
+            }
+            _ => {}
         }
-        .build()
+        match &self.allocator {
+            AllocatorSpec::Striped { lanes_per_flow } if *lanes_per_flow > comb => {
+                return Err(invalid(
+                    "allocator.lanes_per_flow",
+                    "must be in 1..=arch.wavelengths",
+                ));
+            }
+            AllocatorSpec::FlowSynthesis { spares, .. } if *spares >= comb => {
+                return Err(invalid(
+                    "allocator.spares",
+                    "spare lanes must leave at least one packable lane \
+                     (spares < arch.wavelengths)",
+                ));
+            }
+            _ => {}
+        }
+        if !self.aimd.is_default() && !matches!(self.injection, InjectionMode::Ecn { .. }) {
+            return Err(invalid(
+                "injection.aimd_step",
+                "AIMD overrides apply to ECN injection",
+            ));
+        }
+        // Task-graph workloads run on their own engines: what shapes a
+        // message stream applies to the message-stream workloads only.
+        let stream = self.workload.is_message_stream();
+        let single = matches!(
+            self.workload,
+            WorkloadSpec::Synthetic { .. } | WorkloadSpec::Trace { .. }
+        );
+        let rejected = [
+            (self.injection.is_closed_loop() && !stream, "injection.mode"),
+            (self.report == ReportKind::Streaming && !stream, "report"),
+            (self.faults.is_some() && !stream, "faults"),
+            (self.transport.is_some() && !stream, "transport"),
+            (self.healing.is_some() && !stream, "healing"),
+            (self.telemetry.is_some() && !single, "telemetry"),
+            (self.service.is_some() && !single, "service"),
+        ];
+        if let Some(&(_, field)) = rejected.iter().find(|r| r.0) {
+            let workloads = match field {
+                "telemetry" | "service" => "a synthetic or trace workload",
+                _ => "a message-stream workload (synthetic, trace or sweep)",
+            };
+            return Err(invalid(field, format!("applies to {workloads}")));
+        }
+        if let Some(faults) = &self.faults {
+            let min_comb = match &self.workload {
+                WorkloadSpec::Sweep { wavelengths, .. } => {
+                    wavelengths.iter().copied().min().unwrap_or(comb)
+                }
+                _ => comb,
+            };
+            faults.check_rules(min_comb)?;
+            if faults.ber_model.is_some()
+                && matches!(&self.workload, WorkloadSpec::Sweep { ring_sizes, .. }
+                    if ring_sizes.iter().any(|&n| n != nodes))
+            {
+                return Err(invalid(
+                    "faults.ber_model",
+                    "the per-flow BER model is sized to the spec architecture; \
+                     sweep ring_sizes must all equal arch.nodes",
+                ));
+            }
+        }
+        if let Some(healing) = &self.healing
+            && healing.policy() != HealPolicy::Park
+            && !matches!(
+                self.allocator,
+                AllocatorSpec::Striped { .. } | AllocatorSpec::FlowSynthesis { .. }
+            )
+        {
+            return Err(invalid(
+                "healing.policy",
+                "re-pack heal policies re-synthesise a static flow map \
+                 (use a striped or flow-synthesis allocator)",
+            ));
+        }
+        if let Some(service) = &self.service {
+            let defrag = service.defrag.unwrap_or_default();
+            if service.defrag_threshold.is_some() && defrag != DefragKind::Threshold {
+                return Err(invalid(
+                    "service.defrag_threshold",
+                    "applies to defrag = \"threshold\"",
+                ));
+            }
+            if service.defrag_idle.is_some() && defrag != DefragKind::Idle {
+                return Err(invalid(
+                    "service.defrag_idle",
+                    "applies to defrag = \"idle\"",
+                ));
+            }
+            for (field, demand) in [
+                ("service.max_demand", service.max_demand()),
+                ("service.trace_demand", service.trace_demand()),
+            ] {
+                if demand > comb {
+                    return Err(invalid(
+                        field,
+                        "a session cannot demand more lanes than the comb holds",
+                    ));
+                }
+            }
+        }
+        let compatible = match &self.allocator {
+            AllocatorSpec::Nsga2 { .. }
+            | AllocatorSpec::Heuristic { .. }
+            | AllocatorSpec::Counts { .. } => !stream,
+            AllocatorSpec::Dynamic { .. } => true,
+            AllocatorSpec::FlowSynthesis { .. } | AllocatorSpec::Striped { .. } => single,
+        };
+        if !compatible {
+            return Err(SpecError::Incompatible {
+                workload: self.workload.kind(),
+                allocator: self.allocator.kind(),
+            });
+        }
+        Ok(())
     }
 }
 
-/// The keys a spec document may carry at its root.
-const ROOT_KEYS: [&str; 15] = [
-    "name",
-    "seed",
-    "scale",
-    "objectives",
-    "report",
-    "arch",
-    "workload",
-    "allocator",
-    "injection",
-    "energy",
-    "telemetry",
-    "faults",
-    "transport",
-    "healing",
-    "service",
-];
-
-/// Rejects the first root key that [`ROOT_KEYS`] does not list, naming
-/// the known key nearest to it. Allocates only on the error path.
-fn check_root_keys(root: &Value) -> Result<(), SpecError> {
-    let Some(entries) = root.as_table() else {
-        return Ok(());
-    };
-    match entries
-        .keys()
-        .find(|key| !ROOT_KEYS.contains(&key.as_str()))
-    {
-        None => Ok(()),
-        Some(key) => Err(SpecError::UnknownKey {
-            key: key.clone(),
-            nearest: ROOT_KEYS
-                .into_iter()
-                .min_by_key(|k| edit_distance(key, k))
-                .expect("ROOT_KEYS is not empty"),
-        }),
+impl FaultSpec {
+    /// The `[faults]` groups given together, their mutual exclusions,
+    /// and the outage lanes against the (smallest) comb.
+    fn check_rules(&self, comb: usize) -> Result<(), SpecError> {
+        let together = |given: &[bool], field: &'static str, keys: &str| {
+            if given.iter().any(|g| *g) && !given.iter().all(|g| *g) {
+                return Err(invalid(field, format!("{keys} must be given together")));
+            }
+            Ok(())
+        };
+        if self.ber.is_some() && self.ber_model.is_some() {
+            return Err(invalid(
+                "faults.ber",
+                "ber and ber_model are mutually exclusive",
+            ));
+        }
+        together(
+            &[
+                self.outage_lanes.is_some(),
+                self.outage_starts.is_some(),
+                self.outage_durations.is_some(),
+            ],
+            "faults.outage_lanes",
+            "outage_lanes, outage_starts and outage_durations",
+        )?;
+        if let (Some(lanes), Some(starts), Some(durations)) = (
+            &self.outage_lanes,
+            &self.outage_starts,
+            &self.outage_durations,
+        ) {
+            if lanes.len() != starts.len() || lanes.len() != durations.len() {
+                return Err(invalid(
+                    "faults.outage_lanes",
+                    "the outage arrays must have the same length",
+                ));
+            }
+            if let Some(lane) = lanes.iter().find(|&&lane| lane >= comb) {
+                return Err(invalid(
+                    "faults.outage_lanes",
+                    format!("lane {lane} is outside the {comb}-channel comb"),
+                ));
+            }
+        }
+        together(
+            &[
+                self.mean_up.is_some(),
+                self.mean_down.is_some(),
+                self.fault_horizon.is_some(),
+            ],
+            "faults.mean_up",
+            "mean_up, mean_down and fault_horizon",
+        )?;
+        together(
+            &[
+                self.ge_p_gb.is_some(),
+                self.ge_p_bg.is_some(),
+                self.ge_ber_good.is_some(),
+                self.ge_ber_bad.is_some(),
+            ],
+            "faults.ge_p_gb",
+            "ge_p_gb, ge_p_bg, ge_ber_good and ge_ber_bad",
+        )?;
+        if let (Some(good), Some(bad)) = (self.ge_ber_good, self.ge_ber_bad) {
+            if self.ber.is_some() || self.ber_model.is_some() {
+                return Err(invalid(
+                    "faults.ge_p_gb",
+                    "the Gilbert–Elliott channel is mutually exclusive with ber/ber_model",
+                ));
+            }
+            if bad < good {
+                return Err(invalid(
+                    "faults.ge_ber_bad",
+                    format!("bad-state BER {bad} below good-state BER {good}"),
+                ));
+            }
+        }
+        Ok(())
     }
+}
+
+fn hotspots_on_ring(pattern: &TrafficPattern, nodes: usize) -> Result<(), SpecError> {
+    if let TrafficPattern::Hotspot { hotspots, .. } = pattern
+        && let Some(h) = hotspots.iter().find(|h| h.0 >= nodes)
+    {
+        return Err(invalid(
+            "workload.hotspots",
+            format!("{h} is not on a {nodes}-node ring"),
+        ));
+    }
+    Ok(())
 }
 
 /// Levenshtein distance between `a` and `b`, in chars.
@@ -1872,135 +1489,118 @@ fn edit_distance(a: &str, b: &str) -> usize {
 
 /// Typed builder for [`ScenarioSpec`]; `build` validates the combination.
 #[derive(Debug, Clone)]
-pub struct ScenarioSpecBuilder {
-    name: String,
-    seed: u64,
-    scale: Scale,
-    objectives: ObjectiveSet,
-    arch: ArchSpec,
-    workload: WorkloadSpec,
-    allocator: AllocatorSpec,
-    injection: InjectionMode,
-    report: ReportKind,
-    energy: Option<EnergySpec>,
-    telemetry: Option<TelemetrySpec>,
-    aimd: AimdSpec,
-    faults: Option<FaultSpec>,
-    transport: Option<TransportSpec>,
-    healing: Option<HealingSpec>,
-    service: Option<ServiceSpec>,
-}
+pub struct ScenarioSpecBuilder(ScenarioSpec);
 
 impl ScenarioSpecBuilder {
     /// Sets the master seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.0.seed = seed;
         self
     }
 
     /// Sets the scale.
     #[must_use]
     pub fn scale(mut self, scale: Scale) -> Self {
-        self.scale = scale;
+        self.0.scale = scale;
         self
     }
 
     /// Sets the GA objective set.
     #[must_use]
     pub fn objectives(mut self, objectives: ObjectiveSet) -> Self {
-        self.objectives = objectives;
+        self.0.objectives = objectives;
         self
     }
 
     /// Sets the ring size.
     #[must_use]
     pub fn nodes(mut self, nodes: usize) -> Self {
-        self.arch.nodes = nodes;
+        self.0.arch.nodes = nodes;
         self
     }
 
     /// Sets the comb size.
     #[must_use]
     pub fn wavelengths(mut self, wavelengths: usize) -> Self {
-        self.arch.wavelengths = wavelengths;
+        self.0.arch.wavelengths = wavelengths;
         self
     }
 
     /// Sets the workload axis.
     #[must_use]
     pub fn workload(mut self, workload: WorkloadSpec) -> Self {
-        self.workload = workload;
+        self.0.workload = workload;
         self
     }
 
     /// Sets the allocator axis.
     #[must_use]
     pub fn allocator(mut self, allocator: AllocatorSpec) -> Self {
-        self.allocator = allocator;
+        self.0.allocator = allocator;
         self
     }
 
     /// Sets the injection policy.
     #[must_use]
     pub fn injection(mut self, injection: InjectionMode) -> Self {
-        self.injection = injection;
+        self.0.injection = injection;
         self
     }
 
     /// Sets the report retention mode.
     #[must_use]
     pub fn report(mut self, report: ReportKind) -> Self {
-        self.report = report;
+        self.0.report = report;
         self
     }
 
     /// Sets the `[energy]` table.
     #[must_use]
     pub fn energy(mut self, energy: EnergySpec) -> Self {
-        self.energy = Some(energy);
+        self.0.energy = Some(energy);
         self
     }
 
     /// Sets the `[telemetry]` table.
     #[must_use]
     pub fn telemetry(mut self, telemetry: TelemetrySpec) -> Self {
-        self.telemetry = Some(telemetry);
+        self.0.telemetry = Some(telemetry);
         self
     }
 
     /// Sets the ECN AIMD pacing overrides.
     #[must_use]
     pub fn aimd(mut self, aimd: AimdSpec) -> Self {
-        self.aimd = aimd;
+        self.0.aimd = aimd;
         self
     }
 
     /// Sets the `[faults]` table.
     #[must_use]
     pub fn faults(mut self, faults: FaultSpec) -> Self {
-        self.faults = Some(faults);
+        self.0.faults = Some(faults);
         self
     }
 
     /// Sets the `[transport]` table.
     #[must_use]
     pub fn transport(mut self, transport: TransportSpec) -> Self {
-        self.transport = Some(transport);
+        self.0.transport = Some(transport);
         self
     }
 
     /// Sets the `[healing]` table.
     #[must_use]
     pub fn healing(mut self, healing: HealingSpec) -> Self {
-        self.healing = Some(healing);
+        self.0.healing = Some(healing);
         self
     }
 
     /// Sets the `[service]` table.
     #[must_use]
     pub fn service(mut self, service: ServiceSpec) -> Self {
-        self.service = Some(service);
+        self.0.service = Some(service);
         self
     }
 
@@ -2011,39 +1611,990 @@ impl ScenarioSpecBuilder {
     /// Returns [`SpecError`] on out-of-range fields or an
     /// undefined workload/allocator combination.
     pub fn build(self) -> Result<ScenarioSpec, SpecError> {
-        if self.name.trim().is_empty() {
-            return Err(invalid("name", "must not be empty"));
+        self.0.validate()?;
+        Ok(self.0)
+    }
+}
+
+fn invalid(field: &'static str, message: impl Into<String>) -> SpecError {
+    SpecError::Invalid {
+        field,
+        message: message.into(),
+    }
+}
+
+// --------------------------------------------------------------- names --
+
+/// The position of `name` in `names`.
+fn position(names: &[&str], name: &str) -> Option<usize> {
+    names.iter().position(|n| *n == name)
+}
+
+/// Workload kinds, in [`WorkloadSpec`] variant order.
+const WORKLOAD_KINDS: [&str; 5] = ["paper-app", "kernel", "synthetic", "trace", "sweep"];
+/// Allocator kinds, in [`AllocatorSpec`] variant order.
+const ALLOCATOR_KINDS: [&str; 6] = [
+    "nsga2",
+    "heuristic",
+    "counts",
+    "dynamic",
+    "flow-synthesis",
+    "striped",
+];
+/// Injection modes, as [`InjectionMode::name`] spells them.
+const INJECTION_MODES: [&str; 4] = ["open", "credit", "credit-dst", "ecn"];
+/// Transport modes, as [`TransportSpec::mode`] spells them.
+const TRANSPORT_MODES: [&str; 2] = ["gbn", "pfc"];
+/// Dynamic claim policies: one lane per message, or greedy up to `cap`.
+const DYNAMIC_POLICIES: [&str; 2] = ["single", "greedy"];
+/// Flow-synthesis lane-sizing policies.
+const SYNTHESIS_POLICIES: [&str; 3] = ["proportional", "first-fit", "relaxed"];
+/// Grant disciplines, as [`GrantPolicy::name`] spells them.
+const GRANT_POLICIES: [&str; 2] = ["disjoint", "shared"];
+/// Heal policies [`HealPolicy::parse`] accepts (`re-pack` is the relaxed
+/// variant's alias).
+const HEAL_POLICIES: [&str; 4] = ["park", "re-pack-strict", "re-pack-relaxed", "re-pack"];
+const ENERGY_PRESETS: [&str; 1] = [ENERGY_PRESET_PAPER];
+const BER_MODELS: [&str; 1] = [FAULT_BER_MODEL_PAPER];
+const OBJECTIVES: [&str; 3] = ["time-energy", "time-ber", "time-energy-ber"];
+const OBJECTIVE_SETS: [ObjectiveSet; 3] = [
+    ObjectiveSet::TimeEnergy,
+    ObjectiveSet::TimeBer,
+    ObjectiveSet::TimeEnergyBer,
+];
+
+/// The traffic patterns a spec can name (hotspot parameters live in
+/// sibling keys, not the name).
+pub const TRAFFIC_PATTERNS: [&str; 7] = [
+    "uniform",
+    "hotspot",
+    "transpose",
+    "bit-reversal",
+    "bit-complement",
+    "nearest-neighbor",
+    "tornado",
+];
+
+/// The pattern [`TRAFFIC_PATTERNS`] names, with the hotspot parameters
+/// for `"hotspot"`; `None` for a name outside the list.
+#[must_use]
+pub fn traffic_pattern(name: &str, hotspots: &[NodeId], fraction: f64) -> Option<TrafficPattern> {
+    let i = position(&TRAFFIC_PATTERNS, name)?;
+    Some(pattern_at(i, || TrafficPattern::Hotspot {
+        hotspots: hotspots.to_vec(),
+        fraction,
+    }))
+}
+
+/// The pattern at position `i` of [`TRAFFIC_PATTERNS`]; `hotspot` makes
+/// the hotspot one.
+fn pattern_at(i: usize, hotspot: impl FnOnce() -> TrafficPattern) -> TrafficPattern {
+    match i {
+        0 => TrafficPattern::UniformRandom,
+        1 => hotspot(),
+        2 => TrafficPattern::Transpose,
+        3 => TrafficPattern::BitReversal,
+        4 => TrafficPattern::BitComplement,
+        5 => TrafficPattern::NearestNeighbor,
+        _ => TrafficPattern::Tornado,
+    }
+}
+
+/// The spec-file name of a pattern.
+fn pattern_name(pattern: &TrafficPattern) -> &'static str {
+    TRAFFIC_PATTERNS[match pattern {
+        TrafficPattern::UniformRandom => 0,
+        TrafficPattern::Hotspot { .. } => 1,
+        TrafficPattern::Transpose => 2,
+        TrafficPattern::BitReversal => 3,
+        TrafficPattern::BitComplement => 4,
+        TrafficPattern::NearestNeighbor => 5,
+        TrafficPattern::Tornado => 6,
+    }]
+}
+
+/// The spec-file name of an objective set.
+#[must_use]
+pub fn objectives_name(set: ObjectiveSet) -> &'static str {
+    OBJECTIVES[OBJECTIVE_SETS
+        .iter()
+        .position(|s| *s == set)
+        .expect("every objective set is listed")]
+}
+
+/// Parses [`objectives_name`] output.
+#[must_use]
+pub fn objectives_from_name(name: &str) -> Option<ObjectiveSet> {
+    position(&OBJECTIVES, name).map(|i| OBJECTIVE_SETS[i])
+}
+
+// -------------------------------------------------------------- schema --
+//
+// Every key a spec document may carry is declared once, in the field
+// list of its table (or of the table's kind or mode) further down. One
+// reader checks a table against its list and builds the typed value, one
+// writer emits the keys a spec sets, and `ScenarioSpec::validate` runs a
+// built spec's document through the same reader, so parsed and built
+// specs meet the same range checks.
+
+/// The interval a number, or every entry of a number array, lies in.
+#[derive(Debug, Clone, Copy)]
+struct Range {
+    lo: f64,
+    hi: f64,
+    lo_open: bool,
+    hi_open: bool,
+    /// Zero is admitted besides the interval.
+    or_zero: bool,
+}
+
+const fn between(lo: f64, hi: f64, lo_open: bool, hi_open: bool) -> Range {
+    Range {
+        lo,
+        hi,
+        lo_open,
+        hi_open,
+        or_zero: false,
+    }
+}
+
+const fn at_least(lo: f64) -> Range {
+    between(lo, f64::INFINITY, false, true)
+}
+
+const NAT: Range = at_least(0.0);
+const ONE_UP: Range = at_least(1.0);
+const POSITIVE: Range = between(0.0, f64::INFINITY, true, true);
+const UNIT: Range = between(0.0, 1.0, false, false);
+const UNIT_NO_ZERO: Range = between(0.0, 1.0, true, false);
+const UNIT_OPEN: Range = between(0.0, 1.0, true, true);
+const UNIT_NO_ONE: Range = between(0.0, 1.0, false, true);
+/// Comb sizes: a lane mask is 128 bits wide.
+const LANES: Range = between(1.0, 128.0, false, false);
+const U32: Range = between(0.0, u32::MAX as f64, false, false);
+
+impl Range {
+    fn admits(self, x: f64) -> bool {
+        (self.or_zero && x == 0.0)
+            || ((if self.lo_open {
+                x > self.lo
+            } else {
+                x >= self.lo
+            }) && (if self.hi_open {
+                x < self.hi
+            } else {
+                x <= self.hi
+            }))
+    }
+}
+
+impl core::fmt::Display for Range {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        if self.or_zero {
+            f.write_str("0 or ")?;
         }
-        if self.arch.nodes < 2 {
-            return Err(invalid("arch.nodes", "a ring needs at least 2 nodes"));
+        if self.hi.is_infinite() {
+            return write!(f, "{} {}", if self.lo_open { ">" } else { "≥" }, self.lo);
         }
-        if self.arch.wavelengths == 0 || self.arch.wavelengths > 128 {
-            return Err(invalid("arch.wavelengths", "must be in 1..=128"));
+        let open = if self.lo_open { '(' } else { '[' };
+        let close = if self.hi_open { ')' } else { ']' };
+        write!(f, "in {open}{}, {}{close}", self.lo, self.hi)
+    }
+}
+
+/// What a key's value must be. Arrays must not be empty.
+#[derive(Debug, Clone, Copy)]
+enum Ty {
+    Bool,
+    /// A string with a non-blank character.
+    Str,
+    /// One of an enum's names.
+    Name(&'static [&'static str]),
+    Int(Range),
+    Float(Range),
+    Ints(Range),
+    Floats(Range),
+    Names(&'static [&'static str]),
+    /// A subtable, read against its own field lists.
+    #[cfg_attr(not(test), allow(dead_code))] // walked by the README key reference
+    Table(&'static Schema),
+}
+
+impl Ty {
+    /// Whether `value` has this type and lies in its range.
+    fn admits(self, value: &Value) -> bool {
+        let int = |v: &Value, r: Range| v.as_int().is_some_and(|i| r.admits(i as f64));
+        let float = |v: &Value, r: Range| v.as_float().is_some_and(|x| r.admits(x));
+        let name = |v: &Value, names: &[&str]| v.as_str().is_some_and(|s| names.contains(&s));
+        let every = |ok: &dyn Fn(&Value) -> bool| {
+            value
+                .as_array()
+                .is_some_and(|items| !items.is_empty() && items.iter().all(ok))
+        };
+        match self {
+            Ty::Bool => value.as_bool().is_some(),
+            Ty::Str => value.as_str().is_some_and(|s| !s.trim().is_empty()),
+            Ty::Name(names) => name(value, names),
+            Ty::Int(r) => int(value, r),
+            Ty::Float(r) => float(value, r),
+            Ty::Ints(r) => every(&|v| int(v, r)),
+            Ty::Floats(r) => every(&|v| float(v, r)),
+            Ty::Names(names) => every(&|v| name(v, names)),
+            Ty::Table(_) => value.as_table().is_some(),
         }
-        match &self.workload {
-            WorkloadSpec::PaperApp => {
-                if self.arch.nodes != 16 {
-                    return Err(invalid(
-                        "arch.nodes",
-                        "the paper application is mapped on a 16-node ring",
-                    ));
-                }
+    }
+}
+
+impl core::fmt::Display for Ty {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match *self {
+            Ty::Bool => f.write_str("a boolean"),
+            Ty::Str => f.write_str("a non-blank string"),
+            Ty::Name(names) => write!(f, "one of {names:?}"),
+            Ty::Int(r) => write!(f, "an integer {r}"),
+            Ty::Float(r) => write!(f, "a number {r}"),
+            Ty::Ints(r) => write!(f, "a non-empty array of integers {r}"),
+            Ty::Floats(r) => write!(f, "a non-empty array of numbers {r}"),
+            Ty::Names(names) => write!(f, "a non-empty array of names from {names:?}"),
+            Ty::Table(_) => f.write_str("a table"),
+        }
+    }
+}
+
+/// What an absent key means. Values are written as document text: a
+/// number, or a bare name.
+#[derive(Debug, Clone, Copy)]
+enum Dflt {
+    /// The key must be given.
+    Required,
+    /// Absent reads as this value; the writer always emits the key.
+    Fill(&'static str),
+    /// Absent reads as this value; the writer leaves the key out at it.
+    Omit(&'static str),
+    /// Absent leaves the typed field unset; what that resolves to.
+    #[cfg_attr(not(test), allow(dead_code))] // read by the README key reference
+    Unset(&'static str),
+}
+
+/// One key of a spec table: path, type and range, default, and doc.
+#[derive(Debug, Clone, Copy)]
+struct Field {
+    /// Dotted path: the table, then the key.
+    path: &'static str,
+    /// The last segment of `path`.
+    key: &'static str,
+    ty: Ty,
+    default: Dflt,
+    /// For a key that only some values of a sibling key use: that key
+    /// and the value it must hold (or, for an array, contain).
+    when: Option<(&'static str, &'static str)>,
+    /// One line for the README key reference.
+    #[cfg_attr(not(test), allow(dead_code))]
+    doc: &'static str,
+}
+
+const fn field(path: &'static str, ty: Ty, default: Dflt, doc: &'static str) -> Field {
+    let bytes = path.as_bytes();
+    let mut start = bytes.len();
+    while start > 0 && bytes[start - 1] != b'.' {
+        start -= 1;
+    }
+    let Ok(key) = core::str::from_utf8(bytes.split_at(start).1) else {
+        panic!("a field path is UTF-8");
+    };
+    Field {
+        path,
+        key,
+        ty,
+        default,
+        when: None,
+        doc,
+    }
+}
+
+impl Field {
+    const fn when(self, key: &'static str, value: &'static str) -> Self {
+        Field {
+            when: Some((key, value)),
+            ..self
+        }
+    }
+
+    /// The names a `Name` or `Names` field admits.
+    fn names(&self) -> &'static [&'static str] {
+        match self.ty {
+            Ty::Name(names) | Ty::Names(names) => names,
+            _ => &[],
+        }
+    }
+
+    /// The text of a `Fill` or `Omit` default.
+    fn fallback(&self) -> Option<&'static str> {
+        match self.default {
+            Dflt::Fill(text) | Dflt::Omit(text) => Some(text),
+            Dflt::Required | Dflt::Unset(_) => None,
+        }
+    }
+
+    fn mismatch(&self, value: &Value) -> SpecError {
+        // A built spec can hold a non-finite float, which JSON cannot show.
+        let finite = |v: &Value| v.as_float().is_none_or(f64::is_finite);
+        let got = if finite(value) && value.as_array().is_none_or(|a| a.iter().all(finite)) {
+            value.to_json_compact()
+        } else {
+            format!("{value:?}")
+        };
+        invalid(self.path, format!("must be {}, got {got}", self.ty))
+    }
+}
+
+/// A table's field lists: one, or one per name of its selector key.
+#[derive(Debug)]
+struct Schema {
+    /// The key whose value picks the field list (`kind` / `mode`).
+    select: Option<Field>,
+    /// The field lists, in the order of the selector's names.
+    shapes: &'static [&'static [Field]],
+}
+
+/// An empty table: what an absent table of defaulted keys reads as.
+static EMPTY: Value = Value::Table(std::collections::BTreeMap::new());
+
+impl Schema {
+    /// The position of the selector's name among its names (0 without a
+    /// selector).
+    fn shape(&self, table: &Value) -> Result<usize, SpecError> {
+        let Some(select) = &self.select else {
+            return Ok(0);
+        };
+        let Some(value) = table.get(select.key) else {
+            // A misspelt selector is unknown before it is missing.
+            let mut keys = table.as_table().into_iter().flatten().map(|(k, _)| k);
+            return Err(match keys.find(|k| !self.fields().any(|f| f.key == *k)) {
+                Some(key) => self.stray(key),
+                None => SpecError::Missing { field: select.path },
+            });
+        };
+        match value
+            .as_str()
+            .and_then(|name| position(select.names(), name))
+        {
+            Some(shape) => Ok(shape),
+            None => Err(select.mismatch(value)),
+        }
+    }
+
+    /// Every field of the table, the selector first.
+    fn fields(&self) -> impl Iterator<Item = &Field> {
+        self.select
+            .iter()
+            .chain(self.shapes.iter().copied().flatten())
+    }
+
+    /// Checks `table` against shape `shape`, then hands out its keys in
+    /// field-list order. Every key must be the selector or one of the
+    /// shape's fields, of its type and in its range; a required key must
+    /// be present. Allocates only on error.
+    fn reader<'a>(&'a self, table: &'a Value, shape: usize) -> Result<Read<'a>, SpecError> {
+        let fields = self.shapes[shape];
+        let mut values = [None; MAX_FIELDS];
+        for (key, value) in table.as_table().into_iter().flatten() {
+            match fields.iter().position(|f| f.key == *key) {
+                Some(i) if !fields[i].ty.admits(value) => return Err(fields[i].mismatch(value)),
+                Some(i) => values[i] = Some(value),
+                None if self.select.is_some_and(|s| s.key == *key) => {}
+                None => return Err(self.stray(key)),
             }
+        }
+        for (field, value) in fields.iter().zip(values) {
+            let applies = field.when.is_none_or(|(key, name)| {
+                let i = fields.iter().position(|f| f.key == key);
+                let i = i.expect("a condition names a key of its own shape");
+                match values[i] {
+                    Some(Value::Array(items)) => items.iter().any(|v| v.as_str() == Some(name)),
+                    Some(value) => value.as_str() == Some(name),
+                    None => fields[i].fallback() == Some(name),
+                }
+            });
+            match (value, field.when) {
+                (Some(_), Some((key, name))) if !applies => {
+                    return Err(invalid(field.path, format!("applies to {key} = {name:?}")));
+                }
+                (None, _) if applies && matches!(field.default, Dflt::Required) => {
+                    return Err(SpecError::Missing { field: field.path });
+                }
+                _ => {}
+            }
+        }
+        Ok(Read {
+            fields: fields.iter(),
+            values: values.into_iter(),
+        })
+    }
+
+    /// The error for a key outside the chosen shape: a key another shape
+    /// uses names the selector value that uses it; any other is unknown.
+    fn stray(&self, key: &str) -> SpecError {
+        let owner = self
+            .shapes
+            .iter()
+            .position(|s| s.iter().any(|f| f.key == key));
+        if let (Some(select), Some(shape)) = (&self.select, owner) {
+            let field = self.shapes[shape].iter().find(|f| f.key == key);
+            let path = field.map_or(select.path, |f| f.path);
+            let name = select.names()[shape];
+            return invalid(path, format!("applies to {} = {name:?}", select.key));
+        }
+        let nearest = self
+            .fields()
+            .min_by_key(|f| edit_distance(key, f.key))
+            .expect("every table declares a key");
+        let table = &nearest.path[..nearest.path.len() - nearest.key.len()];
+        SpecError::UnknownKey {
+            key: format!("{table}{key}"),
+            nearest: nearest.path,
+        }
+    }
+
+    /// Reads a whole table into a `T` through its `visit`.
+    fn load<'a, T: Default>(
+        &'a self,
+        table: &'a Value,
+        visit: impl FnOnce(&mut T, &mut Read<'a>),
+    ) -> Result<T, SpecError> {
+        let mut x = T::default();
+        visit(&mut x, &mut self.reader(table, 0)?);
+        Ok(x)
+    }
+
+    /// A writer for shape `shape`, the selector's name already in.
+    fn writer(&self, shape: usize) -> Write {
+        let mut table = Value::table();
+        if let Some(select) = &self.select {
+            table.insert(select.key, select.names()[shape]);
+        }
+        Write {
+            fields: self.shapes[shape].iter(),
+            table,
+        }
+    }
+
+    /// Writes shape `shape` from its values in field-list order.
+    fn write<const N: usize>(&self, shape: usize, values: [Option<Value>; N]) -> Value {
+        let mut w = self.writer(shape);
+        for value in values {
+            w.put(value);
+        }
+        w.table
+    }
+
+    /// Writes shape `shape` of `x` through its `visit`.
+    fn store<T: Clone>(
+        &self,
+        shape: usize,
+        x: &T,
+        visit: impl FnOnce(&mut T, &mut Write),
+    ) -> Value {
+        let mut w = self.writer(shape);
+        visit(&mut x.clone(), &mut w);
+        w.table
+    }
+}
+
+/// Hands out a checked table's keys in field-list order.
+struct Read<'a> {
+    fields: std::slice::Iter<'a, Field>,
+    values: std::array::IntoIter<Option<&'a Value>, MAX_FIELDS>,
+}
+
+/// The most keys one field list declares (the root's).
+const MAX_FIELDS: usize = 15;
+
+impl<'a> Read<'a> {
+    fn next(&mut self) -> (&'a Field, Option<&'a Value>) {
+        let field = self.fields.next().expect("a reader follows its field list");
+        (field, self.values.next().flatten())
+    }
+
+    /// The next key's value, its default when absent, or `None` when it
+    /// is absent and unset.
+    fn get<T: Doc>(&mut self) -> Option<T> {
+        match self.next() {
+            (_, Some(value)) => T::from_doc(value),
+            (field, None) => {
+                // Defaults read here are numbers; `index` reads names.
+                let text = field.fallback()?;
+                let value = match text.parse::<i64>() {
+                    Ok(i) => Value::Int(i),
+                    Err(_) => Value::Float(text.parse().ok()?),
+                };
+                T::from_doc(&value)
+            }
+        }
+    }
+
+    /// The value of a key the check guarantees (required or defaulted).
+    fn val<T: Doc + Default>(&mut self) -> T {
+        self.get().unwrap_or_default()
+    }
+
+    /// The position of the next key's name in its field's names.
+    fn index(&mut self) -> usize {
+        let (field, value) = self.next();
+        let name = value.map_or(field.fallback(), Value::as_str);
+        name.and_then(|name| position(field.names(), name))
+            .unwrap_or(0)
+    }
+
+    /// The next key's subtable, if given.
+    fn table(&mut self) -> Option<&'a Value> {
+        self.next().1
+    }
+
+    /// Reads the next key's subtable, if given, through `visit`.
+    fn load<T: Default>(
+        &mut self,
+        schema: &'a Schema,
+        visit: impl FnOnce(&mut T, &mut Read<'a>),
+    ) -> Result<Option<T>, SpecError> {
+        self.table().map(|t| schema.load(t, visit)).transpose()
+    }
+}
+
+/// Collects a table's keys in field-list order.
+struct Write {
+    fields: std::slice::Iter<'static, Field>,
+    table: Value,
+}
+
+impl Write {
+    /// Writes the next key, unless the value is absent or an `Omit`
+    /// default.
+    fn put(&mut self, value: Option<Value>) {
+        let field = self.fields.next().expect("a writer follows its field list");
+        let omit = |text: &str, v: &Value| {
+            v.as_str() == Some(text) || v.as_float().is_some_and(|x| text.parse() == Ok(x))
+        };
+        match (value, field.default) {
+            (Some(v), Dflt::Omit(text)) if omit(text, &v) => {}
+            (Some(v), _) => self.table.insert(field.key, v),
+            (None, _) => {}
+        }
+    }
+}
+
+/// Walks a table's typed fields in field-list order: a [`Read`] fills
+/// them, a [`Write`] emits them.
+trait Visit {
+    fn key<T: Doc>(&mut self, x: &mut T);
+}
+
+impl Visit for Read<'_> {
+    fn key<T: Doc>(&mut self, x: &mut T) {
+        if let Some(value) = self.get() {
+            *x = value;
+        }
+    }
+}
+
+impl Visit for Write {
+    fn key<T: Doc>(&mut self, x: &mut T) {
+        self.put(x.to_doc());
+    }
+}
+
+/// A typed value's document form.
+trait Doc: Sized {
+    /// From a value the reader already checked.
+    fn from_doc(value: &Value) -> Option<Self>;
+    /// The document value; `None` leaves the key out.
+    fn to_doc(&self) -> Option<Value>;
+}
+
+/// [`Doc`] for integers. A document holds `i64`: a larger value is
+/// written as a float, which the reader rejects as a non-integer.
+macro_rules! int_doc {
+    ($($t:ty),*) => {$(
+        impl Doc for $t {
+            fn from_doc(value: &Value) -> Option<Self> {
+                value.as_int()?.try_into().ok()
+            }
+            fn to_doc(&self) -> Option<Value> {
+                Some(i64::try_from(*self).map_or(Value::Float(*self as f64), Value::Int))
+            }
+        }
+    )*};
+}
+int_doc!(u64, usize, u32);
+
+/// [`Doc`] for types held in one [`Value`] variant.
+macro_rules! scalar_doc {
+    ($($t:ty: $get:expr, $variant:ident;)*) => {$(
+        impl Doc for $t {
+            fn from_doc(value: &Value) -> Option<Self> {
+                $get(value)
+            }
+            fn to_doc(&self) -> Option<Value> {
+                Some(Value::$variant(self.clone()))
+            }
+        }
+    )*};
+}
+scalar_doc! {
+    f64: Value::as_float, Float;
+    bool: Value::as_bool, Bool;
+    String: |v: &Value| v.as_str().map(str::to_string), Str;
+}
+
+/// [`Doc`] for enums written as one of their names.
+macro_rules! name_doc {
+    ($($t:ty: $parse:path, $name:path;)*) => {$(
+        impl Doc for $t {
+            fn from_doc(value: &Value) -> Option<Self> {
+                $parse(value.as_str()?)
+            }
+            fn to_doc(&self) -> Option<Value> {
+                Some($name(*self).into())
+            }
+        }
+    )*};
+}
+name_doc! {
+    DefragKind: DefragKind::from_name, DefragKind::name;
+    GrantPolicy: GrantPolicy::parse, GrantPolicy::name;
+}
+
+impl<T: Doc> Doc for Option<T> {
+    fn from_doc(value: &Value) -> Option<Self> {
+        T::from_doc(value).map(Some)
+    }
+    fn to_doc(&self) -> Option<Value> {
+        self.as_ref()?.to_doc()
+    }
+}
+
+impl<T: Doc> Doc for Vec<T> {
+    fn from_doc(value: &Value) -> Option<Self> {
+        value.as_array()?.iter().map(T::from_doc).collect()
+    }
+    fn to_doc(&self) -> Option<Value> {
+        self.iter()
+            .map(T::to_doc)
+            .collect::<Option<_>>()
+            .map(Value::Array)
+    }
+}
+
+impl Doc for NodeId {
+    fn from_doc(value: &Value) -> Option<Self> {
+        usize::from_doc(value).map(NodeId)
+    }
+    fn to_doc(&self) -> Option<Value> {
+        self.0.to_doc()
+    }
+}
+
+// --------------------------------------------------------- field lists --
+
+/// A table whose keys fill a struct's fields: one row per key, naming
+/// the field it fills. Defines the table's [`Schema`] and the struct's
+/// `visit`, so a row and its binding cannot drift apart.
+macro_rules! struct_table {
+    ($schema:ident: $ty:ty { $($field:ident: $entry:expr),* $(,)? }) => {
+        static $schema: Schema = Schema { select: None, shapes: &[&[$($entry),*]] };
+
+        impl $ty {
+            fn visit(&mut self, v: &mut impl Visit) {
+                $(v.key(&mut self.$field);)*
+            }
+        }
+    };
+}
+
+use Dflt::{Fill, Omit, Required, Unset};
+use Ty::{Bool, Float, Floats, Int, Ints, Name, Names, Str};
+
+#[rustfmt::skip]
+static ROOT: Schema = Schema { select: None, shapes: &[&[
+    field("name", Str, Required, "Scenario name; also the artifact prefix."),
+    field("seed", Int(NAT), Fill("2017"), "Master seed for everything the scenario randomises."),
+    field("scale", Name(&Scale::NAMES), Fill(Scale::NAMES[0]), "GA size and horizon shrink; the CLI's --quick / --scale override it."),
+    field("objectives", Name(&OBJECTIVES), Fill(OBJECTIVES[0]), "Objectives driving GA dominance (GA allocators only)."),
+    field("report", Name(&ReportKind::NAMES), Omit(ReportKind::NAMES[0]), "Per-message retention: exact records, or O(bins + sources) histograms."),
+    field("arch", Ty::Table(&ARCH), Unset("16 nodes, 8 λ"), "Architecture axis: ring size and comb size."),
+    field("workload", Ty::Table(&WORKLOAD), Required, "Workload axis; `kind` picks its keys."),
+    field("allocator", Ty::Table(&ALLOCATOR), Required, "Allocator axis; `kind` picks its keys."),
+    field("injection", Ty::Table(&INJECTION), Unset("open loop"), "Closed-loop injection of a message stream; `mode` picks its keys."),
+    field("energy", Ty::Table(&ENERGY), Unset("paper preset"), "Energy-model overrides on the paper preset."),
+    field("telemetry", Ty::Table(&TELEMETRY), Unset("off"), "Windowed time series, per-flow attribution, Chrome trace export."),
+    field("faults", Ty::Table(&FAULTS), Unset("off"), "Lane outages and BER corruption of a message stream."),
+    field("transport", Ty::Table(&TRANSPORT), Unset("off"), "Reliable-transport recovery; `mode` picks its keys."),
+    field("healing", Ty::Table(&HEALING), Unset("off"), "Self-healing re-allocation on lane failure."),
+    field("service", Ty::Table(&SERVICE), Unset("off"), "The online allocation service loop (`onoc serve`)."),
+]]};
+
+struct_table! { ARCH: ArchSpec {
+    nodes: field("arch.nodes", Int(at_least(2.0)), Fill("16"), "Cores on the ring."),
+    wavelengths: field("arch.wavelengths", Int(LANES), Fill("8"), "WDM channels in the comb (N_W)."),
+}}
+
+#[rustfmt::skip]
+const HOTSPOTS: Field = field("workload.hotspots", Ints(NAT), Required, "Hotspot nodes.");
+#[rustfmt::skip]
+const FRACTION: Field = field("workload.fraction", Float(UNIT), Required, "Share of traffic sent to the hotspots.");
+#[rustfmt::skip]
+const MESSAGE_BITS: Field = field("workload.message_bits", Float(POSITIVE), Required, "Size of every message, bits.");
+#[rustfmt::skip]
+const HORIZON: Field = field("workload.horizon", Int(ONE_UP), Required, "Injection window, cycles.");
+#[rustfmt::skip]
+const BURST_ON: Field = field("workload.burst_on", Float(ONE_UP), Unset("smooth"), "Mean ON period of Pareto ON-OFF injection, cycles; with burst_off.");
+#[rustfmt::skip]
+const BURST_OFF: Field = field("workload.burst_off", Float(Range { or_zero: true, ..ONE_UP }), Unset("smooth"), "Mean OFF period, cycles; with burst_on.");
+const HOTSPOT: &str = TRAFFIC_PATTERNS[1];
+
+#[rustfmt::skip]
+static WORKLOAD: Schema = Schema {
+    select: Some(field("workload.kind", Name(&WORKLOAD_KINDS), Required, "Which workload; picks the keys below.")),
+    shapes: &[
+        &[],
+        &[
+            field("workload.kernel", Name(&KernelKind::NAMES), Required, "Task-graph generator, mapped by a seeded random placement."),
+            field("workload.stages", Int(ONE_UP), Required, "Stages, width, levels or leaves (generator-specific)."),
+            field("workload.exec_kcc", Float(POSITIVE), Required, "Per-task execution time, kilocycles."),
+            field("workload.volume_kbits", Float(POSITIVE), Required, "Per-edge volume, kilobits."),
+            field("workload.mapping_seed", Int(NAT), Fill("1"), "Seed of the random placement."),
+        ],
+        &[
+            field("workload.pattern", Name(&TRAFFIC_PATTERNS), Required, "Destination-selection rule."),
+            HOTSPOTS.when("pattern", HOTSPOT),
+            FRACTION.when("pattern", HOTSPOT),
+            field("workload.injection_rate", Float(UNIT), Required, "Mean messages per node per cycle."),
+            MESSAGE_BITS, HORIZON, BURST_ON, BURST_OFF,
+        ],
+        &[field("workload.path", Str, Required, "`cycle,src,dst,size` CSV trace; the CLI resolves it against the spec's directory.")],
+        &[
+            field("workload.patterns", Names(&TRAFFIC_PATTERNS), Required, "Patterns to sweep."),
+            HOTSPOTS.when("patterns", HOTSPOT),
+            FRACTION.when("patterns", HOTSPOT),
+            field("workload.injection_rates", Floats(UNIT), Required, "Injection rates to sweep."),
+            field("workload.wavelengths", Ints(LANES), Required, "Comb sizes to sweep (in place of arch.wavelengths)."),
+            field("workload.ring_sizes", Ints(at_least(2.0)), Required, "Ring sizes to sweep (in place of arch.nodes)."),
+            MESSAGE_BITS, HORIZON, BURST_ON, BURST_OFF,
+        ],
+    ],
+};
+
+#[rustfmt::skip]
+static ALLOCATOR: Schema = Schema {
+    select: Some(field("allocator.kind", Name(&ALLOCATOR_KINDS), Required, "Which allocator; picks the keys below.")),
+    shapes: &[
+        &[
+            field("allocator.population", Int(NAT), Unset("400 / 120 / 32 by scale"), "NSGA-II population."),
+            field("allocator.generations", Int(NAT), Unset("300 / 60 / 12 by scale"), "NSGA-II generations."),
+        ],
+        &[field("allocator.name", Name(&HeuristicKind::NAMES), Required, "Which single-solution heuristic.")],
+        &[field("allocator.counts", Ints(NAT), Required, "Wavelengths per communication (NW_k), packed greedily.")],
+        &[
+            field("allocator.policy", Name(&DYNAMIC_POLICIES), Fill(DYNAMIC_POLICIES[0]), "Lanes claimed per message: one, or greedily up to `cap`."),
+            field("allocator.cap", Int(ONE_UP), Required, "Most lanes one greedy claim takes.").when("policy", DYNAMIC_POLICIES[1]),
+        ],
+        &[
+            field("allocator.policy", Name(&SYNTHESIS_POLICIES), Fill(SYNTHESIS_POLICIES[0]), "Lane sizing from the measured flow matrix; relaxed may share lanes."),
+            field("allocator.max_lanes_per_flow", Int(ONE_UP), Fill("128"), "Lane cap per flow.").when("policy", SYNTHESIS_POLICIES[0]),
+            field("allocator.spares", Int(NAT), Omit("0"), "Top lanes held out of the initial packing for healing."),
+        ],
+        &[field("allocator.lanes_per_flow", Int(ONE_UP), Fill("1"), "Consecutive lanes per flow.")],
+    ],
+};
+
+#[rustfmt::skip]
+const CREDIT_WINDOW: Field = field("injection.credit_window", Int(ONE_UP), Fill("4"), "Credits per source (per destination under credit-dst).");
+
+#[rustfmt::skip]
+static INJECTION: Schema = Schema {
+    select: Some(field("injection.mode", Name(&INJECTION_MODES), Required, "Injection policy; picks the keys below.")),
+    shapes: &[
+        &[],
+        &[CREDIT_WINDOW],
+        &[CREDIT_WINDOW],
+        &[
+            field("injection.ecn_threshold", Float(UNIT_NO_ZERO), Fill("0.75"), "Ring occupancy above which a start is ECN-marked."),
+            field("injection.aimd_step", Float(UNIT_NO_ZERO), Unset("0.05"), "AIMD additive increase per unmarked delivery."),
+            field("injection.aimd_md_factor", Float(UNIT_OPEN), Unset("0.5"), "AIMD multiplicative decrease per marked delivery."),
+            field("injection.aimd_min_factor", Float(UNIT_NO_ZERO), Unset("1/64"), "Floor of the AIMD rate factor."),
+        ],
+    ],
+};
+
+#[rustfmt::skip]
+static ENERGY: Schema = Schema { select: None, shapes: &[&[
+    field("energy.preset", Name(&ENERGY_PRESETS), Fill(ENERGY_PRESETS[0]), "Table I devices, paper coefficients, 1 GHz clock."),
+    field("energy.laser_mw", Float(POSITIVE), Unset("from the power budget"), "Electrical laser power per active wavelength, mW."),
+    field("energy.tx_fj_per_bit", Float(NAT), Unset("preset"), "Transmitter energy per bit, fJ."),
+    field("energy.rx_fj_per_bit", Float(NAT), Unset("preset"), "Receiver energy per bit, fJ."),
+    field("energy.mr_tuning_mw", Float(NAT), Unset("preset"), "Thermal tuning power per micro-ring, mW."),
+    field("energy.clock_ghz", Float(POSITIVE), Unset("1"), "Core clock, GHz."),
+]]};
+
+struct_table! { TELEMETRY: TelemetrySpec {
+    window: field("telemetry.window", Int(ONE_UP), Unset("256"), "Time-series window, cycles."),
+    per_flow: field("telemetry.per_flow", Bool, Unset("true"), "Emit the per-flow attribution tables."),
+    chrome_trace: field("telemetry.chrome_trace", Str, Unset("no export"), "Chrome trace-event JSON to write; relative to the spec's directory."),
+}}
+
+struct_table! { FAULTS: FaultSpec {
+    seed: field("faults.seed", Int(NAT), Unset("the spec seed"), "Fault-stream seed."),
+    ber: field("faults.ber", Float(UNIT_NO_ONE), Unset("0"), "Uniform bit-error rate on every flow."),
+    ber_model: field("faults.ber_model", Name(&BER_MODELS), Unset("none"), "Per-flow BER from each destination's worst-case crosstalk."),
+    outage_lanes: field("faults.outage_lanes", Ints(NAT), Unset("none"), "Scheduled outages: the lane each takes down."),
+    outage_starts: field("faults.outage_starts", Ints(NAT), Unset("none"), "First down cycle of each outage."),
+    outage_durations: field("faults.outage_durations", Ints(NAT), Unset("none"), "Cycles each outage lasts (0: the lane never recovers)."),
+    mean_up: field("faults.mean_up", Float(POSITIVE), Unset("none"), "Stochastic failures: mean cycles between failures of one lane."),
+    mean_down: field("faults.mean_down", Float(POSITIVE), Unset("none"), "Mean stochastic outage length, cycles."),
+    fault_horizon: field("faults.fault_horizon", Int(NAT), Unset("none"), "No stochastic failure starts at or past this cycle."),
+    ge_p_gb: field("faults.ge_p_gb", Float(UNIT_NO_ZERO), Unset("none"), "Gilbert–Elliott channel: good→bad switch probability per cycle."),
+    ge_p_bg: field("faults.ge_p_bg", Float(UNIT_NO_ZERO), Unset("none"), "Bad→good switch probability per cycle."),
+    ge_ber_good: field("faults.ge_ber_good", Float(UNIT_NO_ONE), Unset("none"), "Bit-error rate in the good state."),
+    ge_ber_bad: field("faults.ge_ber_bad", Float(UNIT_NO_ONE), Unset("none"), "Bit-error rate in the bad state, at least ge_ber_good."),
+}}
+
+#[rustfmt::skip]
+const MAX_RETRIES: Field = field("transport.max_retries", Int(U32), Unset("8 (gbn), 16 (pfc)"), "Retransmissions allowed per message.");
+
+#[rustfmt::skip]
+static TRANSPORT: Schema = Schema {
+    select: Some(field("transport.mode", Name(&TRANSPORT_MODES), Required, "Recovery mode; picks the keys below.")),
+    shapes: &[
+        &[
+            field("transport.window", Int(ONE_UP), Unset("8"), "Most unacknowledged messages per flow."),
+            field("transport.nack_delay", Int(NAT), Unset("16"), "NACK round trip, cycles."),
+            field("transport.timeout", Int(ONE_UP), Unset("256"), "Sender timeout, cycles."),
+            MAX_RETRIES,
+        ],
+        &[
+            field("transport.dst_window", Int(ONE_UP), Unset("4"), "Most in-flight messages per destination."),
+            MAX_RETRIES,
+        ],
+    ],
+};
+
+struct_table! { HEALING: HealingSpec {
+    policy: field("healing.policy", Name(&HEAL_POLICIES), Unset("park"), "What a lane-down quiesce point does; re-pack needs a static allocator."),
+    ber_threshold: field("healing.ber_threshold", Float(UNIT_OPEN), Unset("off"), "Quarantine a lane whose bad-state BER reaches this (with the ge_* keys)."),
+}}
+
+struct_table! { SERVICE: ServiceSpec {
+    sessions: field("service.sessions", Int(ONE_UP), Unset("1000"), "Poisson sessions to offer."),
+    arrival_rate: field("service.arrival_rate", Float(POSITIVE), Unset("0.02"), "Mean session arrivals per cycle."),
+    mean_hold: field("service.mean_hold", Float(POSITIVE), Unset("400"), "Mean lane-holding time, cycles."),
+    max_demand: field("service.max_demand", Int(ONE_UP), Unset("1"), "Poisson demands are uniform in 1..=max_demand lanes."),
+    policy: field("service.policy", Name(&GRANT_POLICIES), Unset("disjoint"), "Grant discipline: disjoint lanes, or shared where paths do not overlap."),
+    defrag: field("service.defrag", Name(&DefragKind::NAMES), Unset("never"), "When live sessions are re-packed."),
+    defrag_threshold: field("service.defrag_threshold", Float(UNIT_NO_ZERO), Unset("0.25"), "Re-pack when the largest free run falls below this share of the comb."),
+    defrag_idle: field("service.defrag_idle", Int(ONE_UP), Unset("1000"), "Re-pack after this many event-free cycles."),
+    max_wait: field("service.max_wait", Int(ONE_UP), Unset("forever"), "Cycles a queued request waits before it is blocked."),
+    trace_demand: field("service.trace_demand", Int(ONE_UP), Unset("1"), "Trace replay: lanes each session requests."),
+    stretch: field("service.stretch", Float(POSITIVE), Unset("1"), "Trace replay: arrival-clock stretch (2 = half the load)."),
+}}
+
+// ------------------------------------------------ table read and write --
+
+fn read_workload(doc: &Value) -> Result<WorkloadSpec, SpecError> {
+    let shape = WORKLOAD.shape(doc)?;
+    let mut r = WORKLOAD.reader(doc, shape)?;
+    Ok(match shape {
+        0 => WorkloadSpec::PaperApp,
+        1 => WorkloadSpec::Kernel {
+            kind: KernelKind::ALL[r.index()],
+            stages: r.val(),
+            exec_kcc: r.val(),
+            volume_kbits: r.val(),
+            mapping_seed: r.val(),
+        },
+        2 => {
+            let pattern = r.index();
+            let hotspot = TrafficPattern::Hotspot {
+                hotspots: r.val(),
+                fraction: r.val(),
+            };
+            WorkloadSpec::Synthetic {
+                pattern: pattern_at(pattern, || hotspot),
+                injection_rate: r.val(),
+                message_bits: r.val(),
+                horizon: r.val(),
+                burstiness: burstiness(&mut r)?,
+            }
+        }
+        3 => WorkloadSpec::Trace { path: r.val() },
+        _ => {
+            let (field, names) = r.next();
+            let hotspot = TrafficPattern::Hotspot {
+                hotspots: r.val(),
+                fraction: r.val(),
+            };
+            let names = names.and_then(Value::as_array).unwrap_or_default();
+            let patterns = names
+                .iter()
+                .filter_map(|n| position(field.names(), n.as_str()?));
+            WorkloadSpec::Sweep {
+                patterns: patterns
+                    .map(|i| pattern_at(i, || hotspot.clone()))
+                    .collect(),
+                injection_rates: r.val(),
+                wavelengths: r.val(),
+                ring_sizes: r.val(),
+                message_bits: r.val(),
+                horizon: r.val(),
+                burstiness: burstiness(&mut r)?,
+            }
+        }
+    })
+}
+
+fn burstiness(r: &mut Read) -> Result<Option<(f64, f64)>, SpecError> {
+    match (r.get(), r.get()) {
+        (None, None) => Ok(None),
+        (Some(on), Some(off)) => Ok(Some((on, off))),
+        _ => Err(invalid(
+            BURST_ON.path,
+            format!(
+                "{} and {} must be given together",
+                BURST_ON.key, BURST_OFF.key
+            ),
+        )),
+    }
+}
+
+impl WorkloadSpec {
+    fn doc(&self) -> Value {
+        let mut w = WORKLOAD.writer(self.shape());
+        // The first hotspot's parameters (a sweep holds one at most).
+        let hotspot = |w: &mut Write, patterns: &[TrafficPattern]| {
+            let params = patterns.iter().find_map(|p| match p {
+                TrafficPattern::Hotspot { hotspots, fraction } => Some((hotspots, fraction)),
+                _ => None,
+            });
+            w.put(params.and_then(|p| p.0.to_doc()));
+            w.put(params.and_then(|p| p.1.to_doc()));
+        };
+        let burst = |w: &mut Write, burstiness: &Option<(f64, f64)>| {
+            w.put(burstiness.map(|b| b.0).to_doc());
+            w.put(burstiness.map(|b| b.1).to_doc());
+        };
+        match self {
+            WorkloadSpec::PaperApp => {}
             WorkloadSpec::Kernel {
+                kind,
                 stages,
                 exec_kcc,
                 volume_kbits,
-                ..
+                mapping_seed,
             } => {
-                if *stages == 0 {
-                    return Err(invalid("workload.stages", "must be at least 1"));
-                }
-                if *exec_kcc <= 0.0 || *volume_kbits <= 0.0 {
-                    return Err(invalid(
-                        "workload.exec_kcc",
-                        "execution time and volume must be positive",
-                    ));
-                }
+                w.put(Some(kind.name().into()));
+                w.put(stages.to_doc());
+                w.put(exec_kcc.to_doc());
+                w.put(volume_kbits.to_doc());
+                w.put(mapping_seed.to_doc());
             }
             WorkloadSpec::Synthetic {
                 pattern,
@@ -2052,26 +2603,14 @@ impl ScenarioSpecBuilder {
                 horizon,
                 burstiness,
             } => {
-                validate_pattern(pattern, self.arch.nodes)?;
-                if !(0.0..=1.0).contains(injection_rate) {
-                    return Err(invalid(
-                        "workload.injection_rate",
-                        "per-cycle probability must be in [0, 1]",
-                    ));
-                }
-                if *message_bits <= 0.0 {
-                    return Err(invalid("workload.message_bits", "must be positive"));
-                }
-                if *horizon == 0 {
-                    return Err(invalid("workload.horizon", "must be positive"));
-                }
-                validate_burstiness(*burstiness)?;
+                w.put(Some(pattern_name(pattern).into()));
+                hotspot(&mut w, std::slice::from_ref(pattern));
+                w.put(injection_rate.to_doc());
+                w.put(message_bits.to_doc());
+                w.put(horizon.to_doc());
+                burst(&mut w, burstiness);
             }
-            WorkloadSpec::Trace { path } => {
-                if path.trim().is_empty() {
-                    return Err(invalid("workload.path", "must name a CSV file"));
-                }
-            }
+            WorkloadSpec::Trace { path } => w.put(path.to_doc()),
             WorkloadSpec::Sweep {
                 patterns,
                 injection_rates,
@@ -2081,962 +2620,163 @@ impl ScenarioSpecBuilder {
                 horizon,
                 burstiness,
             } => {
-                if patterns.is_empty()
-                    || injection_rates.is_empty()
-                    || wavelengths.is_empty()
-                    || ring_sizes.is_empty()
-                {
-                    return Err(invalid(
-                        "workload.patterns",
-                        "sweep axes must all be non-empty",
-                    ));
-                }
-                for nodes in ring_sizes {
-                    if *nodes < 2 {
-                        return Err(invalid("workload.ring_sizes", "rings need ≥ 2 nodes"));
-                    }
-                    for pattern in patterns {
-                        validate_pattern(pattern, *nodes)?;
-                    }
-                }
-                // The sweep document form stores hotspot parameters in
-                // shared sibling keys, so two *different* hotspot
-                // parameterisations cannot round-trip — reject them.
-                let mut hotspot_params: Option<&TrafficPattern> = None;
-                for pattern in patterns {
-                    if matches!(pattern, TrafficPattern::Hotspot { .. }) {
-                        match hotspot_params {
-                            None => hotspot_params = Some(pattern),
-                            Some(first) if first == pattern => {}
-                            Some(_) => {
-                                return Err(invalid(
-                                    "workload.patterns",
-                                    "a sweep supports at most one distinct hotspot \
-                                     parameterisation (hotspots/fraction are shared keys)",
-                                ));
-                            }
-                        }
-                    }
-                }
-                for nw in wavelengths {
-                    if *nw == 0 || *nw > 128 {
-                        return Err(invalid(
-                            "workload.wavelengths",
-                            "entries must be in 1..=128",
-                        ));
-                    }
-                }
-                for rate in injection_rates {
-                    if !(0.0..=1.0).contains(rate) {
-                        return Err(invalid(
-                            "workload.injection_rates",
-                            "rates must be in [0, 1]",
-                        ));
-                    }
-                }
-                if *message_bits <= 0.0 || *horizon == 0 {
-                    return Err(invalid(
-                        "workload.message_bits",
-                        "message size and horizon must be positive",
-                    ));
-                }
-                validate_burstiness(*burstiness)?;
+                let names: Vec<&str> = patterns.iter().map(pattern_name).collect();
+                w.put(Some(names.into()));
+                hotspot(&mut w, patterns);
+                w.put(injection_rates.to_doc());
+                w.put(wavelengths.to_doc());
+                w.put(ring_sizes.to_doc());
+                w.put(message_bits.to_doc());
+                w.put(horizon.to_doc());
+                burst(&mut w, burstiness);
             }
         }
-        match &self.allocator {
-            AllocatorSpec::Counts { counts } if counts.is_empty() => {
-                return Err(invalid("allocator.counts", "must not be empty"));
+        w.table
+    }
+}
+
+fn read_allocator(doc: &Value) -> Result<AllocatorSpec, SpecError> {
+    let shape = ALLOCATOR.shape(doc)?;
+    let mut r = ALLOCATOR.reader(doc, shape)?;
+    Ok(match shape {
+        0 => AllocatorSpec::Nsga2 {
+            population: r.get(),
+            generations: r.get(),
+        },
+        1 => AllocatorSpec::Heuristic {
+            kind: HeuristicKind::all()[r.index()],
+        },
+        2 => AllocatorSpec::Counts { counts: r.val() },
+        3 => AllocatorSpec::Dynamic {
+            policy: match r.index() {
+                0 => DynamicPolicy::Single,
+                _ => DynamicPolicy::Greedy { cap: r.val() },
+            },
+        },
+        4 => AllocatorSpec::FlowSynthesis {
+            policy: match (r.index(), r.val()) {
+                (0, max_lanes_per_flow) => FlowAllocPolicy::Proportional { max_lanes_per_flow },
+                (1, _) => FlowAllocPolicy::FirstFit,
+                _ => FlowAllocPolicy::Relaxed,
+            },
+            spares: r.val(),
+        },
+        _ => AllocatorSpec::Striped {
+            lanes_per_flow: r.val(),
+        },
+    })
+}
+
+impl AllocatorSpec {
+    fn doc(&self) -> Value {
+        let shape = self.shape();
+        match self {
+            AllocatorSpec::Nsga2 {
+                population,
+                generations,
+            } => ALLOCATOR.write(shape, [population.to_doc(), generations.to_doc()]),
+            AllocatorSpec::Heuristic { kind } => ALLOCATOR.write(shape, [Some(kind.name().into())]),
+            AllocatorSpec::Counts { counts } => ALLOCATOR.write(shape, [counts.to_doc()]),
+            AllocatorSpec::Dynamic { policy } => {
+                let (i, cap) = match policy {
+                    DynamicPolicy::Single => (0, None),
+                    DynamicPolicy::Greedy { cap } => (1, cap.to_doc()),
+                };
+                ALLOCATOR.write(shape, [Some(DYNAMIC_POLICIES[i].into()), cap])
             }
-            AllocatorSpec::Striped { lanes_per_flow }
-                if *lanes_per_flow == 0 || *lanes_per_flow > self.arch.wavelengths =>
-            {
-                return Err(invalid(
-                    "allocator.lanes_per_flow",
-                    "must be in 1..=arch.wavelengths",
-                ));
+            AllocatorSpec::FlowSynthesis { policy, spares } => {
+                let (i, max_lanes) = match policy {
+                    FlowAllocPolicy::Proportional { max_lanes_per_flow } => {
+                        (0, max_lanes_per_flow.to_doc())
+                    }
+                    FlowAllocPolicy::FirstFit => (1, None),
+                    FlowAllocPolicy::Relaxed => (2, None),
+                };
+                let name = Some(SYNTHESIS_POLICIES[i].into());
+                ALLOCATOR.write(shape, [name, max_lanes, spares.to_doc()])
             }
-            AllocatorSpec::Dynamic {
-                policy: DynamicPolicy::Greedy { cap: 0 },
-            } => {
-                return Err(invalid("allocator.cap", "greedy burst cap must be ≥ 1"));
+            AllocatorSpec::Striped { lanes_per_flow } => {
+                ALLOCATOR.write(shape, [lanes_per_flow.to_doc()])
             }
-            AllocatorSpec::FlowSynthesis {
-                policy:
-                    FlowAllocPolicy::Proportional {
-                        max_lanes_per_flow: 0,
-                    },
-                ..
-            } => {
-                return Err(invalid(
-                    "allocator.max_lanes_per_flow",
-                    "lane cap must be ≥ 1",
-                ));
-            }
-            AllocatorSpec::FlowSynthesis { spares, .. } if *spares >= self.arch.wavelengths => {
-                return Err(invalid(
-                    "allocator.spares",
-                    "spare lanes must leave at least one packable lane \
-                     (spares < arch.wavelengths)",
-                ));
-            }
-            _ => {}
         }
-        match self.injection {
-            InjectionMode::Open => {}
-            InjectionMode::Credit { window: 0 } | InjectionMode::CreditPerDst { window: 0 } => {
-                return Err(invalid("injection.credit_window", "must be at least 1"));
-            }
+    }
+}
+
+fn read_injection(doc: &Value) -> Result<(InjectionMode, AimdSpec), SpecError> {
+    let shape = INJECTION.shape(doc)?;
+    let mut r = INJECTION.reader(doc, shape)?;
+    let mut aimd = AimdSpec::default();
+    let mode = match shape {
+        0 => InjectionMode::Open,
+        1 => InjectionMode::Credit { window: r.val() },
+        2 => InjectionMode::CreditPerDst { window: r.val() },
+        _ => {
+            let threshold = r.val();
+            aimd.visit(&mut r);
             InjectionMode::Ecn { threshold }
-                if !(threshold.is_finite() && threshold > 0.0 && threshold <= 1.0) =>
-            {
-                return Err(invalid("injection.ecn_threshold", "must be in (0, 1]"));
-            }
-            InjectionMode::Credit { .. }
-            | InjectionMode::CreditPerDst { .. }
-            | InjectionMode::Ecn { .. } => {
-                if matches!(
-                    self.workload,
-                    WorkloadSpec::PaperApp | WorkloadSpec::Kernel { .. }
-                ) {
-                    return Err(invalid(
-                        "injection.mode",
-                        "task-graph workloads are dependence-gated already; \
-                         closed-loop injection applies to message-stream workloads",
-                    ));
-                }
-            }
-        }
-        self.aimd.validate()?;
-        if !self.aimd.is_default() && !matches!(self.injection, InjectionMode::Ecn { .. }) {
-            return Err(invalid(
-                "injection.aimd_step",
-                "AIMD overrides apply to ECN injection",
-            ));
-        }
-        if self.report == ReportKind::Streaming
-            && matches!(
-                self.workload,
-                WorkloadSpec::PaperApp | WorkloadSpec::Kernel { .. }
-            )
-        {
-            return Err(invalid(
-                "report",
-                "streaming reports apply to message-stream workloads; \
-                 task-graph runs do not use the open-loop engine",
-            ));
-        }
-        if let Some(energy) = &self.energy {
-            energy.validate()?;
-        }
-        let message_stream = matches!(
-            self.workload,
-            WorkloadSpec::Synthetic { .. }
-                | WorkloadSpec::Trace { .. }
-                | WorkloadSpec::Sweep { .. }
-        );
-        if let Some(faults) = &self.faults {
-            let max_lane = match &self.workload {
-                WorkloadSpec::Sweep { wavelengths, .. } => wavelengths
-                    .iter()
-                    .copied()
-                    .min()
-                    .unwrap_or(self.arch.wavelengths),
-                _ => self.arch.wavelengths,
-            };
-            faults.validate(max_lane)?;
-            if faults.ber_model.is_some()
-                && matches!(&self.workload, WorkloadSpec::Sweep { ring_sizes, .. }
-                    if ring_sizes.iter().any(|&n| n != self.arch.nodes))
-            {
-                return Err(invalid(
-                    "faults.ber_model",
-                    "the per-flow BER model is sized to the spec architecture; \
-                     sweep ring_sizes must all equal arch.nodes",
-                ));
-            }
-            if !message_stream {
-                return Err(invalid(
-                    "faults",
-                    "fault injection applies to message-stream workloads \
-                     (the open-loop engine)",
-                ));
-            }
-        }
-        if let Some(transport) = &self.transport {
-            transport.validate()?;
-            if !message_stream {
-                return Err(invalid(
-                    "transport",
-                    "reliable transport applies to message-stream workloads \
-                     (the open-loop engine)",
-                ));
-            }
-        }
-        if let Some(healing) = &self.healing {
-            healing.validate()?;
-            if !message_stream {
-                return Err(invalid(
-                    "healing",
-                    "self-healing applies to message-stream workloads \
-                     (the open-loop engine)",
-                ));
-            }
-            if healing.policy() != HealPolicy::Park
-                && !matches!(
-                    self.allocator,
-                    AllocatorSpec::Striped { .. } | AllocatorSpec::FlowSynthesis { .. }
-                )
-            {
-                return Err(invalid(
-                    "healing.policy",
-                    "re-pack heal policies re-synthesise a static flow map \
-                     (use a striped or flow-synthesis allocator)",
-                ));
-            }
-        }
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.validate()?;
-            if !matches!(
-                self.workload,
-                WorkloadSpec::Synthetic { .. } | WorkloadSpec::Trace { .. }
-            ) {
-                return Err(invalid(
-                    "telemetry",
-                    "windowed telemetry applies to single message-stream runs \
-                     (synthetic or trace workloads)",
-                ));
-            }
-        }
-        if let Some(service) = &self.service {
-            service.validate()?;
-            if !matches!(
-                self.workload,
-                WorkloadSpec::Synthetic { .. } | WorkloadSpec::Trace { .. }
-            ) {
-                return Err(invalid(
-                    "service",
-                    "the online allocation service runs Poisson churn over a \
-                     synthetic workload or replays a trace workload",
-                ));
-            }
-            if service.max_demand() > self.arch.wavelengths {
-                return Err(invalid(
-                    "service.max_demand",
-                    "a session cannot demand more lanes than the comb holds",
-                ));
-            }
-            if service.trace_demand() > self.arch.wavelengths {
-                return Err(invalid(
-                    "service.trace_demand",
-                    "a session cannot demand more lanes than the comb holds",
-                ));
-            }
-        }
-        let closed_loop = matches!(
-            self.workload,
-            WorkloadSpec::PaperApp | WorkloadSpec::Kernel { .. }
-        );
-        let compatible = match &self.allocator {
-            AllocatorSpec::Nsga2 { .. }
-            | AllocatorSpec::Heuristic { .. }
-            | AllocatorSpec::Counts { .. } => closed_loop,
-            AllocatorSpec::Dynamic { .. } => true,
-            AllocatorSpec::FlowSynthesis { .. } | AllocatorSpec::Striped { .. } => {
-                matches!(
-                    self.workload,
-                    WorkloadSpec::Synthetic { .. } | WorkloadSpec::Trace { .. }
-                )
-            }
-        };
-        if !compatible {
-            return Err(SpecError::Incompatible {
-                workload: self.workload.kind(),
-                allocator: self.allocator.kind(),
-            });
-        }
-        Ok(ScenarioSpec {
-            name: self.name,
-            seed: self.seed,
-            scale: self.scale,
-            objectives: self.objectives,
-            arch: self.arch,
-            workload: self.workload,
-            allocator: self.allocator,
-            injection: self.injection,
-            report: self.report,
-            energy: self.energy,
-            telemetry: self.telemetry,
-            aimd: self.aimd,
-            faults: self.faults,
-            transport: self.transport,
-            healing: self.healing,
-            service: self.service,
-        })
-    }
-}
-
-// ------------------------------------------------------- field helpers --
-
-fn invalid(field: &'static str, message: impl Into<String>) -> SpecError {
-    SpecError::Invalid {
-        field,
-        message: message.into(),
-    }
-}
-
-fn req_str<'a>(value: &'a Value, field: &'static str) -> Result<&'a str, SpecError> {
-    value
-        .get(field)
-        .ok_or(SpecError::Missing { field })?
-        .as_str()
-        .ok_or_else(|| invalid(field, "not a string"))
-}
-
-fn opt_u64(value: &Value, field: &'static str) -> Result<Option<u64>, SpecError> {
-    match value.get(field) {
-        None => Ok(None),
-        Some(v) => {
-            let i = v.as_int().ok_or_else(|| invalid(field, "not an integer"))?;
-            u64::try_from(i)
-                .map(Some)
-                .map_err(|_| invalid(field, "must be nonnegative"))
-        }
-    }
-}
-
-fn opt_usize_in(table: &Value, field: &'static str, key: &str) -> Result<Option<usize>, SpecError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let i = v.as_int().ok_or_else(|| invalid(field, "not an integer"))?;
-            usize::try_from(i)
-                .map(Some)
-                .map_err(|_| invalid(field, "must be nonnegative"))
-        }
-    }
-}
-
-fn req_float_in(table: &Value, field: &'static str, key: &str) -> Result<f64, SpecError> {
-    table
-        .get(key)
-        .ok_or(SpecError::Missing { field })?
-        .as_float()
-        .ok_or_else(|| invalid(field, "not a number"))
-}
-
-fn usize_array(table: &Value, field: &'static str, key: &str) -> Result<Vec<usize>, SpecError> {
-    table
-        .get(key)
-        .ok_or(SpecError::Missing { field })?
-        .as_array()
-        .ok_or_else(|| invalid(field, "not an array"))?
-        .iter()
-        .map(|v| {
-            v.as_int()
-                .and_then(|i| usize::try_from(i).ok())
-                .ok_or_else(|| invalid(field, "entries must be nonnegative integers"))
-        })
-        .collect()
-}
-
-fn float_array(table: &Value, field: &'static str, key: &str) -> Result<Vec<f64>, SpecError> {
-    table
-        .get(key)
-        .ok_or(SpecError::Missing { field })?
-        .as_array()
-        .ok_or_else(|| invalid(field, "not an array"))?
-        .iter()
-        .map(|v| {
-            v.as_float()
-                .ok_or_else(|| invalid(field, "entries must be numbers"))
-        })
-        .collect()
-}
-
-// ----------------------------------------------- pattern/objective names --
-
-/// The spec-file name of a pattern (hotspot parameters live in sibling
-/// keys, not the name).
-fn pattern_name(pattern: &TrafficPattern) -> &'static str {
-    match pattern {
-        TrafficPattern::UniformRandom => "uniform",
-        TrafficPattern::Hotspot { .. } => "hotspot",
-        TrafficPattern::Transpose => "transpose",
-        TrafficPattern::BitReversal => "bit-reversal",
-        TrafficPattern::BitComplement => "bit-complement",
-        TrafficPattern::NearestNeighbor => "nearest-neighbor",
-        TrafficPattern::Tornado => "tornado",
-    }
-}
-
-fn pattern_from_parts(
-    name: &str,
-    table: &Value,
-    field: &'static str,
-) -> Result<TrafficPattern, SpecError> {
-    match name {
-        "uniform" => Ok(TrafficPattern::UniformRandom),
-        "transpose" => Ok(TrafficPattern::Transpose),
-        "bit-reversal" => Ok(TrafficPattern::BitReversal),
-        "bit-complement" => Ok(TrafficPattern::BitComplement),
-        "nearest-neighbor" => Ok(TrafficPattern::NearestNeighbor),
-        "tornado" => Ok(TrafficPattern::Tornado),
-        "hotspot" => {
-            let hotspots = usize_array(table, "workload.hotspots", "hotspots")?
-                .into_iter()
-                .map(NodeId)
-                .collect::<Vec<_>>();
-            let fraction = req_float_in(table, "workload.fraction", "fraction")?;
-            Ok(TrafficPattern::Hotspot { hotspots, fraction })
-        }
-        other => Err(invalid(field, format!("unknown pattern {other:?}"))),
-    }
-}
-
-fn write_pattern(workload: &mut Value, pattern: &TrafficPattern) {
-    workload.insert("pattern", pattern_name(pattern));
-    if let TrafficPattern::Hotspot { hotspots, fraction } = pattern {
-        workload.insert("hotspots", hotspots.iter().map(|h| h.0).collect::<Vec<_>>());
-        workload.insert("fraction", *fraction);
-    }
-}
-
-fn write_burstiness(workload: &mut Value, burstiness: Option<(f64, f64)>) {
-    if let Some((on, off)) = burstiness {
-        workload.insert("burst_on", on);
-        workload.insert("burst_off", off);
-    }
-}
-
-fn read_burstiness(table: &Value) -> Result<Option<(f64, f64)>, SpecError> {
-    match (table.get("burst_on"), table.get("burst_off")) {
-        (None, None) => Ok(None),
-        (Some(on), Some(off)) => {
-            let on = on
-                .as_float()
-                .ok_or_else(|| invalid("workload.burst_on", "not a number"))?;
-            let off = off
-                .as_float()
-                .ok_or_else(|| invalid("workload.burst_off", "not a number"))?;
-            Ok(Some((on, off)))
-        }
-        _ => Err(invalid(
-            "workload.burst_on",
-            "burst_on and burst_off must be given together",
-        )),
-    }
-}
-
-fn validate_pattern(pattern: &TrafficPattern, nodes: usize) -> Result<(), SpecError> {
-    if let TrafficPattern::Hotspot { hotspots, fraction } = pattern {
-        if hotspots.is_empty() {
-            return Err(invalid("workload.hotspots", "needs at least one hotspot"));
-        }
-        if !(0.0..=1.0).contains(fraction) {
-            return Err(invalid("workload.fraction", "must be in [0, 1]"));
-        }
-        for h in hotspots {
-            if h.0 >= nodes {
-                return Err(invalid(
-                    "workload.hotspots",
-                    format!("{h} is not on a {nodes}-node ring"),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn validate_burstiness(burstiness: Option<(f64, f64)>) -> Result<(), SpecError> {
-    if let Some((on, off)) = burstiness {
-        if on < 1.0 || (off != 0.0 && off < 1.0) {
-            return Err(invalid(
-                "workload.burst_on",
-                "ON-OFF means must be ≥ 1 (on) and 0 or ≥ 1 (off)",
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// The spec-file name of an objective set.
-#[must_use]
-pub fn objectives_name(set: ObjectiveSet) -> &'static str {
-    match set {
-        ObjectiveSet::TimeEnergy => "time-energy",
-        ObjectiveSet::TimeBer => "time-ber",
-        ObjectiveSet::TimeEnergyBer => "time-energy-ber",
-    }
-}
-
-/// Parses [`objectives_name`] output.
-#[must_use]
-pub fn objectives_from_name(name: &str) -> Option<ObjectiveSet> {
-    match name {
-        "time-energy" => Some(ObjectiveSet::TimeEnergy),
-        "time-ber" => Some(ObjectiveSet::TimeBer),
-        "time-energy-ber" => Some(ObjectiveSet::TimeEnergyBer),
-        _ => None,
-    }
-}
-
-fn parse_workload(table: &Value) -> Result<WorkloadSpec, SpecError> {
-    match req_str(table, "kind") {
-        Err(SpecError::Missing { .. }) => Err(SpecError::Missing {
-            field: "workload.kind",
-        }),
-        Err(e) => Err(e),
-        Ok("paper-app") => Ok(WorkloadSpec::PaperApp),
-        Ok("trace") => {
-            let path = req_str(table, "path")
-                .map_err(|e| match e {
-                    SpecError::Missing { .. } => SpecError::Missing {
-                        field: "workload.path",
-                    },
-                    other => other,
-                })?
-                .to_string();
-            Ok(WorkloadSpec::Trace { path })
-        }
-        Ok("kernel") => {
-            let raw = table
-                .get("kernel")
-                .ok_or(SpecError::Missing {
-                    field: "workload.kernel",
-                })?
-                .as_str()
-                .ok_or_else(|| invalid("workload.kernel", "not a string"))?;
-            let kind = KernelKind::from_name(raw)
-                .ok_or_else(|| invalid("workload.kernel", format!("unknown kernel {raw:?}")))?;
-            Ok(WorkloadSpec::Kernel {
-                kind,
-                stages: opt_usize_in(table, "workload.stages", "stages")?.ok_or(
-                    SpecError::Missing {
-                        field: "workload.stages",
-                    },
-                )?,
-                exec_kcc: req_float_in(table, "workload.exec_kcc", "exec_kcc")?,
-                volume_kbits: req_float_in(table, "workload.volume_kbits", "volume_kbits")?,
-                mapping_seed: opt_u64(table, "mapping_seed")?.unwrap_or(1),
-            })
-        }
-        Ok("synthetic") => {
-            let raw = req_str(table, "pattern").map_err(|e| match e {
-                SpecError::Missing { .. } => SpecError::Missing {
-                    field: "workload.pattern",
-                },
-                other => other,
-            })?;
-            Ok(WorkloadSpec::Synthetic {
-                pattern: pattern_from_parts(raw, table, "workload.pattern")?,
-                injection_rate: req_float_in(table, "workload.injection_rate", "injection_rate")?,
-                message_bits: req_float_in(table, "workload.message_bits", "message_bits")?,
-                horizon: opt_u64(table, "horizon")?.ok_or(SpecError::Missing {
-                    field: "workload.horizon",
-                })?,
-                burstiness: read_burstiness(table)?,
-            })
-        }
-        Ok("sweep") => {
-            let names = table
-                .get("patterns")
-                .ok_or(SpecError::Missing {
-                    field: "workload.patterns",
-                })?
-                .as_array()
-                .ok_or_else(|| invalid("workload.patterns", "not an array"))?;
-            let patterns = names
-                .iter()
-                .map(|v| {
-                    let raw = v
-                        .as_str()
-                        .ok_or_else(|| invalid("workload.patterns", "entries must be strings"))?;
-                    pattern_from_parts(raw, table, "workload.patterns")
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(WorkloadSpec::Sweep {
-                patterns,
-                injection_rates: float_array(table, "workload.injection_rates", "injection_rates")?,
-                wavelengths: usize_array(table, "workload.wavelengths", "wavelengths")?,
-                ring_sizes: usize_array(table, "workload.ring_sizes", "ring_sizes")?,
-                message_bits: req_float_in(table, "workload.message_bits", "message_bits")?,
-                horizon: opt_u64(table, "horizon")?.ok_or(SpecError::Missing {
-                    field: "workload.horizon",
-                })?,
-                burstiness: read_burstiness(table)?,
-            })
-        }
-        Ok(other) => Err(invalid(
-            "workload.kind",
-            format!("unknown workload kind {other:?}"),
-        )),
-    }
-}
-
-fn parse_allocator(table: &Value) -> Result<AllocatorSpec, SpecError> {
-    match req_str(table, "kind") {
-        Err(SpecError::Missing { .. }) => Err(SpecError::Missing {
-            field: "allocator.kind",
-        }),
-        Err(e) => Err(e),
-        Ok("nsga2") => Ok(AllocatorSpec::Nsga2 {
-            population: opt_usize_in(table, "allocator.population", "population")?,
-            generations: opt_usize_in(table, "allocator.generations", "generations")?,
-        }),
-        Ok("heuristic") => {
-            let raw = req_str(table, "name").map_err(|e| match e {
-                SpecError::Missing { .. } => SpecError::Missing {
-                    field: "allocator.name",
-                },
-                other => other,
-            })?;
-            let kind = HeuristicKind::from_name(raw)
-                .ok_or_else(|| invalid("allocator.name", format!("unknown heuristic {raw:?}")))?;
-            Ok(AllocatorSpec::Heuristic { kind })
-        }
-        Ok("counts") => Ok(AllocatorSpec::Counts {
-            counts: usize_array(table, "allocator.counts", "counts")?,
-        }),
-        Ok("dynamic") => {
-            let policy = match table.get("policy").and_then(Value::as_str) {
-                None | Some("single") => DynamicPolicy::Single,
-                Some("greedy") => DynamicPolicy::Greedy {
-                    cap: opt_usize_in(table, "allocator.cap", "cap")?.ok_or(
-                        SpecError::Missing {
-                            field: "allocator.cap",
-                        },
-                    )?,
-                },
-                Some(other) => {
-                    return Err(invalid(
-                        "allocator.policy",
-                        format!("unknown dynamic policy {other:?}"),
-                    ));
-                }
-            };
-            Ok(AllocatorSpec::Dynamic { policy })
-        }
-        Ok("flow-synthesis") => {
-            let policy = match table.get("policy").and_then(Value::as_str) {
-                None | Some("proportional") => FlowAllocPolicy::Proportional {
-                    max_lanes_per_flow: opt_usize_in(
-                        table,
-                        "allocator.max_lanes_per_flow",
-                        "max_lanes_per_flow",
-                    )?
-                    .unwrap_or(128),
-                },
-                Some("first-fit") => FlowAllocPolicy::FirstFit,
-                Some("relaxed") => FlowAllocPolicy::Relaxed,
-                Some(other) => {
-                    return Err(invalid(
-                        "allocator.policy",
-                        format!("unknown flow-synthesis policy {other:?}"),
-                    ));
-                }
-            };
-            Ok(AllocatorSpec::FlowSynthesis {
-                policy,
-                spares: opt_usize_in(table, "allocator.spares", "spares")?.unwrap_or(0),
-            })
-        }
-        Ok("striped") => Ok(AllocatorSpec::Striped {
-            lanes_per_flow: opt_usize_in(table, "allocator.lanes_per_flow", "lanes_per_flow")?
-                .unwrap_or(1),
-        }),
-        Ok(other) => Err(invalid(
-            "allocator.kind",
-            format!("unknown allocator kind {other:?}"),
-        )),
-    }
-}
-
-fn parse_energy(table: &Value) -> Result<EnergySpec, SpecError> {
-    match table.get("preset") {
-        None => {}
-        Some(v) => {
-            let raw = v
-                .as_str()
-                .ok_or_else(|| invalid("energy.preset", "not a string"))?;
-            if raw != ENERGY_PRESET_PAPER {
-                return Err(invalid(
-                    "energy.preset",
-                    format!("unknown preset {raw:?} (only \"paper\" is defined)"),
-                ));
-            }
-        }
-    }
-    let opt_float = |key, field: &'static str| -> Result<Option<f64>, SpecError> {
-        match table.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_float()
-                .map(Some)
-                .ok_or_else(|| invalid(field, "not a number")),
         }
     };
-    Ok(EnergySpec {
-        laser_mw: opt_float("laser_mw", "energy.laser_mw")?,
-        tx_fj_per_bit: opt_float("tx_fj_per_bit", "energy.tx_fj_per_bit")?,
-        rx_fj_per_bit: opt_float("rx_fj_per_bit", "energy.rx_fj_per_bit")?,
-        mr_tuning_mw: opt_float("mr_tuning_mw", "energy.mr_tuning_mw")?,
-        clock_ghz: opt_float("clock_ghz", "energy.clock_ghz")?,
-    })
-}
-
-fn parse_telemetry(table: &Value) -> Result<TelemetrySpec, SpecError> {
-    let window = match table.get("window") {
-        None => None,
-        Some(v) => {
-            let i = v
-                .as_int()
-                .ok_or_else(|| invalid("telemetry.window", "not an integer"))?;
-            Some(u64::try_from(i).map_err(|_| invalid("telemetry.window", "must be nonnegative"))?)
-        }
-    };
-    let per_flow = match table.get("per_flow") {
-        None => None,
-        Some(v) => Some(
-            v.as_bool()
-                .ok_or_else(|| invalid("telemetry.per_flow", "not a boolean"))?,
-        ),
-    };
-    let chrome_trace = match table.get("chrome_trace") {
-        None => None,
-        Some(v) => Some(
-            v.as_str()
-                .ok_or_else(|| invalid("telemetry.chrome_trace", "not a string"))?
-                .to_string(),
-        ),
-    };
-    Ok(TelemetrySpec {
-        window,
-        per_flow,
-        chrome_trace,
-    })
-}
-
-fn parse_service(table: &Value) -> Result<ServiceSpec, SpecError> {
-    let opt_float = |key, field: &'static str| -> Result<Option<f64>, SpecError> {
-        match table.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_float()
-                .map(Some)
-                .ok_or_else(|| invalid(field, "not a number")),
-        }
-    };
-    let opt_u64 = |key, field: &'static str| -> Result<Option<u64>, SpecError> {
-        match table.get(key) {
-            None => Ok(None),
-            Some(v) => {
-                let i = v.as_int().ok_or_else(|| invalid(field, "not an integer"))?;
-                Some(u64::try_from(i).map_err(|_| invalid(field, "must be nonnegative")))
-                    .transpose()
-            }
-        }
-    };
-    let policy = match table.get("policy") {
-        None => None,
-        Some(v) => {
-            let raw = v
-                .as_str()
-                .ok_or_else(|| invalid("service.policy", "not a string"))?;
-            Some(GrantPolicy::parse(raw).ok_or_else(|| {
-                invalid("service.policy", format!("unknown grant policy {raw:?}"))
-            })?)
-        }
-    };
-    let defrag = match table.get("defrag") {
-        None => None,
-        Some(v) => {
-            let raw = v
-                .as_str()
-                .ok_or_else(|| invalid("service.defrag", "not a string"))?;
-            Some(DefragKind::from_name(raw).ok_or_else(|| {
-                invalid("service.defrag", format!("unknown defrag policy {raw:?}"))
-            })?)
-        }
-    };
-    Ok(ServiceSpec {
-        sessions: opt_usize_in(table, "service.sessions", "sessions")?,
-        arrival_rate: opt_float("arrival_rate", "service.arrival_rate")?,
-        mean_hold: opt_float("mean_hold", "service.mean_hold")?,
-        max_demand: opt_usize_in(table, "service.max_demand", "max_demand")?,
-        policy,
-        defrag,
-        defrag_threshold: opt_float("defrag_threshold", "service.defrag_threshold")?,
-        defrag_idle: opt_u64("defrag_idle", "service.defrag_idle")?,
-        max_wait: opt_u64("max_wait", "service.max_wait")?,
-        trace_demand: opt_usize_in(table, "service.trace_demand", "trace_demand")?,
-        stretch: opt_float("stretch", "service.stretch")?,
-    })
-}
-
-fn parse_injection(table: &Value) -> Result<(InjectionMode, AimdSpec), SpecError> {
-    let opt_float = |key, field: &'static str| -> Result<Option<f64>, SpecError> {
-        match table.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_float()
-                .map(Some)
-                .ok_or_else(|| invalid(field, "not a number")),
-        }
-    };
-    let aimd = AimdSpec {
-        additive_step: opt_float("aimd_step", "injection.aimd_step")?,
-        md_factor: opt_float("aimd_md_factor", "injection.aimd_md_factor")?,
-        min_factor: opt_float("aimd_min_factor", "injection.aimd_min_factor")?,
-    };
-    let mode = match req_str(table, "mode") {
-        Err(SpecError::Missing { .. }) => Err(SpecError::Missing {
-            field: "injection.mode",
-        }),
-        Err(e) => Err(e),
-        Ok("open") => Ok(InjectionMode::Open),
-        Ok("credit") => Ok(InjectionMode::Credit {
-            window: opt_usize_in(table, "injection.credit_window", "credit_window")?.unwrap_or(4),
-        }),
-        Ok("credit-dst") => Ok(InjectionMode::CreditPerDst {
-            window: opt_usize_in(table, "injection.credit_window", "credit_window")?.unwrap_or(4),
-        }),
-        Ok("ecn") => {
-            let threshold = match table.get("ecn_threshold") {
-                None => 0.75,
-                Some(v) => v
-                    .as_float()
-                    .ok_or_else(|| invalid("injection.ecn_threshold", "not a number"))?,
-            };
-            Ok(InjectionMode::Ecn { threshold })
-        }
-        Ok(other) => Err(invalid(
-            "injection.mode",
-            format!("unknown injection mode {other:?}"),
-        )),
-    }?;
     Ok((mode, aimd))
 }
 
-fn opt_usize_array(
-    table: &Value,
-    field: &'static str,
-    key: &str,
-) -> Result<Option<Vec<usize>>, SpecError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(_) => usize_array(table, field, key).map(Some),
-    }
-}
-
-fn opt_u64_array(
-    table: &Value,
-    field: &'static str,
-    key: &str,
-) -> Result<Option<Vec<u64>>, SpecError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_array()
-            .ok_or_else(|| invalid(field, "not an array"))?
-            .iter()
-            .map(|v| {
-                v.as_int()
-                    .and_then(|i| u64::try_from(i).ok())
-                    .ok_or_else(|| invalid(field, "entries must be nonnegative integers"))
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map(Some),
-    }
-}
-
-fn parse_faults(table: &Value) -> Result<FaultSpec, SpecError> {
-    let opt_float = |key, field: &'static str| -> Result<Option<f64>, SpecError> {
-        match table.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_float()
-                .map(Some)
-                .ok_or_else(|| invalid(field, "not a number")),
-        }
-    };
-    let ber_model = match table.get("ber_model") {
-        None => None,
-        Some(v) => Some(
-            v.as_str()
-                .ok_or_else(|| invalid("faults.ber_model", "not a string"))?
-                .to_string(),
-        ),
-    };
-    Ok(FaultSpec {
-        seed: opt_u64(table, "seed")?,
-        ber: opt_float("ber", "faults.ber")?,
-        ber_model,
-        outage_lanes: opt_usize_array(table, "faults.outage_lanes", "outage_lanes")?,
-        outage_starts: opt_u64_array(table, "faults.outage_starts", "outage_starts")?,
-        outage_durations: opt_u64_array(table, "faults.outage_durations", "outage_durations")?,
-        mean_up: opt_float("mean_up", "faults.mean_up")?,
-        mean_down: opt_float("mean_down", "faults.mean_down")?,
-        fault_horizon: opt_u64(table, "fault_horizon")?,
-        ge_p_gb: opt_float("ge_p_gb", "faults.ge_p_gb")?,
-        ge_p_bg: opt_float("ge_p_bg", "faults.ge_p_bg")?,
-        ge_ber_good: opt_float("ge_ber_good", "faults.ge_ber_good")?,
-        ge_ber_bad: opt_float("ge_ber_bad", "faults.ge_ber_bad")?,
+fn read_transport(doc: &Value) -> Result<TransportSpec, SpecError> {
+    let shape = TRANSPORT.shape(doc)?;
+    let mut r = TRANSPORT.reader(doc, shape)?;
+    Ok(match shape {
+        0 => TransportSpec::GoBackN {
+            window: r.get(),
+            nack_delay: r.get(),
+            timeout: r.get(),
+            max_retries: r.get(),
+        },
+        _ => TransportSpec::Pfc {
+            dst_window: r.get(),
+            max_retries: r.get(),
+        },
     })
 }
 
-fn parse_healing(table: &Value) -> Result<HealingSpec, SpecError> {
-    let policy = match table.get("policy") {
-        None => None,
-        Some(v) => Some(
-            v.as_str()
-                .ok_or_else(|| invalid("healing.policy", "not a string"))?
-                .to_string(),
-        ),
-    };
-    let ber_threshold = match table.get("ber_threshold") {
-        None => None,
-        Some(v) => Some(
-            v.as_float()
-                .ok_or_else(|| invalid("healing.ber_threshold", "not a number"))?,
-        ),
-    };
-    Ok(HealingSpec {
-        policy,
-        ber_threshold,
-    })
+impl TransportSpec {
+    fn doc(&self) -> Value {
+        match self {
+            TransportSpec::GoBackN {
+                window,
+                nack_delay,
+                timeout,
+                max_retries,
+            } => TRANSPORT.write(
+                0,
+                [
+                    window.to_doc(),
+                    nack_delay.to_doc(),
+                    timeout.to_doc(),
+                    max_retries.to_doc(),
+                ],
+            ),
+            TransportSpec::Pfc {
+                dst_window,
+                max_retries,
+            } => TRANSPORT.write(1, [dst_window.to_doc(), max_retries.to_doc()]),
+        }
+    }
 }
 
-fn parse_transport(table: &Value) -> Result<TransportSpec, SpecError> {
-    let opt_u32 = |key, field: &'static str| -> Result<Option<u32>, SpecError> {
-        match table.get(key) {
-            None => Ok(None),
-            Some(v) => {
-                let i = v.as_int().ok_or_else(|| invalid(field, "not an integer"))?;
-                u32::try_from(i)
-                    .map(Some)
-                    .map_err(|_| invalid(field, "must be a nonnegative 32-bit integer"))
-            }
-        }
-    };
-    match req_str(table, "mode") {
-        Err(SpecError::Missing { .. }) => Err(SpecError::Missing {
-            field: "transport.mode",
-        }),
-        Err(e) => Err(e),
-        Ok("gbn") => Ok(TransportSpec::GoBackN {
-            window: opt_usize_in(table, "transport.window", "window")?,
-            nack_delay: opt_u64(table, "nack_delay")?,
-            timeout: opt_u64(table, "timeout")?,
-            max_retries: opt_u32("max_retries", "transport.max_retries")?,
-        }),
-        Ok("pfc") => Ok(TransportSpec::Pfc {
-            dst_window: opt_usize_in(table, "transport.dst_window", "dst_window")?,
-            max_retries: opt_u32("max_retries", "transport.max_retries")?,
-        }),
-        Ok(other) => Err(invalid(
-            "transport.mode",
-            format!("unknown transport mode {other:?}"),
-        )),
+impl AimdSpec {
+    fn visit(&mut self, v: &mut impl Visit) {
+        v.key(&mut self.additive_step);
+        v.key(&mut self.md_factor);
+        v.key(&mut self.min_factor);
+    }
+}
+
+impl EnergySpec {
+    fn visit(&mut self, v: &mut impl Visit) {
+        v.key(&mut ENERGY_PRESETS[0].to_string());
+        v.key(&mut self.laser_mw);
+        v.key(&mut self.tx_fj_per_bit);
+        v.key(&mut self.rx_fj_per_bit);
+        v.key(&mut self.mr_tuning_mw);
+        v.key(&mut self.clock_ghz);
     }
 }
 
@@ -4074,6 +3814,409 @@ kind = "nsga2"
             .unwrap_err();
         assert!(
             matches!(err, SpecError::Invalid { field, .. } if field == "injection.aimd_md_factor")
+        );
+    }
+
+    /// Valid documents that between them set every declared key.
+    const CORPUS: [&str; 6] = [
+        r#"name = "kernel"
+seed = 3
+scale = "smoke"
+objectives = "time-ber"
+[arch]
+nodes = 16
+wavelengths = 8
+[workload]
+kind = "kernel"
+kernel = "fork-join"
+stages = 3
+exec_kcc = 2.0
+volume_kbits = 4.0
+mapping_seed = 5
+[allocator]
+kind = "heuristic"
+name = "first-fit"
+"#,
+        r#"name = "ga"
+[workload]
+kind = "paper-app"
+[allocator]
+kind = "nsga2"
+population = 40
+generations = 10
+"#,
+        r#"name = "counts"
+[workload]
+kind = "paper-app"
+[allocator]
+kind = "counts"
+counts = [1, 1, 1, 1, 1, 1]
+"#,
+        r#"name = "everything"
+report = "streaming"
+[workload]
+kind = "synthetic"
+pattern = "hotspot"
+hotspots = [0, 3]
+fraction = 0.5
+injection_rate = 0.01
+message_bits = 512.0
+horizon = 5000
+burst_on = 50.0
+burst_off = 200.0
+[allocator]
+kind = "flow-synthesis"
+policy = "proportional"
+max_lanes_per_flow = 4
+spares = 1
+[injection]
+mode = "ecn"
+ecn_threshold = 0.5
+aimd_step = 0.25
+aimd_md_factor = 0.5
+aimd_min_factor = 0.125
+[energy]
+preset = "paper"
+laser_mw = 0.004
+tx_fj_per_bit = 75.0
+rx_fj_per_bit = 40.0
+mr_tuning_mw = 0.05
+clock_ghz = 2.0
+[telemetry]
+window = 128
+per_flow = false
+chrome_trace = "trace.json"
+[faults]
+seed = 11
+ber = 0.0001
+outage_lanes = [0, 2]
+outage_starts = [100, 4000]
+outage_durations = [500, 0]
+mean_up = 2000.0
+mean_down = 50.0
+fault_horizon = 4500
+[transport]
+mode = "gbn"
+window = 4
+nack_delay = 8
+timeout = 128
+max_retries = 3
+[healing]
+policy = "re-pack"
+ber_threshold = 0.1
+[service]
+sessions = 100
+arrival_rate = 0.02
+mean_hold = 400.0
+max_demand = 3
+policy = "shared"
+defrag = "threshold"
+defrag_threshold = 0.25
+max_wait = 5000
+trace_demand = 2
+stretch = 2.0
+"#,
+        r#"name = "sweep"
+[workload]
+kind = "sweep"
+patterns = ["uniform", "hotspot"]
+hotspots = [1]
+fraction = 0.25
+injection_rates = [0.002, 0.04]
+wavelengths = [2, 8]
+ring_sizes = [16]
+message_bits = 512.0
+horizon = 5000
+[allocator]
+kind = "dynamic"
+policy = "greedy"
+cap = 2
+[injection]
+mode = "credit"
+credit_window = 3
+[faults]
+ge_p_gb = 0.01
+ge_p_bg = 0.1
+ge_ber_good = 0.0
+ge_ber_bad = 0.2
+"#,
+        r#"name = "replay"
+[workload]
+kind = "trace"
+path = "trace.csv"
+[allocator]
+kind = "striped"
+lanes_per_flow = 2
+[injection]
+mode = "credit-dst"
+credit_window = 2
+[faults]
+ber_model = "paper"
+[transport]
+mode = "pfc"
+dst_window = 2
+max_retries = 16
+[service]
+defrag = "idle"
+defrag_idle = 1000
+"#,
+    ];
+
+    /// Every declared field: the root's, then each table's.
+    fn all_fields() -> impl Iterator<Item = &'static Field> {
+        let tables = ROOT.fields().filter_map(|f| match f.ty {
+            Ty::Table(schema) => Some(schema.fields()),
+            _ => None,
+        });
+        ROOT.fields().chain(tables.flatten())
+    }
+
+    /// Every declared dotted path, selectors and root tables included.
+    fn declared_paths() -> std::collections::BTreeSet<&'static str> {
+        all_fields().map(|f| f.path).collect()
+    }
+
+    /// Every `(dotted path, document with that key's value replaced)`
+    /// pair the corpus offers, in TOML and JSON form.
+    fn edited(
+        edit: impl Fn(&mut Value, &str),
+    ) -> Vec<(String, Vec<Result<ScenarioSpec, SpecError>>)> {
+        let mut out = Vec::new();
+        for text in CORPUS {
+            let doc = Value::parse_toml(text).unwrap();
+            assert!(ScenarioSpec::from_value(&doc).is_ok(), "{text}");
+            for (key, value) in doc.as_table().unwrap() {
+                let tables: Vec<(String, Option<&str>)> = std::iter::once((key.clone(), None))
+                    .chain(
+                        (value.as_table().into_iter().flatten())
+                            .map(|(sub, _)| (format!("{key}.{sub}"), Some(sub.as_str()))),
+                    )
+                    .collect();
+                for (path, sub) in tables {
+                    let mut changed = doc.clone();
+                    let Value::Table(root) = &mut changed else {
+                        unreachable!()
+                    };
+                    match sub {
+                        None => edit(&mut changed, key),
+                        Some(sub) => edit(root.get_mut(key).unwrap(), sub),
+                    }
+                    let parsed = vec![
+                        ScenarioSpec::from_toml_str(&changed.to_toml()),
+                        ScenarioSpec::from_json_str(&changed.to_json()),
+                    ];
+                    out.push((path, parsed));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_declared_field_rejects_a_value_of_the_wrong_type() {
+        let mut seen = std::collections::BTreeSet::new();
+        let wrong = |table: &mut Value, key: &str| {
+            let Value::Table(entries) = table else {
+                unreachable!()
+            };
+            let value = entries.get_mut(key).unwrap();
+            *value = match value {
+                Value::Str(_) => Value::Int(3),
+                _ => Value::from("x"),
+            };
+        };
+        for (path, results) in edited(wrong) {
+            for result in results {
+                match result {
+                    Err(SpecError::Invalid { field, .. }) if field == path => {}
+                    other => panic!("`{path}` with a wrong type gave {other:?}"),
+                }
+            }
+            seen.insert(path);
+        }
+        let declared: std::collections::BTreeSet<String> =
+            declared_paths().into_iter().map(String::from).collect();
+        assert_eq!(seen, declared, "the corpus must set every declared key");
+    }
+
+    #[test]
+    fn every_key_misspelt_by_one_edit_is_unknown_in_both_formats() {
+        let misspell = |table: &mut Value, key: &str| {
+            let Value::Table(entries) = table else {
+                unreachable!()
+            };
+            let value = entries.remove(key).unwrap();
+            entries.insert(format!("{key}{}", key.chars().last().unwrap()), value);
+        };
+        for (path, results) in edited(misspell) {
+            let typo = format!("{path}{}", path.chars().last().unwrap());
+            for result in results {
+                match result {
+                    Err(SpecError::UnknownKey { key, nearest }) if key == typo => {
+                        assert_eq!(nearest, path, "nearest to `{key}`");
+                    }
+                    other => panic!("`{typo}` gave {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keys_another_kind_or_mode_uses_are_rejected() {
+        let base = "name = \"x\"\n[workload]\nkind = \"synthetic\"\npattern = \"uniform\"\n\
+                    injection_rate = 0.01\nmessage_bits = 512.0\nhorizon = 1000\n";
+        for (tables, field, applies) in [
+            (
+                "[allocator]\nkind = \"dynamic\"\n[transport]\nmode = \"pfc\"\nwindow = 8\n",
+                "transport.window",
+                "mode = \"gbn\"",
+            ),
+            (
+                "[allocator]\nkind = \"dynamic\"\n[injection]\nmode = \"credit\"\necn_threshold = 0.5\n",
+                "injection.ecn_threshold",
+                "mode = \"ecn\"",
+            ),
+            (
+                "hotspots = [3]\n[allocator]\nkind = \"dynamic\"\n",
+                "workload.hotspots",
+                "pattern = \"hotspot\"",
+            ),
+            (
+                "fraction = 0.5\n[allocator]\nkind = \"dynamic\"\n",
+                "workload.fraction",
+                "pattern = \"hotspot\"",
+            ),
+            (
+                "[allocator]\nkind = \"flow-synthesis\"\npolicy = \"first-fit\"\nmax_lanes_per_flow = 2\n",
+                "allocator.max_lanes_per_flow",
+                "policy = \"proportional\"",
+            ),
+            (
+                "[allocator]\nkind = \"dynamic\"\npolicy = \"single\"\ncap = 2\n",
+                "allocator.cap",
+                "policy = \"greedy\"",
+            ),
+            (
+                "[allocator]\nkind = \"dynamic\"\ncap = 2\n",
+                "allocator.cap",
+                "policy = \"greedy\"",
+            ),
+            (
+                "[allocator]\nkind = \"striped\"\npolicy = \"single\"\n",
+                "allocator.policy",
+                "kind = \"dynamic\"",
+            ),
+        ] {
+            let doc = Value::parse_toml(&format!("{base}{tables}")).unwrap();
+            for parsed in [
+                ScenarioSpec::from_toml_str(&doc.to_toml()),
+                ScenarioSpec::from_json_str(&doc.to_json()),
+            ] {
+                match parsed {
+                    Err(SpecError::Invalid { field: f, message }) if f == field => {
+                        assert!(message.contains(applies), "{field}: {message}");
+                    }
+                    other => panic!("{field}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn field_lists_fit_the_reader_and_admit_their_defaults() {
+        for root in ROOT.fields() {
+            if let Ty::Table(schema) = root.ty {
+                assert!(schema.shapes.iter().all(|s| s.len() <= MAX_FIELDS));
+            }
+        }
+        assert!(ROOT.shapes[0].len() <= MAX_FIELDS);
+        for field in all_fields() {
+            if let Some(text) = field.fallback() {
+                let value = match field.ty {
+                    Ty::Name(_) => Value::from(text),
+                    _ => Value::parse_json(text).unwrap(),
+                };
+                assert!(field.ty.admits(&value), "{}: default {text}", field.path);
+            }
+        }
+    }
+
+    /// The README "Spec key reference" table, rendered from the field
+    /// lists.
+    fn key_reference() -> String {
+        let mut out = String::from(
+            "| table | key | type | default | range | doc |\n|---|---|---|---|---|---|\n",
+        );
+        let mut row = |table: &str, field: &Field| {
+            let (ty, range) = match field.ty {
+                Ty::Bool => ("boolean", String::new()),
+                Ty::Str => ("string", "non-blank".to_string()),
+                Ty::Name(names) => (
+                    "name",
+                    names
+                        .iter()
+                        .map(|n| format!("`{n}`"))
+                        .collect::<Vec<_>>()
+                        .join(", "),
+                ),
+                Ty::Int(r) => ("integer", r.to_string()),
+                Ty::Float(r) => ("number", r.to_string()),
+                Ty::Ints(r) => ("integer array", r.to_string()),
+                Ty::Floats(r) => ("number array", r.to_string()),
+                Ty::Names(names) => (
+                    "name array",
+                    names
+                        .iter()
+                        .map(|n| format!("`{n}`"))
+                        .collect::<Vec<_>>()
+                        .join(", "),
+                ),
+                Ty::Table(_) => ("table", String::new()),
+            };
+            let default = match field.default {
+                Dflt::Required => "required".to_string(),
+                Dflt::Fill(text) | Dflt::Omit(text) => format!("`{text}`"),
+                Dflt::Unset(text) => text.to_string(),
+            };
+            let when = field.when.map_or(String::new(), |(key, value)| {
+                format!(" Only with `{key} = \"{value}\"`.")
+            });
+            out.push_str(&format!(
+                "| {table} | `{}` | {ty} | {default} | {range} | {}{when} |\n",
+                field.key, field.doc
+            ));
+        };
+        for root in ROOT.fields() {
+            row("(top level)", root);
+        }
+        for root in ROOT.fields() {
+            let Ty::Table(schema) = root.ty else { continue };
+            let table = format!("`[{}]`", root.key);
+            if let Some(select) = &schema.select {
+                row(&table, select);
+            }
+            for (i, shape) in schema.shapes.iter().enumerate() {
+                let label = schema.select.map_or(table.clone(), |s| {
+                    format!("`[{}]` {} = `{}`", root.key, s.key, s.names()[i])
+                });
+                for field in *shape {
+                    row(&label, field);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn readme_key_reference_matches_the_field_lists() {
+        let readme = include_str!("../../../README.md");
+        let (begin, end) = ("<!-- spec-keys:begin -->\n", "<!-- spec-keys:end -->");
+        let start = readme.find(begin).expect("README has the begin marker") + begin.len();
+        let stop = readme.find(end).expect("README has the end marker");
+        let expected = key_reference();
+        assert!(
+            readme[start..stop] == expected,
+            "README's spec key reference is stale; between the markers it should read:\n\n{expected}"
         );
     }
 

@@ -74,3 +74,105 @@ fn every_documented_run_spec_flag_is_accepted() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Writes `text` to a fresh file named `name` in a per-test directory.
+fn spec_file(test: &str, name: &str, text: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("onoc-cli-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    std::fs::write(&path, text).unwrap();
+    path.to_string_lossy().into_owned()
+}
+
+const ENERGY: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../examples/scenario_energy.toml"
+);
+
+#[test]
+fn override_flags_that_break_the_spec_exit_2() {
+    let paper_app = spec_file(
+        "overrides",
+        "paper_app.toml",
+        "name = \"paper\"\nscale = \"smoke\"\n[workload]\nkind = \"paper-app\"\n\
+         [allocator]\nkind = \"counts\"\ncounts = [1, 1, 1, 1, 1, 1]\n",
+    );
+    for (spec, flag, value) in [
+        (ENERGY, "--fault-ber", "2"),
+        (ENERGY, "--fault-ber", "nan"),
+        (ENERGY, "--heal-policy", "re-pack-strict"),
+        (paper_app.as_str(), "--transport", "gbn"),
+    ] {
+        let args = ["run", "--spec", spec, "--scale", "smoke", flag, value];
+        let out = onoc(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must fail before running");
+    }
+}
+
+#[test]
+fn one_edit_spec_mistakes_exit_1_and_name_the_key() {
+    let base = std::fs::read_to_string(ENERGY).unwrap();
+    let edits: [(&str, &str, &str); 8] = [
+        ("wavelengths = 8", "wavelenghts = 2", "arch.wavelengths"),
+        (
+            "policy = \"single\"",
+            "plicy = \"greedy\"",
+            "allocator.policy",
+        ),
+        ("policy = \"single\"", "policy = 3", "allocator.policy"),
+        (
+            "\n[energy]\n",
+            "\n[faults]\nbre = 0.5\n[energy]\n",
+            "faults.ber",
+        ),
+        (
+            "\n[energy]\n",
+            "\n[faults]\nseed = -1\n[energy]\n",
+            "faults.seed",
+        ),
+        (
+            "\n[energy]\n",
+            "\n[transport]\nmode = \"pfc\"\nwindow = 8\n[energy]\n",
+            "transport.window",
+        ),
+        (
+            "\n[energy]\n",
+            "\n[injection]\nmode = \"credit\"\necn_threshold = 0.5\n[energy]\n",
+            "injection.ecn_threshold",
+        ),
+        (
+            "pattern = \"uniform\"",
+            "pattern = \"uniform\"\nhotspots = [3]",
+            "workload.hotspots",
+        ),
+    ];
+    for (i, (from, to, key)) in edits.into_iter().enumerate() {
+        assert!(base.contains(from), "{from}");
+        let toml = base.replacen(from, to, 1);
+        let json = onoc_exp::Value::parse_toml(&toml).unwrap().to_json();
+        for (name, text) in [(format!("{i}.toml"), &toml), (format!("{i}.json"), &json)] {
+            let path = spec_file("strict", &name, text);
+            let out = onoc(&["run", "--spec", &path, "--scale", "smoke"]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{name} ({to}): {stderr}");
+            assert!(stderr.contains(&format!("`{key}`")), "{name}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn sweep_grids_the_spec_rejects_exit_2_instead_of_panicking() {
+    for args in [
+        &["sweep", "--wavelengths", "200", "--rates", "0.01"][..],
+        &["sweep", "--rates", "1.5"],
+        &["sweep", "--rings", "1"],
+        &["sweep", "--policy", "greedy:0"],
+    ] {
+        let out = onoc(&[args, &["--scale", "smoke"]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("invalid sweep"), "{args:?}: {stderr}");
+    }
+}
