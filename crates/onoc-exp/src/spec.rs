@@ -2389,8 +2389,8 @@ static ALLOCATOR: Schema = Schema {
     select: Some(field("allocator.kind", Name(&ALLOCATOR_KINDS), Required, "Which allocator; picks the keys below.")),
     shapes: &[
         &[
-            field("allocator.population", Int(NAT), Unset("400 / 120 / 32 by scale"), "NSGA-II population."),
-            field("allocator.generations", Int(NAT), Unset("300 / 60 / 12 by scale"), "NSGA-II generations."),
+            field("allocator.population", Int(at_least(4.0)), Unset("400 / 120 / 32 by scale"), "NSGA-II population."),
+            field("allocator.generations", Int(ONE_UP), Unset("300 / 60 / 12 by scale"), "NSGA-II generations."),
         ],
         &[field("allocator.name", Name(&HeuristicKind::NAMES), Required, "Which single-solution heuristic.")],
         &[field("allocator.counts", Ints(NAT), Required, "Wavelengths per communication (NW_k), packed greedily.")],

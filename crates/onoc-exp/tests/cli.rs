@@ -176,3 +176,30 @@ fn sweep_grids_the_spec_rejects_exit_2_instead_of_panicking() {
         assert!(stderr.contains("invalid sweep"), "{args:?}: {stderr}");
     }
 }
+
+const PAPER_GA: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../examples/scenario_paper_ga.toml"
+);
+
+#[test]
+fn a_ga_too_small_to_run_exits_1_and_names_the_key() {
+    let base = std::fs::read_to_string(PAPER_GA).unwrap();
+    for (setting, key) in [
+        ("population = 3", "allocator.population"),
+        ("generations = 0", "allocator.generations"),
+    ] {
+        let toml = base.replacen(
+            "kind = \"nsga2\"",
+            &format!("kind = \"nsga2\"\n{setting}"),
+            1,
+        );
+        assert_ne!(toml, base);
+        let path = spec_file("small-ga", &format!("{key}.toml"), &toml);
+        let out = onoc(&["run", "--spec", &path, "--scale", "smoke"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{setting}: {stderr}");
+        assert!(stderr.contains(&format!("`{key}`")), "{setting}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{setting}: {stderr}");
+    }
+}

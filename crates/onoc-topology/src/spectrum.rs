@@ -188,11 +188,12 @@ impl ReceiverReport {
 /// Evaluates the receiver-side optics of a set of concurrent transmissions on
 /// one [`OnocArchitecture`].
 ///
-/// The engine walks every allocated wavelength element by element — waveguide
-/// segments (propagation + bending loss), intermediate ONI stacks (OFF/ON MR
-/// through losses, Eqs. 2 and 4) and the destination stack (drop loss,
-/// Eq. 5) — and accumulates the crosstalk every other co-propagating
-/// wavelength leaks into each photodetector.
+/// The engine walks every allocated wavelength once, element by element —
+/// waveguide segments (propagation + bending loss), intermediate ONI stacks
+/// (OFF/ON MR through losses, Eqs. 2 and 4) and the destination stack (drop
+/// loss, Eq. 5) — snapshotting the loss at each node it enters, and
+/// accumulates from those snapshots the crosstalk every other
+/// co-propagating wavelength leaks into each photodetector.
 ///
 /// # Examples
 ///
@@ -217,15 +218,63 @@ pub struct SpectrumEngine<'a> {
     arch: &'a OnocArchitecture,
     traffic: &'a [Transmission],
     model: CrosstalkModel,
-    /// `receivers[direction][node][channel]` = index (into `traffic`) of the
-    /// transmission whose receiver MR for `channel` at `node` is ON.
-    receivers: [Vec<Vec<Option<usize>>>; 2],
+    /// `receivers[receiver_slot(direction, node, channel)]` = index (into
+    /// `traffic`) of the transmission whose receiver MR for `channel` at
+    /// `node` on the waveguide of `direction` is ON.
+    receivers: Vec<Option<usize>>,
 }
 
 fn dir_index(direction: Direction) -> usize {
     match direction {
         Direction::Clockwise => 0,
         Direction::CounterClockwise => 1,
+    }
+}
+
+/// One allocated lane's walk along its transmission's path.
+#[derive(Debug)]
+struct LaneWalk {
+    /// Offset of the lane's first snapshot in [`LaneWalks::entries`].
+    start: usize,
+    /// Snapshots taken: the path's hop count, or the hop of the node whose
+    /// stack intercepts the lane.
+    reached: usize,
+    /// The interception that stopped the walk early.
+    intercepted: Option<SpectrumError>,
+}
+
+/// Loss snapshots of every allocated lane, taken in one walk per lane.
+#[derive(Debug)]
+struct LaneWalks {
+    /// Per transmission: index of its first lane in `lanes`, and its hops.
+    transmissions: Vec<(usize, usize)>,
+    /// Per lane, in traffic order, then channel order.
+    lanes: Vec<LaneWalk>,
+    /// Snapshot `h - 1` of a lane: the loss from its laser to the entry of
+    /// the path's `h`-th node (segments and full intermediate stacks,
+    /// nothing of that node's own stack).
+    entries: Vec<Decibels>,
+}
+
+impl LaneWalks {
+    /// Hop count of transmission `t_idx`'s path.
+    fn hops(&self, t_idx: usize) -> usize {
+        self.transmissions[t_idx].1
+    }
+
+    /// The loss of lane `c_idx` of transmission `t_idx` at the entry of its
+    /// path's `hop`-th node, or the interception that drops the lane before
+    /// that node.
+    fn entry(&self, t_idx: usize, c_idx: usize, hop: usize) -> Result<Decibels, SpectrumError> {
+        let lane = &self.lanes[self.transmissions[t_idx].0 + c_idx];
+        if hop <= lane.reached {
+            Ok(self.entries[lane.start + hop - 1])
+        } else {
+            Err(lane
+                .intercepted
+                .clone()
+                .expect("a walk stops short only at an interception"))
+        }
     }
 }
 
@@ -255,8 +304,12 @@ impl<'a> SpectrumEngine<'a> {
     ) -> Result<Self, SpectrumError> {
         let nodes = arch.ring().node_count();
         let nw = arch.grid().count();
-        let mut receivers: [Vec<Vec<Option<usize>>>; 2] =
-            [vec![vec![None; nw]; nodes], vec![vec![None; nw]; nodes]];
+        let mut engine = Self {
+            arch,
+            traffic,
+            model,
+            receivers: vec![None; 2 * nodes * nw],
+        };
         for (idx, t) in traffic.iter().enumerate() {
             if t.channels().is_empty() {
                 return Err(SpectrumError::NoChannels {
@@ -271,9 +324,8 @@ impl<'a> SpectrumEngine<'a> {
                         grid_size: nw,
                     });
                 }
-                let slot =
-                    &mut receivers[dir_index(t.path().direction())][t.path().dst().0][ch.index()];
-                if let Some(prev) = *slot {
+                let slot = engine.receiver_slot(t.path().dst(), t.path().direction(), ch);
+                if let Some(prev) = engine.receivers[slot] {
                     return Err(SpectrumError::ReceiverCollision {
                         first: traffic[prev].id(),
                         second: t.id(),
@@ -281,15 +333,10 @@ impl<'a> SpectrumEngine<'a> {
                         at: t.path().dst(),
                     });
                 }
-                *slot = Some(idx);
+                engine.receivers[slot] = Some(idx);
             }
         }
-        Ok(Self {
-            arch,
-            traffic,
-            model,
-            receivers,
-        })
+        Ok(engine)
     }
 
     /// The crosstalk model in use.
@@ -304,6 +351,13 @@ impl<'a> SpectrumEngine<'a> {
         self.traffic
     }
 
+    /// Index of the receiver MR for `channel` at `node` on the waveguide of
+    /// `direction` in the flat receiver map.
+    fn receiver_slot(&self, node: NodeId, direction: Direction, channel: WavelengthId) -> usize {
+        let nodes = self.arch.ring().node_count();
+        (dir_index(direction) * nodes + node.0) * self.arch.grid().count() + channel.index()
+    }
+
     /// State of the receiver MR for `channel` at `node` on the waveguide of
     /// `direction`, together with the owning transmission index.
     fn receiver_at(
@@ -312,7 +366,16 @@ impl<'a> SpectrumEngine<'a> {
         direction: Direction,
         channel: WavelengthId,
     ) -> Option<usize> {
-        self.receivers[dir_index(direction)][node.0][channel.index()]
+        self.receivers[self.receiver_slot(node, direction, channel)]
+    }
+
+    /// Returns `true` if any receiver MR of `node`'s stack on the waveguide
+    /// of `direction` is ON.
+    fn has_on_ring(&self, node: NodeId, direction: Direction) -> bool {
+        let row = self.receiver_slot(node, direction, WavelengthId(0));
+        self.receivers[row..row + self.arch.grid().count()]
+            .iter()
+            .any(Option::is_some)
     }
 
     /// The MR element (channel + ON/OFF state) at stack position `channel`
@@ -382,96 +445,74 @@ impl<'a> SpectrumEngine<'a> {
         Ok(loss)
     }
 
-    /// Loss accumulated by transmission `t_idx`'s wavelength `channel` from
-    /// its laser up to the *entry* of `until` (segments and full intermediate
-    /// stacks, nothing of `until`'s own stack).
-    fn loss_to_node_entry(
-        &self,
-        t_idx: usize,
-        channel: WavelengthId,
-        until: NodeId,
-    ) -> Result<Decibels, SpectrumError> {
-        let t = &self.traffic[t_idx];
-        let path = t.path();
-        let nw = self.arch.grid().count();
-        let mut loss = Decibels::ZERO;
-        let nodes: Vec<NodeId> = path.nodes().collect();
-        for (segment, arrival) in path.segments().zip(nodes.iter().skip(1)) {
-            loss += self.segment_loss(segment.index);
-            if *arrival == until {
-                return Ok(loss);
-            }
-            loss += self.stack_through_loss(*arrival, path.direction(), channel, nw, t_idx)?;
-        }
-        panic!(
-            "loss_to_node_entry: {until} is not downstream of {} on {path}",
-            path.src()
-        );
-    }
-
-    /// Evaluates one receiver: transmission index `t_idx`, channel `channel`.
+    /// Walks every allocated lane once along its path, snapshotting the
+    /// loss at each node entry.
     ///
-    /// # Errors
-    ///
-    /// Returns [`SpectrumError::ChannelDroppedEnRoute`] if the signal (or an
-    /// interfering signal) is intercepted before its destination.
-    pub fn analyze_receiver(
-        &self,
-        t_idx: usize,
-        channel: WavelengthId,
-    ) -> Result<ReceiverReport, SpectrumError> {
-        let t = &self.traffic[t_idx];
+    /// The additions happen in the order of a per-receiver walk (segment
+    /// loss, then the node's full stack summed from zero), so a snapshot
+    /// equals, bit for bit, the loss such a walk reaches at that node. A
+    /// stack without an ON ring loses `Lp0` per ring for every signal, so
+    /// one all-OFF sum serves each such node. A stack that intercepts the
+    /// lane ends its walk: later nodes read that error instead.
+    fn walk_lanes(&self) -> LaneWalks {
         let grid = self.arch.grid();
         let params = self.arch.losses();
-        let dst = t.path().dst();
-        let direction = t.path().direction();
-
-        // --- Signal walk (Eq. 6) --------------------------------------------
-        let mut loss = self.loss_to_node_entry(t_idx, channel, dst)?;
-        // Prefix of the destination stack, then the intended drop.
-        loss += self.stack_through_loss(dst, direction, channel, channel.index(), t_idx)?;
-        loss += self
-            .mr_element(dst, direction, channel)
-            .drop_loss(channel, grid, params);
-        let signal = (self.arch.laser().power_on() + loss).to_milliwatts();
-
-        // --- Crosstalk accumulation (Eq. 7) ---------------------------------
-        let mut crosstalk = Milliwatts::ZERO;
-        let mut interferers = 0usize;
-        let victim_mr = self.mr_element(dst, direction, channel);
-        for (o_idx, other) in self.traffic.iter().enumerate() {
-            if other.path().direction() != direction || !other.path().reaches_receiver(dst) {
-                continue;
-            }
-            for &ch in other.channels() {
-                if o_idx == t_idx && ch == channel {
-                    continue;
+        let nw = grid.count();
+        // An OFF ring's through loss does not depend on the signal.
+        let all_off: Decibels = (0..nw)
+            .map(|c| {
+                let ch = WavelengthId(c);
+                MrElement::new(ch, MrState::Off).through_loss(ch, grid, params)
+            })
+            .sum();
+        let lane_count = self.traffic.iter().map(|t| t.channels().len()).sum();
+        let mut walks = LaneWalks {
+            transmissions: Vec::with_capacity(self.traffic.len()),
+            lanes: Vec::with_capacity(lane_count),
+            entries: Vec::new(),
+        };
+        let mut route: Vec<(Decibels, NodeId)> = Vec::new();
+        for (t_idx, t) in self.traffic.iter().enumerate() {
+            let path = t.path();
+            let direction = path.direction();
+            route.clear();
+            route.extend(
+                path.segments()
+                    .zip(path.nodes().skip(1))
+                    .map(|(segment, arrival)| (self.segment_loss(segment.index), arrival)),
+            );
+            walks.transmissions.push((walks.lanes.len(), route.len()));
+            for &channel in t.channels() {
+                let start = walks.entries.len();
+                let mut loss = Decibels::ZERO;
+                let mut intercepted = None;
+                for (h, &(segment, arrival)) in route.iter().enumerate() {
+                    loss += segment;
+                    walks.entries.push(loss);
+                    if h + 1 == route.len() {
+                        break;
+                    }
+                    let stack = if self.has_on_ring(arrival, direction) {
+                        self.stack_through_loss(arrival, direction, channel, nw, t_idx)
+                    } else {
+                        Ok(all_off)
+                    };
+                    match stack {
+                        Ok(through) => loss += through,
+                        Err(e) => {
+                            intercepted = Some(e);
+                            break;
+                        }
+                    }
                 }
-                let mut o_loss = self.loss_to_node_entry(o_idx, ch, dst)?;
-                if self.model == CrosstalkModel::Elementwise {
-                    // Continue through the victim ONI's stack up to the
-                    // victim MR (this applies Kp1 if `ch` was dropped at an
-                    // earlier stack position of the same ONI).
-                    o_loss +=
-                        self.stack_through_loss(dst, direction, ch, channel.index(), o_idx)?;
-                }
-                // Lorentzian leakage into the victim photodetector.
-                o_loss += victim_mr.drop_loss(ch, grid, params);
-                crosstalk += (self.arch.laser().power_on() + o_loss).to_milliwatts();
-                interferers += 1;
+                walks.lanes.push(LaneWalk {
+                    start,
+                    reached: walks.entries.len() - start,
+                    intercepted,
+                });
             }
         }
-
-        let noise = crosstalk + self.arch.laser().power_off().to_milliwatts();
-        Ok(ReceiverReport {
-            transmission: t.id(),
-            channel,
-            signal,
-            crosstalk,
-            noise,
-            path_loss: loss,
-            interferers,
-        })
+        walks
     }
 
     /// Evaluates every receiver of every transmission.
@@ -480,12 +521,77 @@ impl<'a> SpectrumEngine<'a> {
     ///
     /// # Errors
     ///
-    /// Returns the first [`SpectrumError`] encountered.
+    /// Returns the first [`SpectrumError`] encountered: a signal (or an
+    /// interfering signal) intercepted before its destination.
     pub fn analyze(&self) -> Result<Vec<ReceiverReport>, SpectrumError> {
-        let mut reports = Vec::new();
+        let grid = self.arch.grid();
+        let params = self.arch.losses();
+        let ring = self.arch.ring();
+        let power_on = self.arch.laser().power_on();
+        let walks = self.walk_lanes();
+        let mut reports = Vec::with_capacity(walks.lanes.len());
         for (t_idx, t) in self.traffic.iter().enumerate() {
-            for &ch in t.channels() {
-                reports.push(self.analyze_receiver(t_idx, ch)?);
+            let dst = t.path().dst();
+            let direction = t.path().direction();
+            for (c_idx, &channel) in t.channels().iter().enumerate() {
+                // --- Signal walk (Eq. 6) ------------------------------------
+                let mut loss = walks.entry(t_idx, c_idx, walks.hops(t_idx))?;
+                // Prefix of the destination stack, then the intended drop.
+                loss += self.stack_through_loss(dst, direction, channel, channel.index(), t_idx)?;
+                loss += self
+                    .mr_element(dst, direction, channel)
+                    .drop_loss(channel, grid, params);
+                let signal = (power_on + loss).to_milliwatts();
+
+                // --- Crosstalk accumulation (Eq. 7) -------------------------
+                let mut crosstalk = Milliwatts::ZERO;
+                let mut interferers = 0usize;
+                let victim_mr = self.mr_element(dst, direction, channel);
+                for (o_idx, other) in self.traffic.iter().enumerate() {
+                    if other.path().direction() != direction {
+                        continue;
+                    }
+                    // The victim's ONI is the `hop`-th node of the other
+                    // path; the source (hop 0) has no receiver in its way.
+                    let hop = ring.hops(other.path().src(), dst, direction);
+                    if hop == 0 || hop > walks.hops(o_idx) {
+                        continue;
+                    }
+                    for (oc_idx, &ch) in other.channels().iter().enumerate() {
+                        if o_idx == t_idx && ch == channel {
+                            continue;
+                        }
+                        let mut o_loss = walks.entry(o_idx, oc_idx, hop)?;
+                        if self.model == CrosstalkModel::Elementwise {
+                            // Continue through the victim ONI's stack up to
+                            // the victim MR (this applies Kp1 if `ch` was
+                            // dropped at an earlier stack position of the
+                            // same ONI).
+                            o_loss += self.stack_through_loss(
+                                dst,
+                                direction,
+                                ch,
+                                channel.index(),
+                                o_idx,
+                            )?;
+                        }
+                        // Lorentzian leakage into the victim photodetector.
+                        o_loss += victim_mr.drop_loss(ch, grid, params);
+                        crosstalk += (power_on + o_loss).to_milliwatts();
+                        interferers += 1;
+                    }
+                }
+
+                let noise = crosstalk + self.arch.laser().power_off().to_milliwatts();
+                reports.push(ReceiverReport {
+                    transmission: t.id(),
+                    channel,
+                    signal,
+                    crosstalk,
+                    noise,
+                    path_loss: loss,
+                    interferers,
+                });
             }
         }
         Ok(reports)
@@ -496,6 +602,188 @@ impl<'a> SpectrumEngine<'a> {
 mod tests {
     use super::*;
     use onoc_photonics::BerConvention;
+    use proptest::prelude::*;
+
+    /// The per-receiver walk `analyze` replaced, kept as its oracle: every
+    /// receiver re-walks its own path and, for each interfering lane, that
+    /// lane's path up to the victim's ONI.
+    impl SpectrumEngine<'_> {
+        /// Loss accumulated by transmission `t_idx`'s wavelength `channel`
+        /// from its laser up to the *entry* of `until` (segments and full
+        /// intermediate stacks, nothing of `until`'s own stack).
+        fn loss_to_node_entry(
+            &self,
+            t_idx: usize,
+            channel: WavelengthId,
+            until: NodeId,
+        ) -> Result<Decibels, SpectrumError> {
+            let t = &self.traffic[t_idx];
+            let path = t.path();
+            let nw = self.arch.grid().count();
+            let mut loss = Decibels::ZERO;
+            let nodes: Vec<NodeId> = path.nodes().collect();
+            for (segment, arrival) in path.segments().zip(nodes.iter().skip(1)) {
+                loss += self.segment_loss(segment.index);
+                if *arrival == until {
+                    return Ok(loss);
+                }
+                loss += self.stack_through_loss(*arrival, path.direction(), channel, nw, t_idx)?;
+            }
+            panic!(
+                "loss_to_node_entry: {until} is not downstream of {} on {path}",
+                path.src()
+            );
+        }
+
+        /// Evaluates one receiver: transmission index `t_idx`, channel
+        /// `channel`.
+        fn analyze_receiver(
+            &self,
+            t_idx: usize,
+            channel: WavelengthId,
+        ) -> Result<ReceiverReport, SpectrumError> {
+            let t = &self.traffic[t_idx];
+            let grid = self.arch.grid();
+            let params = self.arch.losses();
+            let dst = t.path().dst();
+            let direction = t.path().direction();
+
+            let mut loss = self.loss_to_node_entry(t_idx, channel, dst)?;
+            loss += self.stack_through_loss(dst, direction, channel, channel.index(), t_idx)?;
+            loss += self
+                .mr_element(dst, direction, channel)
+                .drop_loss(channel, grid, params);
+            let signal = (self.arch.laser().power_on() + loss).to_milliwatts();
+
+            let mut crosstalk = Milliwatts::ZERO;
+            let mut interferers = 0usize;
+            let victim_mr = self.mr_element(dst, direction, channel);
+            for (o_idx, other) in self.traffic.iter().enumerate() {
+                if other.path().direction() != direction || !other.path().reaches_receiver(dst) {
+                    continue;
+                }
+                for &ch in other.channels() {
+                    if o_idx == t_idx && ch == channel {
+                        continue;
+                    }
+                    let mut o_loss = self.loss_to_node_entry(o_idx, ch, dst)?;
+                    if self.model == CrosstalkModel::Elementwise {
+                        o_loss +=
+                            self.stack_through_loss(dst, direction, ch, channel.index(), o_idx)?;
+                    }
+                    o_loss += victim_mr.drop_loss(ch, grid, params);
+                    crosstalk += (self.arch.laser().power_on() + o_loss).to_milliwatts();
+                    interferers += 1;
+                }
+            }
+
+            let noise = crosstalk + self.arch.laser().power_off().to_milliwatts();
+            Ok(ReceiverReport {
+                transmission: t.id(),
+                channel,
+                signal,
+                crosstalk,
+                noise,
+                path_loss: loss,
+                interferers,
+            })
+        }
+
+        fn analyze_per_receiver(&self) -> Result<Vec<ReceiverReport>, SpectrumError> {
+            let mut reports = Vec::new();
+            for (t_idx, t) in self.traffic.iter().enumerate() {
+                for &ch in t.channels() {
+                    reports.push(self.analyze_receiver(t_idx, ch)?);
+                }
+            }
+            Ok(reports)
+        }
+    }
+
+    /// A report with every float replaced by its bit pattern, so `==` is
+    /// bit-for-bit equality.
+    fn report_bits(r: &ReceiverReport) -> (usize, WavelengthId, [u64; 4], usize) {
+        let floats = [
+            r.signal.value(),
+            r.crosstalk.value(),
+            r.noise.value(),
+            r.path_loss.value(),
+        ];
+        (
+            r.transmission,
+            r.channel,
+            floats.map(f64::to_bits),
+            r.interferers,
+        )
+    }
+
+    /// Random traffic on a `nodes`-node ring with an `nw`-channel comb:
+    /// `count` transmissions with random direction and endpoints, each on a
+    /// random set of one to four channels drawn from a narrow window of the
+    /// comb, so interceptions are common.
+    fn random_traffic(
+        a: &OnocArchitecture,
+        count: usize,
+        next: &mut impl FnMut(usize) -> usize,
+    ) -> Vec<Transmission> {
+        let nodes = a.ring().node_count();
+        let nw = a.grid().count();
+        let window = nw.min(1 + next(6));
+        let base = next(nw - window + 1);
+        (0..count)
+            .map(|id| {
+                let src = next(nodes);
+                let dst = (src + 1 + next(nodes - 1)) % nodes;
+                let direction = Direction::BOTH[next(2)];
+                let channels = (0..1 + next(4))
+                    .map(|_| WavelengthId(base + next(window)))
+                    .collect();
+                Transmission::new(id, a.route(NodeId(src), NodeId(dst), direction), channels)
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// One walk per lane reproduces the per-receiver walk bit for bit,
+        /// and fails with the same first error, under both crosstalk
+        /// models.
+        #[test]
+        fn lane_walks_match_the_per_receiver_walk(
+            nodes in 2usize..33,
+            nw in 1usize..33,
+            count in 1usize..9,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (rows, cols) = OnocArchitecture::near_square_grid(nodes);
+            let a = OnocArchitecture::builder()
+                .grid_dimensions(rows, cols)
+                .wavelengths(nw)
+                .build()
+                .unwrap();
+            let mut state = seed | 1;
+            let mut next = |bound: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % bound as u64) as usize
+            };
+            // Several traffic sets per case: collisions fail at
+            // construction, before either walk runs.
+            for _ in 0..8 {
+                let traffic = random_traffic(&a, count, &mut next);
+                for model in [CrosstalkModel::PaperFirstOrder, CrosstalkModel::Elementwise] {
+                    let Ok(engine) = SpectrumEngine::with_model(&a, &traffic, model) else {
+                        continue;
+                    };
+                    let walked = engine.analyze().map(|r| r.iter().map(report_bits).collect::<Vec<_>>());
+                    let oracle = engine
+                        .analyze_per_receiver()
+                        .map(|r| r.iter().map(report_bits).collect::<Vec<_>>());
+                    prop_assert_eq!(walked, oracle, "{} on {:?}", model, traffic);
+                }
+            }
+        }
+    }
 
     fn arch(nw: usize) -> OnocArchitecture {
         OnocArchitecture::paper_architecture(nw)

@@ -270,7 +270,9 @@ impl<'a> Evaluator<'a> {
     ///
     /// Execution time depends only on the wavelength *counts*, so greedy
     /// search loops that compare makespans can skip the spectrum walk —
-    /// roughly two orders of magnitude cheaper per candidate.
+    /// over an order of magnitude cheaper per candidate (about 25× on the
+    /// paper's 8-λ instance: 0.4 µs against 9.9 µs for
+    /// [`Evaluator::evaluate`] on a 2-vCPU x86-64 host).
     #[must_use]
     pub fn makespan(&self, allocation: &Allocation) -> Option<onoc_units::Cycles> {
         self.checker.check(allocation).ok()?;

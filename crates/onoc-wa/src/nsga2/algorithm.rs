@@ -193,14 +193,14 @@ impl<'e, 'i> Nsga2<'e, 'i> {
         let mut population: Vec<Individual> = Vec::with_capacity(self.config.population_size);
         if self.config.seed_with_heuristics {
             if let Ok(seeded) = crate::heuristics::first_fit(instance) {
-                population.push(self.score(seeded, &mut stats, &mut archive, &mut on_eval));
+                population.push(self.score(seeded, &[], &mut stats, &mut archive, &mut on_eval));
             }
         }
         while population.len() < self.config.population_size {
             let genes: Vec<bool> = (0..genes).map(|_| rng.random_bool(density)).collect();
             let allocation =
                 Allocation::from_genes(genes, nw).expect("generated genes are aligned");
-            population.push(self.score(allocation, &mut stats, &mut archive, &mut on_eval));
+            population.push(self.score(allocation, &[], &mut stats, &mut archive, &mut on_eval));
         }
         let mut fitness = self.rank_population(&population);
 
@@ -208,18 +208,25 @@ impl<'e, 'i> Nsga2<'e, 'i> {
             // Variation: tournament parents, two-point crossover, mutation.
             let mut offspring = Vec::with_capacity(self.config.population_size);
             while offspring.len() < self.config.population_size {
-                let pa = &population[binary_tournament(&mut rng, &fitness)].allocation;
-                let pb = &population[binary_tournament(&mut rng, &fitness)].allocation;
+                let pa = &population[binary_tournament(&mut rng, &fitness)];
+                let pb = &population[binary_tournament(&mut rng, &fitness)];
                 let (mut ca, mut cb) = if rng.random_bool(self.config.crossover_probability) {
-                    two_point_crossover(&mut rng, pa, pb)
+                    two_point_crossover(&mut rng, &pa.allocation, &pb.allocation)
                 } else {
-                    (pa.clone(), pb.clone())
+                    (pa.allocation.clone(), pb.allocation.clone())
                 };
                 bitflip_mutation(&mut rng, &mut ca, pm);
                 bitflip_mutation(&mut rng, &mut cb, pm);
-                offspring.push(self.score(ca, &mut stats, &mut archive, &mut on_eval));
+                let parents = [pa, pb];
+                offspring.push(self.score(ca, &parents, &mut stats, &mut archive, &mut on_eval));
                 if offspring.len() < self.config.population_size {
-                    offspring.push(self.score(cb, &mut stats, &mut archive, &mut on_eval));
+                    offspring.push(self.score(
+                        cb,
+                        &parents,
+                        &mut stats,
+                        &mut archive,
+                        &mut on_eval,
+                    ));
                 }
             }
 
@@ -250,14 +257,24 @@ impl<'e, 'i> Nsga2<'e, 'i> {
         }
     }
 
+    /// Scores a chromosome. One whose genes equal one of its `parents`'
+    /// takes that parent's objectives, as evaluation is a pure function of
+    /// the genes; it still counts as an evaluation everywhere.
     fn score(
         &self,
         allocation: Allocation,
+        parents: &[&Individual],
         stats: &mut Nsga2Stats,
         archive: &mut Archive,
         on_eval: &mut impl FnMut(&Allocation, Option<&Objectives>),
     ) -> Individual {
-        let objectives = self.evaluator.evaluate(&allocation);
+        let objectives = match parents
+            .iter()
+            .find(|p| p.allocation.genes() == allocation.genes())
+        {
+            Some(parent) => parent.objectives,
+            None => self.evaluator.evaluate(&allocation),
+        };
         stats.evaluations += 1;
         if let Some(o) = objectives {
             stats.valid_evaluations += 1;
