@@ -11,6 +11,10 @@
 //! Subcommands are thin lookups over [`onoc_exp::Registry`] and
 //! [`onoc_exp::run_spec`]; all experiment logic lives in the library.
 
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::Path;
+
 use onoc_exp::scenario::sweep_table;
 use onoc_exp::spec::{TRAFFIC_PATTERNS, traffic_pattern};
 use onoc_exp::{Registry, Report, RunContext, Scale, ScenarioSpec, bench, run_spec};
@@ -253,12 +257,38 @@ fn context(args: &[String]) -> Result<RunContext, String> {
     Ok(ctx)
 }
 
-fn emit(report: &Report, json: bool) {
-    if json {
-        println!("{}", report.to_json());
+/// Streams the report to stdout (JSON with a final newline) and returns
+/// the exit code. A reader that goes away early (`onoc ... | head`) ends
+/// the write quietly with 0; any other write error exits 1.
+fn emit(report: &Report, json: bool) -> i32 {
+    let mut out = BufWriter::new(io::stdout().lock());
+    let written = if json {
+        report
+            .write_json(&mut out)
+            .and_then(|()| out.write_all(b"\n"))
     } else {
-        print!("{}", report.render());
+        report.write_text(&mut out)
+    };
+    match written.and_then(|()| out.flush()) {
+        Ok(()) => 0,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("could not write the report to stdout: {e}");
+            1
+        }
     }
+}
+
+/// Writes the report to a new file at `path` through a buffer, flushing
+/// it explicitly so a failed last write is reported.
+fn write_report(path: &Path, report: &Report, json: bool) -> io::Result<()> {
+    let mut file = BufWriter::new(File::create(path)?);
+    if json {
+        report.write_json(&mut file)?;
+    } else {
+        report.write_text(&mut file)?;
+    }
+    file.flush()
 }
 
 // ---------------------------------------------------------- subcommands --
@@ -333,10 +363,7 @@ fn cmd_run(args: &[String]) -> i32 {
             }
         }
         return match run_spec(&spec, ctx.threads) {
-            Ok(report) => {
-                emit(&report, json);
-                0
-            }
+            Ok(report) => emit(&report, json),
             Err(e) => {
                 eprintln!("{e}");
                 1
@@ -365,8 +392,7 @@ fn cmd_run(args: &[String]) -> i32 {
         );
         return 2;
     };
-    emit(&experiment.run(&ctx), json);
-    0
+    emit(&experiment.run(&ctx), json)
 }
 
 /// Applies the `--fault-ber`/`--fault-seed`/`--transport`/`--heal-policy`
@@ -503,15 +529,11 @@ fn cmd_run_all(
             .and_then(|spec| run_spec(&spec, ctx.threads).map_err(|e| format!("{path_str}: {e}")));
         match outcome {
             Ok(report) => {
-                let (artifact, payload) = if json {
-                    (
-                        out_dir.join(format!("{stem}.report.json")),
-                        report.to_json(),
-                    )
-                } else {
-                    (out_dir.join(format!("{stem}.report.txt")), report.render())
-                };
-                if let Err(e) = std::fs::write(&artifact, payload) {
+                let artifact = out_dir.join(format!(
+                    "{stem}.report.{}",
+                    if json { "json" } else { "txt" }
+                ));
+                if let Err(e) = write_report(&artifact, &report, json) {
                     eprintln!(
                         "FAIL {path_str}: could not write {}: {e}",
                         artifact.display()
@@ -567,7 +589,7 @@ fn cmd_serve(args: &[String]) -> i32 {
         }
     };
     if let Some(out) = value_of(args, "--out") {
-        if let Err(e) = std::fs::write(&out, report.to_json()) {
+        if let Err(e) = write_report(Path::new(&out), &report, true) {
             eprintln!("could not write {out}: {e}");
             return 1;
         }
@@ -594,8 +616,7 @@ fn cmd_serve(args: &[String]) -> i32 {
             cost.full_nanos as f64 / cost.incremental_nanos.max(1) as f64,
         );
     }
-    emit(&report, json);
-    0
+    emit(&report, json)
 }
 
 /// The tracked benchmark: run the pinned scenario set, write the JSON
@@ -802,8 +823,7 @@ fn cmd_sweep(args: &[String]) -> i32 {
                 "Workers used: {} of {}.",
                 outcome.workers_used, outcome.threads
             ));
-            emit(&report, json);
-            0
+            emit(&report, json)
         }
         Err(message) => {
             eprintln!("{message}");

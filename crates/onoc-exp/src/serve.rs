@@ -229,13 +229,13 @@ fn service_table(outcome: &ServiceOutcome, service: &ServiceSpec) -> Table {
 }
 
 /// The full admission log, as a CSV-only artifact (one row per
-/// arrive/grant/release/block/defrag event).
+/// arrive/grant/release/block/defrag/move event), each event written
+/// straight into the table's body.
 fn admission_log_table(outcome: &ServiceOutcome) -> Table {
     let columns: Vec<&str> = ADMISSION_LOG_HEADER.split(',').collect();
     let mut table = Table::new("admission_log", &columns).csv_only();
-    let csv = outcome.admission_log_csv();
-    for line in csv.lines().skip(1) {
-        table.push_row(line.split(',').map(str::to_string).collect());
+    for event in &outcome.log {
+        table.push_csv_row(|body| event.write_csv_row(body));
     }
     table
 }

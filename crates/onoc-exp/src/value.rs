@@ -16,6 +16,7 @@
 //! (`parse(serialize(v)) == v`), which the spec tests assert
 //! property-style.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// A parsed configuration value.
@@ -571,7 +572,13 @@ fn unescape(raw: &str, line: usize) -> Result<String, ParseError> {
     Ok(out)
 }
 
-fn escape(s: &str) -> String {
+/// Escapes a string for a quoted TOML or JSON value. The one escaper:
+/// `Value::to_json` and the artifact writers both go through it, and a
+/// string with nothing to escape is returned as is.
+pub(crate) fn escape(s: &str) -> Cow<'_, str> {
+    if !s.contains(['"', '\\', '\n', '\t', '\r']) {
+        return Cow::Borrowed(s);
+    }
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -583,7 +590,7 @@ fn escape(s: &str) -> String {
             other => out.push(other),
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 /// Formats a float so it re-parses as a float (never as an integer).

@@ -203,3 +203,33 @@ fn a_ga_too_small_to_run_exits_1_and_names_the_key() {
         assert!(!stderr.contains("panicked"), "{setting}: {stderr}");
     }
 }
+
+const SERVE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../examples/scenario_serve.toml"
+);
+
+#[test]
+fn a_reader_that_closes_stdout_early_is_not_a_crash() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+    // Both artifacts are larger than a pipe buffer, so the writer is
+    // still mid-artifact when the reader goes away (`onoc ... | head -1`).
+    for args in [&["serve", "--spec", SERVE][..], &["run", "fig7", "--quick"]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_onoc"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("the onoc binary runs");
+        let mut first = String::new();
+        std::io::BufReader::new(child.stdout.take().unwrap())
+            .read_line(&mut first)
+            .unwrap();
+        assert!(!first.is_empty(), "{args:?} printed nothing");
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

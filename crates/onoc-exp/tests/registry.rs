@@ -1,10 +1,81 @@
 //! Registry completeness + golden CSV headers: every experiment named by
 //! `onoc list` must run (at smoke scale) and must emit its canonical
 //! machine-readable artifact under the documented header — downstream
-//! extraction scripts key on these.
+//! extraction scripts key on these. The same run pins each experiment's
+//! artifact bytes: an FNV-1a digest of the text rendering and of the
+//! JSON document, so a renderer change that moves one byte fails here.
+//! On a mismatch the test prints the whole observed table, ready to
+//! paste over `ARTIFACT_PINS` once a change of output is intended.
 
 use onoc_exp::{Registry, RunContext, Scale};
 use onoc_traffic::SweepOutcome;
+
+/// FNV-1a 64-bit digest of an artifact's bytes.
+fn fnv1a(bytes: &str) -> u64 {
+    bytes.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The text with each sweep narrative's "Workers used: N of M." count
+/// replaced by `_`: N counts the threads that found work, which depends
+/// on scheduling, so the digest covers every other byte.
+fn mask_worker_counts(text: &str) -> String {
+    const KEY: &str = "Workers used: ";
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) = rest.find(KEY) {
+        out.push_str(&rest[..at + KEY.len()]);
+        rest = rest[at + KEY.len()..].trim_start_matches(|c: char| c.is_ascii_digit());
+        out.push('_');
+    }
+    out.push_str(rest);
+    out
+}
+
+/// `(experiment, render() digest, to_json() digest)` at smoke scale,
+/// seed default, two threads; the text is digested through
+/// `mask_worker_counts`.
+const ARTIFACT_PINS: &[(&str, u64, u64)] = &[
+    ("table1", 0x566d1e60e9e37212, 0x997241b70f7b6a2c),
+    ("table2", 0xac7b0e0e6ee8dc97, 0x40369794e41cabf2),
+    ("fig6a", 0x8f38ea98f9ff6774, 0xac6f6424b18d40ac),
+    ("fig6b", 0x2d97c2332683aff5, 0xb5b2dc30e266d530),
+    ("fig7", 0x0660b0319f116e75, 0x664dae62520e1ecb),
+    ("anchors", 0xf9833767c362f252, 0x978cb249d59bffed),
+    ("sim-validation", 0x14dcd35bada2a346, 0x2cb59c9403f19e6c),
+    ("baselines", 0xcd7c73e56f347eaa, 0xf4e95baebc88b3ac),
+    ("ablation", 0x0ce9fd9adf5cdc25, 0x0ddcff8809358cfa),
+    ("mapping-explore", 0x00a9f8d21d04e1de, 0x3c837061a89de8ef),
+    ("moea-comparison", 0x8e8e2baaae930f5c, 0x74fc3bc42d5e80a6),
+    ("dynamic-vs-static", 0x1b501d28cd5521f9, 0xd56b06dbdcdba9f3),
+    ("traffic-sweep", 0xfc4db753c94f9a6f, 0x27e347be526f11b7),
+    ("saturation", 0x8d7a36de9d5e9c1b, 0x597f4ad00cb042ee),
+    (
+        "sustained-saturation",
+        0xed7b7ef31a10e20c,
+        0x05bd7b4b51f1407e,
+    ),
+    ("sustained-knee", 0xa60c8bdce45a5916, 0x512dc5075bc9f5d0),
+    ("energy-vs-load", 0xfc108e68f46db6b9, 0x098b13926f30c8ec),
+    (
+        "saturation-timeline",
+        0x699f07b9fb762956,
+        0x4613e8a5584ff04c,
+    ),
+    (
+        "reliability-vs-fault-rate",
+        0x87be318b7de19219,
+        0xa23c22b4fa0f6075,
+    ),
+    (
+        "self-healing-vs-outage",
+        0x769c727ae6794c7b,
+        0x7278c01f0da1ef1c,
+    ),
+    ("workload-sweep", 0xd337e9fc6a0f10c4, 0x44461aef37855e7c),
+    ("online-allocation", 0x64f8ecc0f1809fb3, 0xd8b9e5b83ce56b4c),
+];
 
 /// The canonical artifact per experiment: `(experiment, table, header)`.
 fn golden_headers() -> Vec<(&'static str, &'static str, String)> {
@@ -125,6 +196,7 @@ fn every_listed_experiment_runs_and_emits_its_golden_artifact() {
         "golden table must cover the whole registry"
     );
     let ctx = RunContext::new(Scale::Smoke).with_threads(2);
+    let mut observed = Vec::new();
     for (experiment_name, table_name, header) in &golden {
         let experiment = registry
             .get(experiment_name)
@@ -163,6 +235,18 @@ fn every_listed_experiment_runs_and_emits_its_golden_artifact() {
             rendered.contains(&format!("--- begin csv: {table_name} ---")),
             "{experiment_name} render lost the CSV fence"
         );
+        observed.push((
+            *experiment_name,
+            fnv1a(&mask_worker_counts(&rendered)),
+            fnv1a(&report.to_json()),
+        ));
+    }
+    if observed != ARTIFACT_PINS {
+        let rows: String = observed
+            .iter()
+            .map(|(name, text, json)| format!("    ({name:?}, {text:#018x}, {json:#018x}),\n"))
+            .collect();
+        panic!("experiment artifacts differ from the pins; observed:\n{rows}");
     }
 }
 
