@@ -436,7 +436,7 @@ pub fn history_line(records: &[BenchRecord], quick: bool, unix_ms: u64) -> Strin
 pub const MIN_GATE_MS: f64 = 10.0;
 
 /// Allowed relative drift of a scenario's mean pJ/bit against the
-/// baseline (the [`values_agree`] rule the artifact differ uses). The
+/// baseline (the `values_agree` rule the artifact differ uses). The
 /// simulation is deterministic under the pinned seeds, so drift here is
 /// a *model* change, not noise — the slack only absorbs the artifact's
 /// 4-decimal rounding.

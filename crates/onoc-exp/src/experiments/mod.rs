@@ -1,5 +1,5 @@
 //! The named paper experiments (E1–E13 of DESIGN.md §5 plus extensions),
-//! one [`Experiment`](crate::Experiment) per former `onoc-bench` binary.
+//! one [`Experiment`] per former `onoc-bench` binary.
 //!
 //! | name | former binary | artefact |
 //! |---|---|---|

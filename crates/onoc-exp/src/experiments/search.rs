@@ -1,7 +1,7 @@
 //! E8/E10/E11/E12 — baselines and search-strategy comparisons.
 
 use onoc_app::{MappedApplication, Mapping, RouteStrategy, workloads};
-use onoc_sim::{DynamicPolicy, DynamicSimulator};
+use onoc_sim::{DynamicPolicy, Simulator};
 use onoc_topology::{OnocArchitecture, RingTopology};
 use onoc_units::BitsPerCycle;
 use onoc_wa::local_search::{AnnealConfig, time_energy_weight_sweep, weighted_sum_front};
@@ -336,13 +336,15 @@ impl Experiment for DynamicVsStatic {
                 .1
                 .to_kilocycles();
             #[allow(clippy::cast_precision_loss)]
-            let single = DynamicSimulator::new(instance.app(), nw, rate, DynamicPolicy::Single)
-                .run()
+            let single = Simulator::dynamic(instance.app(), nw, rate, DynamicPolicy::Single)
+                .and_then(|sim| sim.run())
+                .expect("the paper instance simulates")
                 .makespan as f64
                 / 1000.0;
             let full =
-                DynamicSimulator::new(instance.app(), nw, rate, DynamicPolicy::Greedy { cap: nw })
-                    .run();
+                Simulator::dynamic(instance.app(), nw, rate, DynamicPolicy::Greedy { cap: nw })
+                    .and_then(|sim| sim.run())
+                    .expect("the paper instance simulates");
             #[allow(clippy::cast_precision_loss)]
             table.push_row(vec![
                 nw.to_string(),

@@ -486,7 +486,8 @@ impl Experiment for EnergyVsLoad {
 /// knee, showing ramp-up, saturation onset and the steady state that the
 /// run-total rows of `sustained-saturation` average away.
 ///
-/// Each rate's run attaches a [`TimeSeriesProbe`] and tabulates its
+/// Each rate's run attaches a
+/// [`TimeSeriesProbe`](onoc_sim::TimeSeriesProbe) and tabulates its
 /// window series: accepted throughput, stall fraction, gate backlog,
 /// in-flight transmissions, lane utilization and windowed Jain fairness
 /// over per-source accepted throughput.

@@ -12,9 +12,10 @@
 
 use onoc_app::{MappedApplication, Mapping, RouteStrategy, TaskGraph, workloads};
 use onoc_sim::{
-    AimdParams, ChromeTraceProbe, DynamicSimulator, EnergyProbe, EnergyReport, FaultPlan,
-    FlowEnergy, FlowMatrix, OpenLoopReport, OpenLoopSimulator, ReliabilityProbe, SimScratch,
-    StaticFlowMap, SynthesisSummary, TimeSeries, TimeSeriesProbe, TransportMode, WavelengthMode,
+    Activity, AimdParams, ChromeTraceProbe, EnergyProbe, EnergyReport, FaultPlan, FlowEnergy,
+    FlowMatrix, OpenLoopReport, OpenLoopSimulator, ReliabilityProbe, SimError, SimScratch,
+    Simulator, StaticFlowMap, SynthesisSummary, TimeSeries, TimeSeriesProbe, TransportMode,
+    WavelengthMode,
 };
 use onoc_topology::{OnocArchitecture, RingTopology};
 use onoc_traffic::{
@@ -264,8 +265,10 @@ fn run_closed_loop(spec: &ScenarioSpec, report: &mut Report) -> Result<(), Scena
             report.push_table(table);
         }
         AllocatorSpec::Dynamic { policy } => {
-            let sim = DynamicSimulator::new(instance.app(), spec.arch.wavelengths, rate(), *policy);
-            let outcome = sim.run();
+            let outcome =
+                Simulator::dynamic(instance.app(), spec.arch.wavelengths, rate(), *policy)
+                    .and_then(|sim| sim.run())
+                    .map_err(dynamic_err)?;
             let mut table = Table::new("dynamic", &["policy", "makespan_kcc", "blocked_attempts"]);
             table.push_row(vec![
                 policy.to_string(),
@@ -277,6 +280,28 @@ fn run_closed_loop(spec: &ScenarioSpec, report: &mut Report) -> Result<(), Scena
         other => unreachable!("spec validation rejects {} for closed loops", other.kind()),
     }
     Ok(())
+}
+
+/// A dynamic task-graph run's error, naming the spec key whose value
+/// does not fit the simulation.
+fn dynamic_err(e: SimError) -> ScenarioError {
+    let key = match e {
+        SimError::Overflow {
+            at: Activity::Task(_),
+        } => "workload.exec_kcc",
+        SimError::Overflow {
+            at: Activity::Comm(_),
+        } => "workload.volume_kbits",
+        SimError::RingTooLarge { .. } => "arch.nodes",
+        _ => {
+            return ScenarioError::Simulation {
+                message: e.to_string(),
+            };
+        }
+    };
+    ScenarioError::Simulation {
+        message: format!("`{key}` is too large: {e}"),
+    }
 }
 
 fn run_heuristic(

@@ -1,5 +1,5 @@
 //! The `onoc serve` driver: resolves a spec into a session workload and
-//! a [`ServiceConfig`](onoc_serve::ServiceConfig), runs the online
+//! a [`ServiceConfig`], runs the online
 //! allocation service, and shapes the outcome into a structured
 //! [`Report`].
 //!

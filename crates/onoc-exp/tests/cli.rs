@@ -233,3 +233,32 @@ fn a_reader_that_closes_stdout_early_is_not_a_crash() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+/// Runs a dynamic-allocator pipeline kernel whose `exec_kcc` or
+/// `volume_kbits` saturates a duration at `u64::MAX` cycles (its end
+/// cycle used to wrap around into a too-small makespan): the run must
+/// exit 1 and name `key`, without a panic.
+fn assert_time_overflow_names(exec: &str, volume: &str, key: &str) {
+    let toml = format!(
+        "name = \"overflow\"\nscale = \"smoke\"\n[arch]\nnodes = 16\nwavelengths = 4\n\
+         [workload]\nkind = \"kernel\"\nkernel = \"pipeline\"\nstages = 4\n\
+         exec_kcc = {exec}\nvolume_kbits = {volume}\n\
+         [allocator]\nkind = \"dynamic\"\npolicy = \"single\"\n"
+    );
+    let path = spec_file("overflow", &format!("{key}.toml"), &toml);
+    let out = onoc(&["run", "--spec", &path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{key}: {stderr}");
+    assert!(stderr.contains(&format!("`{key}`")), "{key}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{key}: {stderr}");
+}
+
+#[test]
+fn transfer_time_past_u64_exits_1_and_names_the_volume() {
+    assert_time_overflow_names("1.0", "1e300", "workload.volume_kbits");
+}
+
+#[test]
+fn task_time_past_u64_exits_1_and_names_the_exec_time() {
+    assert_time_overflow_names("1e300", "6.0", "workload.exec_kcc");
+}

@@ -24,7 +24,7 @@
 //! ([`TransportMode`](crate::TransportMode)): retransmit (go-back-N /
 //! PFC) or drop. Either way the engine emits [`DropFact`]s, `lost`,
 //! `recovered` and `lane_event` facts through
-//! [`SimProbe`](crate::SimProbe), and the [`ReliabilityProbe`] folds
+//! [`SimProbe`], and the [`ReliabilityProbe`] folds
 //! them into delivered-vs-retransmitted bits, goodput, recovery latency
 //! and per-lane downtime.
 

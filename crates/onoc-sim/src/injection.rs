@@ -1,6 +1,7 @@
 //! The injection-policy layer of the event core: how sources react (or
-//! don't) to network backpressure, and the wavelength arbiter both
-//! runtime simulators share.
+//! don't) to network backpressure, and the wavelength arbiter that
+//! runtime allocation shares between the task-graph and open-loop
+//! engines.
 //!
 //! The open-loop engine historically hard-wired open-loop semantics:
 //! every [`TrafficEvent`](crate::TrafficEvent) entered the network
@@ -28,13 +29,13 @@
 //!   by `1/factor`, pacing admissions without a hard window.
 //!
 //! Both closed-loop modes gate *admission into the network interface*;
-//! wavelength arbitration below the gate (dynamic claim/release or the
-//! static flow-map checker) is unchanged and shared with the open loop.
+//! wavelength arbitration below the gate (dynamic claims from the
+//! [`LaneArbiter`] under a [`DynamicPolicy`], or the static flow-map
+//! checker) is unchanged and shared with the open loop.
 
 use std::collections::VecDeque;
 
 use onoc_photonics::WavelengthId;
-use onoc_topology::RingPath;
 
 /// How sources inject: open loop, or one of two closed-loop policies.
 ///
@@ -175,16 +176,50 @@ impl AimdParams {
     }
 }
 
-/// The runtime wavelength arbiter shared by
-/// [`DynamicSimulator`](crate::DynamicSimulator) and the open/closed-loop
-/// engine: per-directed-segment busy masks with greedy lowest-index
-/// claims.
+/// How many wavelengths a ready transmission claims under runtime
+/// allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DynamicPolicy {
+    /// Claim exactly one free wavelength (classical dynamic lightpath
+    /// assignment; First-Fit over the free set).
+    Single,
+    /// Claim every free wavelength up to `cap` (burst mode — an idealised
+    /// upper bound on runtime allocation).
+    Greedy {
+        /// Maximum wavelengths per burst.
+        cap: usize,
+    },
+}
+
+impl DynamicPolicy {
+    /// Wavelengths a ready transmission asks the arbiter for.
+    #[must_use]
+    pub fn lane_demand(self) -> usize {
+        match self {
+            DynamicPolicy::Single => 1,
+            DynamicPolicy::Greedy { cap } => cap,
+        }
+    }
+}
+
+impl core::fmt::Display for DynamicPolicy {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            DynamicPolicy::Single => write!(f, "single"),
+            DynamicPolicy::Greedy { cap } => write!(f, "greedy(cap {cap})"),
+        }
+    }
+}
+
+/// The runtime wavelength arbiter shared by the task-graph
+/// [`Simulator`](crate::Simulator) and the open/closed-loop engine:
+/// per-directed-segment busy masks with greedy lowest-index claims.
 ///
 /// Segments index into the busy table through
-/// [`DirectedSegment::segment_index`], and the allocation-free mask API
-/// ([`LaneArbiter::claim_mask`] / [`LaneArbiter::release_mask`]) is the
-/// hot path; the `Vec<WavelengthId>` wrappers exist for callers that
-/// expose granted lane lists.
+/// [`DirectedSegment::segment_index`](onoc_topology::DirectedSegment::segment_index),
+/// and the claims are bit masks over the comb, so claiming and releasing
+/// allocate nothing; callers keep each route's segment indices in
+/// precomputed `u16` slices.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneArbiter {
     wavelengths: usize,
@@ -271,44 +306,14 @@ impl LaneArbiter {
             self.busy[seg as usize] &= !mask;
         }
     }
+}
 
-    /// Claims up to `want` lanes free on *every* segment of `path`
-    /// (lowest indices first), or `None` if not even one lane is free.
-    pub(crate) fn claim(&mut self, path: &RingPath, want: usize) -> Option<Vec<WavelengthId>> {
-        let mut free = self.all_mask() & !self.down;
-        if free == 0 {
-            return None;
-        }
-        for seg in path.segments() {
-            free &= !self.busy[seg.segment_index()];
-            if free == 0 {
-                return None;
-            }
-        }
-        let mut lanes = Vec::with_capacity(want);
-        let mut mask = 0u128;
-        for _ in 0..want {
-            if free == 0 {
-                break;
-            }
-            let lowest = free & free.wrapping_neg();
-            lanes.push(WavelengthId(lowest.trailing_zeros() as usize));
-            mask |= lowest;
-            free ^= lowest;
-        }
-        for seg in path.segments() {
-            self.busy[seg.segment_index()] |= mask;
-        }
-        Some(lanes)
-    }
-
-    /// Releases a claim made by [`LaneArbiter::claim`].
-    pub(crate) fn release(&mut self, path: &RingPath, lanes: &[WavelengthId]) {
-        let mask = lanes.iter().fold(0u128, |m, ch| m | (1 << ch.index()));
-        for seg in path.segments() {
-            self.busy[seg.segment_index()] &= !mask;
-        }
-    }
+/// The lanes of a claim mask, lowest first.
+pub(crate) fn mask_lanes(mask: u128) -> Vec<WavelengthId> {
+    (0..128)
+        .filter(|&lane| (mask >> lane) & 1 == 1)
+        .map(WavelengthId)
+        .collect()
 }
 
 /// Per-source injection state machine: the offered FIFO in front of the
@@ -466,7 +471,21 @@ impl SourceGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use onoc_topology::{NodeId, RingTopology};
+    use onoc_topology::{NodeId, RingPath, RingTopology};
+
+    fn segs(path: &RingPath) -> Vec<u16> {
+        path.segments().map(|s| s.segment_index() as u16).collect()
+    }
+
+    /// Claims on every segment of `path`, as a lane list.
+    fn claim(arb: &mut LaneArbiter, path: &RingPath, want: usize) -> Option<Vec<WavelengthId>> {
+        arb.claim_mask(&segs(path), want).map(mask_lanes)
+    }
+
+    fn release(arb: &mut LaneArbiter, path: &RingPath, lanes: &[WavelengthId]) {
+        let mask = lanes.iter().fold(0u128, |m, lane| m | 1 << lane.index());
+        arb.release_mask(&segs(path), mask);
+    }
 
     #[test]
     fn mode_names_and_closed_loop_flags() {
@@ -540,13 +559,16 @@ mod tests {
             ring.shortest_direction(NodeId(0), NodeId(2)),
         );
         let mut arb = LaneArbiter::new(8, 4);
-        let a = arb.claim(&path, 2).unwrap();
+        let a = claim(&mut arb, &path, 2).unwrap();
         assert_eq!(a, vec![WavelengthId(0), WavelengthId(1)]);
-        let b = arb.claim(&path, 4).unwrap();
+        let b = claim(&mut arb, &path, 4).unwrap();
         assert_eq!(b, vec![WavelengthId(2), WavelengthId(3)]);
-        assert!(arb.claim(&path, 1).is_none(), "comb exhausted on the path");
-        arb.release(&path, &a);
-        let c = arb.claim(&path, 1).unwrap();
+        assert!(
+            claim(&mut arb, &path, 1).is_none(),
+            "comb exhausted on the path"
+        );
+        release(&mut arb, &path, &a);
+        let c = claim(&mut arb, &path, 1).unwrap();
         assert_eq!(c, vec![WavelengthId(0)]);
     }
 
@@ -566,8 +588,8 @@ mod tests {
             onoc_topology::Direction::CounterClockwise,
         );
         let mut arb = LaneArbiter::new(8, 1);
-        assert!(arb.claim(&cw, 1).is_some());
-        assert!(arb.claim(&ccw, 1).is_some());
+        assert!(claim(&mut arb, &cw, 1).is_some());
+        assert!(claim(&mut arb, &ccw, 1).is_some());
     }
 
     #[test]
@@ -619,13 +641,13 @@ mod tests {
         );
         let mut arb = LaneArbiter::new(8, 2);
         arb.set_down(0, true);
-        let a = arb.claim(&path, 2).unwrap();
+        let a = claim(&mut arb, &path, 2).unwrap();
         assert_eq!(a, vec![WavelengthId(1)], "only the healthy lane grants");
-        arb.release(&path, &a);
+        release(&mut arb, &path, &a);
         arb.set_down(1, true);
-        assert!(arb.claim(&path, 1).is_none(), "whole comb down");
+        assert!(claim(&mut arb, &path, 1).is_none(), "whole comb down");
         arb.set_down(0, false);
-        assert_eq!(arb.claim(&path, 1).unwrap(), vec![WavelengthId(0)]);
+        assert_eq!(claim(&mut arb, &path, 1).unwrap(), vec![WavelengthId(0)]);
     }
 
     #[test]

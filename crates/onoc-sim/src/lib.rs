@@ -7,7 +7,10 @@
 //! * a task starts once every incoming communication has fully arrived and
 //!   occupies its core for its execution time,
 //! * a communication starts when its producer finishes and transmits
-//!   `⌈V / (NW·B)⌉` cycles over its allocated wavelengths,
+//!   `⌈V / (NW·B)⌉` cycles over its wavelengths: the ones a fixed
+//!   allocation gives it ([`Simulator::new`]), or the free ones it claims
+//!   along its path at runtime under a [`DynamicPolicy`]
+//!   ([`Simulator::dynamic`]), waiting for a release when none is free,
 //! * every in-flight communication *occupies* its wavelengths on every
 //!   waveguide segment of its path, and the simulator records any two
 //!   communications that ever hold the same wavelength on the same directed
@@ -51,7 +54,6 @@
 #![warn(missing_docs)]
 
 mod calendar;
-mod dynamic;
 mod energy;
 mod engine;
 mod fault;
@@ -63,15 +65,14 @@ mod report;
 mod telemetry;
 mod transport;
 
-pub use dynamic::{DynamicPolicy, DynamicReport, DynamicSimulator};
 pub use energy::{EnergyModel, EnergyProbe, EnergyReport, FlowEnergy, MRS_PER_NODE_PER_WAVELENGTH};
-pub use engine::{SimError, Simulator};
+pub use engine::{Activity, SimError, Simulator};
 pub use fault::{
     CorruptionModel, DropFact, FaultCause, FaultPlan, HealFact, LaneFault, ReliabilityProbe,
     ReliabilityReport, StochasticFaults, hash64, message_error_probability, unit_interval,
 };
 pub use flows::{FlowAllocPolicy, FlowMatrix, FlowSynthesisError, SynthesisSummary};
-pub use injection::{AimdParams, InjectionMode};
+pub use injection::{AimdParams, DynamicPolicy, InjectionMode};
 /// Re-exported so downstream crates can name heal policies without
 /// depending on `onoc-wa` directly.
 pub use onoc_wa::HealPolicy;
@@ -84,7 +85,5 @@ pub use report::{
     ChannelConflict, LatencyHistogram, LatencyStats, MsgId, MsgRecord, OpenLoopConflict,
     OpenLoopReport, SimReport,
 };
-pub use telemetry::{
-    ChromeTraceProbe, StreamingTimeSeriesProbe, TimeSeries, TimeSeriesProbe, WindowStats,
-};
+pub use telemetry::{ChromeTraceProbe, TimeSeries, TimeSeriesProbe, WindowStats};
 pub use transport::TransportMode;

@@ -1,9 +1,9 @@
 //! The open/closed-loop traffic engine: simulate *streams of timed
 //! messages* instead of a closed task graph.
 //!
-//! The task-graph simulators ([`Simulator`](crate::Simulator),
-//! [`DynamicSimulator`](crate::DynamicSimulator)) replay one application
-//! whose communications are gated by task dependencies. Saturation studies
+//! The task-graph [`Simulator`](crate::Simulator) replays one application
+//! whose communications are gated by task dependencies, on fixed or
+//! runtime-arbitrated lanes. Saturation studies
 //! (Dally & Towles ch. 23; Das et al., arXiv:1608.06972) instead drive the
 //! network with timed message streams, and the figure of merit is the
 //! latency distribution as offered load approaches capacity.
@@ -14,8 +14,8 @@
 //!
 //! * **Wavelength discipline** ([`WavelengthMode`]):
 //!   * **Dynamic** — runtime arbitration like
-//!     [`DynamicSimulator`](crate::DynamicSimulator): a message claims free
-//!     wavelengths along its whole path or waits. Every ONI keeps a FIFO
+//!     [`Simulator::dynamic`](crate::Simulator::dynamic): a message claims
+//!     free wavelengths along its whole path or waits. Every ONI keeps a FIFO
 //!     injection queue — a node's messages transmit in order (head-of-line
 //!     at the network interface), different nodes arbitrate independently.
 //!     Per-source queues keep retry work O(nodes) per release, so saturated
@@ -609,7 +609,7 @@ impl OpenLoopSimulator {
 
     /// The fully general entry point: caller-provided buffers, explicit
     /// [`ReportMode`], and an attached [`SimProbe`]. The probe receives
-    /// every engine fact; a [`NullProbe`](crate::NullProbe) run
+    /// every engine fact; a [`NullProbe`] run
     /// monomorphises to the probe-free engine, and the steady-state admit
     /// path stays allocation-free as long as the probe's does.
     ///

@@ -39,16 +39,24 @@ impl core::fmt::Display for ChannelConflict {
     }
 }
 
-/// The outcome of one simulation run.
+/// The outcome of one task-graph simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Cycle at which the last task completed (the measured makespan).
     pub makespan: u64,
     /// Per task: `[start, end)` of its execution, task id order.
     pub task_spans: Vec<(u64, u64)>,
-    /// Per communication: `[start, end)` of its transmission, comm id order.
+    /// Per communication: `[start, end)` of its transmission, comm id
+    /// order (excluding any time spent waiting for lanes).
     pub comm_spans: Vec<(u64, u64)>,
-    /// Runtime wavelength collisions (empty for §III-D-valid allocations).
+    /// The lanes each communication held, comm id order: its allocation
+    /// under fixed lanes, its runtime grant under arbitration.
+    pub granted: Vec<Vec<WavelengthId>>,
+    /// Times a ready communication found no free lane and waited for a
+    /// release (0 under fixed lanes).
+    pub blocked_attempts: usize,
+    /// Runtime wavelength collisions (empty for §III-D-valid allocations,
+    /// and under runtime arbitration by construction).
     pub conflicts: Vec<ChannelConflict>,
     /// Busy cycles accumulated per directed segment (summed over
     /// wavelengths), for utilisation studies.
@@ -552,6 +560,8 @@ mod tests {
             makespan: 100,
             task_spans: vec![],
             comm_spans: vec![],
+            granted: vec![],
+            blocked_attempts: 0,
             conflicts: vec![],
             segment_busy: vec![(seg(0), 50), (seg(1), 200)],
         };
@@ -662,6 +672,8 @@ mod tests {
             makespan: 0,
             task_spans: vec![],
             comm_spans: vec![],
+            granted: vec![],
+            blocked_attempts: 0,
             conflicts: vec![],
             segment_busy: vec![],
         };

@@ -12,10 +12,6 @@
 //!   fairness index over per-source accepted bits; plus per-source
 //!   latency histograms (the 513-bin [`LatencyHistogram`]) and
 //!   per-flow retired-bit totals.
-//! * [`StreamingTimeSeriesProbe`] — the same windowed fold, but bins
-//!   are emitted through a callback as soon as no in-flight
-//!   transmission can still write into them, so memory is `O(open
-//!   windows)` instead of `O(horizon / window)`.
 //! * [`ChromeTraceProbe`] — retirements as Chrome trace-event
 //!   ("Perfetto") duration events, one track per source, loadable in
 //!   `ui.perfetto.dev`; fault runs additionally carry drop instants,
@@ -55,8 +51,6 @@
 //! ([`TimeSeriesProbe::with_horizon_hint`]), so a hinted probe keeps the
 //! zero-alloc admit path allocation-free (the counting-allocator
 //! regression test runs with one attached).
-
-use std::collections::VecDeque;
 
 use onoc_topology::NodeId;
 
@@ -394,6 +388,26 @@ impl TimeSeriesProbe {
         &mut self.bins[idx]
     }
 
+    /// Spreads the busy interval `[start, end)` of a transmission on
+    /// `lanes` lanes over `hops` segments across every window it
+    /// overlaps.
+    #[inline]
+    fn spread(&mut self, (start, end): (u64, u64), lanes: usize, hops: usize) {
+        if end <= start {
+            return;
+        }
+        let (lanes, hops) = (lanes as u64, hops as u64);
+        let last = self.bin_index(end - 1);
+        for idx in self.bin_index(start)..=last {
+            let w_start = idx as u64 * self.window;
+            let w_end = w_start + self.window;
+            let overlap = end.min(w_end) - start.max(w_start);
+            let b = self.ensure_bin(idx);
+            b.lane_cycles += overlap * lanes;
+            b.seg_cycles += overlap * lanes * hops;
+        }
+    }
+
     /// Assembles the time series of the observed run.
     #[must_use]
     #[allow(clippy::cast_precision_loss)]
@@ -495,21 +509,7 @@ impl SimProbe for TimeSeriesProbe {
     fn completed(&mut self, fact: TxFact) {
         let end_bin = self.bin_index(fact.end);
         self.ensure_bin(end_bin).completed += 1;
-        if fact.end == fact.start {
-            return;
-        }
-        // Spread the busy interval over every window it overlaps.
-        let lanes = fact.lane_count() as u64;
-        let hops = fact.hops as u64;
-        let last = self.bin_index(fact.end - 1);
-        for idx in self.bin_index(fact.start)..=last {
-            let w_start = idx as u64 * self.window;
-            let w_end = w_start + self.window;
-            let overlap = fact.end.min(w_end) - fact.start.max(w_start);
-            let b = self.ensure_bin(idx);
-            b.lane_cycles += overlap * lanes;
-            b.seg_cycles += overlap * lanes * hops;
-        }
+        self.spread((fact.start, fact.end), fact.lane_count(), fact.hops);
     }
 
     #[inline]
@@ -519,19 +519,7 @@ impl SimProbe for TimeSeriesProbe {
         b.retransmitted_bits += fact.bits;
         // The failed attempt drove its lanes for the full span: spread
         // the busy interval exactly as a completion would.
-        if fact.end > fact.start {
-            let lanes = fact.lane_count() as u64;
-            let hops = fact.hops as u64;
-            let last = self.bin_index(fact.end - 1);
-            for idx in self.bin_index(fact.start)..=last {
-                let w_start = idx as u64 * self.window;
-                let w_end = w_start + self.window;
-                let overlap = fact.end.min(w_end) - fact.start.max(w_start);
-                let b = self.ensure_bin(idx);
-                b.lane_cycles += overlap * lanes;
-                b.seg_cycles += overlap * lanes * hops;
-            }
-        }
+        self.spread((fact.start, fact.end), fact.lane_count(), fact.hops);
     }
 
     #[inline]
@@ -565,316 +553,6 @@ impl SimProbe for TimeSeriesProbe {
         if horizon > 0 {
             let last = self.bin_index(horizon - 1);
             self.ensure_bin(last);
-        }
-    }
-}
-
-/// One open window of a [`StreamingTimeSeriesProbe`]: the fold bin, the
-/// per-source retired-bit row (fairness), and the number of
-/// transmissions started in the window that have not yet completed or
-/// dropped (they may still write lane cycles back into it).
-#[derive(Debug)]
-struct BinSlot {
-    bin: WindowBin,
-    src_bits: Vec<f64>,
-    /// Per-flow (`src × nodes + dst`) retired bits (flow fairness).
-    flow_bits: Vec<f64>,
-    open_starts: u32,
-}
-
-/// The emit-on-window-close variant of [`TimeSeriesProbe`]: every
-/// [`WindowStats`] is pushed through a callback as soon as the run has
-/// moved past the window *and* no transmission that started in it is
-/// still in flight (an open span writes its lane cycles back at
-/// completion). Memory is `O(open windows × nodes)` regardless of the
-/// horizon, so day-long traces fold in constant space.
-///
-/// The emitted stats are bin-for-bin identical to the batch probe's
-/// [`TimeSeriesProbe::report`] windows (proptested), minus the
-/// per-source/per-flow aggregate vectors, which a constant-space fold
-/// cannot retain per window.
-pub struct StreamingTimeSeriesProbe<F: FnMut(&WindowStats)> {
-    window: u64,
-    nodes: usize,
-    wavelengths: usize,
-    emit: F,
-    /// Open bins; the front is absolute bin index `emitted`.
-    slots: VecDeque<BinSlot>,
-    /// Recycled slots (their buffers keep capacity).
-    free: Vec<BinSlot>,
-    /// Windows already emitted (= absolute index of the front slot).
-    emitted: u64,
-    /// Running cumulative counts over emitted *and* open bins are not
-    /// enough for the end-of-window gauges — these cover emitted bins
-    /// only, and each emission folds its own bin in before deriving
-    /// the gauges.
-    cum_offered: u64,
-    cum_admitted: u64,
-    cum_started: u64,
-    cum_completed: u64,
-    cum_failed: u64,
-    horizon: u64,
-    last_injection: u64,
-}
-
-impl<F: FnMut(&WindowStats)> core::fmt::Debug for StreamingTimeSeriesProbe<F> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("StreamingTimeSeriesProbe")
-            .field("window", &self.window)
-            .field("emitted", &self.emitted)
-            .field("open", &self.slots.len())
-            .finish()
-    }
-}
-
-impl<F: FnMut(&WindowStats)> StreamingTimeSeriesProbe<F> {
-    /// A streaming probe with `window`-cycle bins; `emit` receives each
-    /// closed window in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    #[must_use]
-    pub fn new(window: u64, nodes: usize, wavelengths: usize, emit: F) -> Self {
-        assert!(window > 0, "the telemetry window must be at least 1 cycle");
-        Self {
-            window,
-            nodes,
-            wavelengths,
-            emit,
-            slots: VecDeque::new(),
-            free: Vec::new(),
-            emitted: 0,
-            cum_offered: 0,
-            cum_admitted: 0,
-            cum_started: 0,
-            cum_completed: 0,
-            cum_failed: 0,
-            horizon: 0,
-            last_injection: 0,
-        }
-    }
-
-    /// Windows emitted so far.
-    #[must_use]
-    pub fn windows_emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Comb size the probe was built for.
-    #[must_use]
-    pub fn wavelengths(&self) -> usize {
-        self.wavelengths
-    }
-
-    /// Open (not yet emitted) windows currently held.
-    #[must_use]
-    pub fn open_windows(&self) -> usize {
-        self.slots.len()
-    }
-
-    #[allow(clippy::cast_possible_truncation)]
-    fn bin_index(&self, cycle: u64) -> u64 {
-        cycle / self.window
-    }
-
-    /// The slot of absolute bin `idx`, growing the open deque.
-    fn slot_mut(&mut self, idx: u64) -> &mut BinSlot {
-        debug_assert!(idx >= self.emitted, "bin already emitted");
-        #[allow(clippy::cast_possible_truncation)]
-        let off = (idx - self.emitted) as usize;
-        while self.slots.len() <= off {
-            let mut slot = self.free.pop().unwrap_or_else(|| BinSlot {
-                bin: WindowBin::default(),
-                src_bits: vec![0.0; self.nodes],
-                flow_bits: vec![0.0; self.nodes * self.nodes],
-                open_starts: 0,
-            });
-            slot.bin = WindowBin::default();
-            slot.src_bits.fill(0.0);
-            slot.src_bits.resize(self.nodes, 0.0);
-            slot.flow_bits.fill(0.0);
-            slot.flow_bits.resize(self.nodes * self.nodes, 0.0);
-            slot.open_starts = 0;
-            self.slots.push_back(slot);
-        }
-        &mut self.slots[off]
-    }
-
-    /// Emits every leading window the run has fully moved past
-    /// (`now ≥` its end) with no open transmission left inside it.
-    fn drain_closed(&mut self, now: u64) {
-        while let Some(front) = self.slots.front() {
-            let end = (self.emitted + 1) * self.window;
-            if now < end || front.open_starts > 0 {
-                break;
-            }
-            self.emit_front();
-        }
-    }
-
-    /// Folds and emits the front slot unconditionally.
-    #[allow(clippy::cast_precision_loss)]
-    fn emit_front(&mut self) {
-        let slot = self.slots.pop_front().expect("caller checked front");
-        let bin = &slot.bin;
-        self.cum_offered += bin.offered;
-        self.cum_admitted += bin.admitted;
-        self.cum_started += bin.started;
-        self.cum_completed += bin.completed;
-        self.cum_failed += bin.failed;
-        let sum: f64 = slot.src_bits.iter().sum();
-        let sq: f64 = slot.src_bits.iter().map(|x| x * x).sum();
-        let fairness = if sum > 0.0 {
-            sum * sum / (self.nodes as f64 * sq)
-        } else {
-            1.0
-        };
-        let flow_fairness = jain_over_active(&slot.flow_bits);
-        let stats = WindowStats {
-            start: self.emitted * self.window,
-            offered: bin.offered,
-            admitted: bin.admitted,
-            started: bin.started,
-            completed: bin.completed,
-            retired: bin.retired,
-            retired_bits: bin.retired_bits,
-            stall_cycles: bin.stall_cycles,
-            ecn_marks: bin.ecn_marks,
-            lane_cycles: bin.lane_cycles,
-            seg_cycles: bin.seg_cycles,
-            failed: bin.failed,
-            retransmitted_bits: bin.retransmitted_bits,
-            lost: bin.lost,
-            gate_held: self.cum_offered.saturating_sub(self.cum_admitted),
-            queue_depth: self.cum_admitted.saturating_sub(self.cum_started),
-            in_flight: self
-                .cum_started
-                .saturating_sub(self.cum_completed + self.cum_failed),
-            fairness,
-            flow_fairness,
-        };
-        (self.emit)(&stats);
-        self.emitted += 1;
-        self.free.push(slot);
-    }
-
-    /// Spreads a span's lane/segment cycles over the windows it
-    /// overlaps.
-    fn spread(&mut self, start: u64, end: u64, lanes: u64, hops: u64) {
-        if end == start {
-            return;
-        }
-        let window = self.window;
-        let last = self.bin_index(end - 1);
-        for idx in self.bin_index(start).max(self.emitted)..=last {
-            let w_start = idx * window;
-            let w_end = w_start + window;
-            let overlap = end.min(w_end) - start.max(w_start);
-            let b = &mut self.slot_mut(idx).bin;
-            b.lane_cycles += overlap * lanes;
-            b.seg_cycles += overlap * lanes * hops;
-        }
-    }
-}
-
-impl<F: FnMut(&WindowStats)> SimProbe for StreamingTimeSeriesProbe<F> {
-    #[inline]
-    fn offered(&mut self, time: u64, _src: NodeId) {
-        // Offers can arrive ahead of the event clock (the engine pulls
-        // due source events in batches), so they only book — emission is
-        // driven by the processed-event hooks below.
-        self.slot_mut(self.bin_index(time)).bin.offered += 1;
-        self.last_injection = self.last_injection.max(time);
-    }
-
-    #[inline]
-    fn admitted(&mut self, now: u64, stall: u64, _src: NodeId) {
-        let b = &mut self.slot_mut(self.bin_index(now)).bin;
-        b.admitted += 1;
-        b.stall_cycles += stall;
-        self.drain_closed(now);
-    }
-
-    #[inline]
-    fn started(&mut self, fact: TxFact) {
-        let slot = self.slot_mut(self.bin_index(fact.start));
-        slot.bin.started += 1;
-        if fact.marked {
-            slot.bin.ecn_marks += 1;
-        }
-        slot.open_starts += 1;
-        self.drain_closed(fact.start);
-    }
-
-    #[inline]
-    fn completed(&mut self, fact: TxFact) {
-        self.slot_mut(self.bin_index(fact.end)).bin.completed += 1;
-        self.spread(
-            fact.start,
-            fact.end,
-            fact.lane_count() as u64,
-            fact.hops as u64,
-        );
-        let start_slot = self.slot_mut(self.bin_index(fact.start));
-        debug_assert!(start_slot.open_starts > 0, "completion without start");
-        start_slot.open_starts -= 1;
-        self.drain_closed(fact.end);
-    }
-
-    #[inline]
-    fn dropped(&mut self, fact: DropFact) {
-        {
-            let b = &mut self.slot_mut(self.bin_index(fact.end)).bin;
-            b.failed += 1;
-            b.retransmitted_bits += fact.bits;
-        }
-        self.spread(
-            fact.start,
-            fact.end,
-            fact.lane_count() as u64,
-            fact.hops as u64,
-        );
-        let start_slot = self.slot_mut(self.bin_index(fact.start));
-        debug_assert!(start_slot.open_starts > 0, "drop without start");
-        start_slot.open_starts -= 1;
-        self.drain_closed(fact.end);
-    }
-
-    #[inline]
-    fn lost(&mut self, record: &MsgRecord, _volume_bits: f64, _attempts: u32) {
-        self.slot_mut(self.bin_index(record.completed)).bin.lost += 1;
-        self.drain_closed(record.completed);
-    }
-
-    #[inline]
-    fn retired(&mut self, record: &MsgRecord, volume_bits: f64, _hops: usize) {
-        let src = record.src.0;
-        let flow = src * self.nodes + record.dst.0;
-        let slot = self.slot_mut(self.bin_index(record.completed));
-        slot.bin.retired += 1;
-        slot.bin.retired_bits += volume_bits;
-        slot.src_bits[src] += volume_bits;
-        slot.flow_bits[flow] += volume_bits;
-        self.drain_closed(record.completed);
-    }
-
-    #[inline]
-    fn lane_event(&mut self, now: u64, _lane: usize, _down: bool) {
-        self.drain_closed(now);
-    }
-
-    #[inline]
-    fn finished(&mut self, horizon: u64, last_injection: u64) {
-        self.horizon = horizon;
-        self.last_injection = last_injection;
-        // Materialise trailing idle windows, then flush everything —
-        // nothing can write into any bin after the final horizon.
-        if horizon > 0 {
-            self.slot_mut(self.bin_index(horizon - 1));
-        }
-        while !self.slots.is_empty() {
-            self.emit_front();
         }
     }
 }
@@ -1242,78 +920,6 @@ mod tests {
     #[should_panic(expected = "window must be at least 1")]
     fn zero_window_panics() {
         let _ = TimeSeriesProbe::new(0, 4, 1);
-    }
-
-    /// Replays the same fact stream into the batch and streaming probes
-    /// and checks every emitted window field-for-field.
-    fn assert_streaming_matches_batch(feed: impl Fn(&mut dyn SimProbe)) {
-        let mut batch = TimeSeriesProbe::new(10, 4, 2);
-        feed(&mut batch);
-        let series = batch.report();
-        let mut emitted: Vec<WindowStats> = Vec::new();
-        let mut streaming = StreamingTimeSeriesProbe::new(10, 4, 2, |w: &WindowStats| {
-            emitted.push(*w);
-        });
-        feed(&mut streaming);
-        drop(streaming);
-        assert_eq!(emitted.len(), series.windows.len());
-        for (got, want) in emitted.iter().zip(&series.windows) {
-            assert_eq!(got, want, "window at {}", want.start);
-        }
-    }
-
-    #[test]
-    fn streaming_windows_match_batch_report() {
-        assert_streaming_matches_batch(|p| {
-            p.offered(2, NodeId(0));
-            p.admitted(3, 1, NodeId(0));
-            p.started(fact(5, 25, 0b11, 2, 0, 2));
-            p.completed(fact(5, 25, 0b11, 2, 0, 2));
-            p.retired(&record(0, 2, 2, 25), 40.0, 2);
-            p.finished(25, 2);
-        });
-        // Overlapping spans, a drop, a loss, and trailing idle windows.
-        assert_streaming_matches_batch(|p| {
-            p.offered(0, NodeId(1));
-            p.admitted(0, 0, NodeId(1));
-            p.started(fact(0, 14, 0b1, 3, 1, 0));
-            p.offered(4, NodeId(2));
-            p.admitted(6, 2, NodeId(2));
-            p.started(fact(6, 9, 0b10, 1, 2, 3));
-            p.dropped(DropFact {
-                start: 6,
-                end: 9,
-                lanes: 0b10,
-                hops: 1,
-                src: NodeId(2),
-                dst: NodeId(3),
-                bits: 16.0,
-                cause: FaultCause::Corrupt,
-                attempt: 1,
-            });
-            p.completed(fact(0, 14, 0b1, 3, 1, 0));
-            p.retired(&record(1, 0, 0, 14), 14.0, 3);
-            p.lost(&record(2, 3, 4, 31), 16.0, 2);
-            p.finished(55, 4);
-        });
-    }
-
-    #[test]
-    fn streaming_emits_window_only_after_open_span_closes() {
-        let mut closed = Vec::new();
-        let mut probe = StreamingTimeSeriesProbe::new(10, 2, 1, |w: &WindowStats| {
-            closed.push(w.start);
-        });
-        probe.started(fact(5, 35, 1, 1, 0, 1));
-        // A retirement deep in window 3 cannot flush window 0 while the
-        // span that started there is still open.
-        probe.retired(&record(1, 0, 30, 34), 8.0, 1);
-        assert_eq!(probe.windows_emitted(), 0);
-        probe.completed(fact(5, 35, 1, 1, 0, 1));
-        assert_eq!(probe.windows_emitted(), 3);
-        probe.finished(35, 5);
-        drop(probe);
-        assert_eq!(closed, vec![0, 10, 20, 30]);
     }
 
     #[test]

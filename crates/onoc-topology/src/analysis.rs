@@ -1,6 +1,6 @@
 //! Application-independent worst-case / average crosstalk analysis.
 //!
-//! Nikdast et al. (cited as [10] by the paper) bound the crosstalk of an
+//! Nikdast et al. (cited as \[10\] by the paper) bound the crosstalk of an
 //! ONoC at design time by assuming every other wavelength is always active
 //! at the least favourable position. The paper argues that such bounds are
 //! "not sufficient if targeting a performance/energy trade-off for a

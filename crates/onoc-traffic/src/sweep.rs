@@ -8,7 +8,7 @@
 //!
 //! Determinism: each scenario's traffic seed derives from
 //! `(grid seed, scenario index)` through the splittable
-//! [`TrafficRng`](crate::TrafficRng), and results are written back by
+//! [`TrafficRng`], and results are written back by
 //! scenario index — so the outcome is bit-identical for 1, 4 or 64
 //! worker threads. The only thread-dependent value is the
 //! [`SweepOutcome::workers_used`] head-count kept as run metadata.

@@ -1,4 +1,4 @@
-//! NSGA-II (Deb et al. [4]) specialised to wavelength allocation.
+//! NSGA-II (Deb et al. \[4\]) specialised to wavelength allocation.
 //!
 //! The paper evolves a population of 400 binary chromosomes over 300
 //! generations, marking §III-D-violating individuals with infinite fitness.

@@ -20,9 +20,10 @@
 //! * [`wa`] — the paper's contribution: multi-objective wavelength
 //!   allocation (NSGA-II), validity constraints, objectives, heuristic
 //!   baselines, exhaustive oracles and the mapping-search extension,
-//! * [`exp`] — the experiment layer: declarative [`ScenarioSpec`]s
-//!   (TOML/JSON), the registry of named paper experiments, structured
-//!   table/CSV/JSON artifacts, and the `onoc` CLI.
+//! * [`exp`] — the experiment layer: declarative
+//!   [`ScenarioSpec`](exp::ScenarioSpec)s (TOML/JSON), the registry of
+//!   named paper experiments, structured table/CSV/JSON artifacts, and
+//!   the `onoc` CLI.
 //!
 //! # Quickstart
 //!

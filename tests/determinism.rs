@@ -107,17 +107,18 @@ fn workload_generators_are_seed_deterministic() {
 
 #[test]
 fn dynamic_simulator_is_pure() {
-    use ring_wdm_onoc::sim::{DynamicPolicy, DynamicSimulator};
+    use ring_wdm_onoc::sim::DynamicPolicy;
 
     let instance = ProblemInstance::paper_with_wavelengths(8);
     let run = || {
-        DynamicSimulator::new(
+        Simulator::dynamic(
             instance.app(),
             8,
             instance.options().rate,
             DynamicPolicy::Greedy { cap: 4 },
         )
-        .run()
+        .and_then(|sim| sim.run())
+        .unwrap()
     };
     assert_eq!(run(), run());
 }

@@ -2,7 +2,7 @@
 //! allocator, across the facade.
 
 use ring_wdm_onoc::prelude::*;
-use ring_wdm_onoc::sim::{DynamicPolicy, DynamicSimulator};
+use ring_wdm_onoc::sim::DynamicPolicy;
 use ring_wdm_onoc::wa::exhaustive;
 
 #[test]
@@ -11,13 +11,14 @@ fn full_burst_dynamic_bounds_the_static_optimum_from_below() {
         let instance = ProblemInstance::paper_with_wavelengths(nw);
         let evaluator = instance.evaluator();
         let (_, static_best) = exhaustive::time_optimal_counts(&instance, &evaluator);
-        let dynamic = DynamicSimulator::new(
+        let dynamic = Simulator::dynamic(
             instance.app(),
             nw,
             instance.options().rate,
             DynamicPolicy::Greedy { cap: nw },
         )
-        .run();
+        .and_then(|sim| sim.run())
+        .unwrap();
         assert!(
             (dynamic.makespan as f64) <= static_best.value() + 1e-9,
             "NW = {nw}: dynamic {} should lower-bound static {static_best}",
@@ -38,13 +39,14 @@ fn single_lane_dynamic_equals_the_frugal_static_schedule_when_uncontended() {
         .unwrap()
         .run()
         .unwrap();
-    let dynamic = DynamicSimulator::new(
+    let dynamic = Simulator::dynamic(
         instance.app(),
         4,
         instance.options().rate,
         DynamicPolicy::Single,
     )
-    .run();
+    .and_then(|sim| sim.run())
+    .unwrap();
     assert_eq!(dynamic.makespan, static_run.makespan);
     assert_eq!(dynamic.blocked_attempts, 0);
 }
@@ -52,13 +54,14 @@ fn single_lane_dynamic_equals_the_frugal_static_schedule_when_uncontended() {
 #[test]
 fn dynamic_single_on_one_wavelength_serialises() {
     let instance = ProblemInstance::paper_with_wavelengths(1);
-    let dynamic = DynamicSimulator::new(
+    let dynamic = Simulator::dynamic(
         instance.app(),
         1,
         instance.options().rate,
         DynamicPolicy::Single,
     )
-    .run();
+    .and_then(|sim| sim.run())
+    .unwrap();
     assert!(dynamic.blocked_attempts > 0);
     assert!(dynamic.makespan > 38_000);
     assert!(dynamic.conflicts.is_empty());
@@ -72,13 +75,14 @@ fn dynamic_gap_shrinks_as_the_comb_grows() {
         let instance = ProblemInstance::paper_with_wavelengths(nw);
         let evaluator = instance.evaluator();
         let (_, static_best) = exhaustive::time_optimal_counts(&instance, &evaluator);
-        let dynamic = DynamicSimulator::new(
+        let dynamic = Simulator::dynamic(
             instance.app(),
             nw,
             instance.options().rate,
             DynamicPolicy::Greedy { cap: nw },
         )
-        .run();
+        .and_then(|sim| sim.run())
+        .unwrap();
         static_best.value() - dynamic.makespan as f64
     };
     let gap4 = gap(4);
