@@ -819,10 +819,6 @@ fn cmd_sweep(args: &[String]) -> i32 {
                 grid.seed
             ));
             report.push_table(sweep_table("sweep", &outcome));
-            report.push_text(format!(
-                "Workers used: {} of {}.",
-                outcome.workers_used, outcome.threads
-            ));
             emit(&report, json)
         }
         Err(message) => {

@@ -47,21 +47,19 @@ impl Experiment for TrafficSweep {
             grid.wavelengths[0], ctx.seed
         ));
         report.push_text(format!(
-            "{} patterns × {} rates = {} scenarios over {} worker threads",
+            "{} patterns × {} rates = {} scenarios",
             grid.patterns.len(),
             grid.injection_rates.len(),
-            grid.scenarios().len(),
-            ctx.threads
+            grid.scenarios().len()
         ));
         let outcome = run_sweep(&grid, ctx.threads);
         report.push_table(sweep_table("traffic_sweep", &outcome));
-        report.push_text(format!(
+        report.push_text(
             "Reading: below saturation accepted ≈ offered and latency stays at\n\
              the transmission time; past the knee the queue grows over the whole\n\
              injection window, mean and p99 latency blow up, and accepted\n\
-             throughput plateaus at ring capacity. Workers used: {} of {}.",
-            outcome.workers_used, outcome.threads
-        ));
+             throughput plateaus at ring capacity.",
+        );
         report
     }
 }
@@ -130,14 +128,12 @@ impl Experiment for Saturation {
                 "occupancy",
             ],
         );
-        let mut workers_seen = 0usize;
         for (label, grid) in [
             ("uniform", &base),
             ("bursty", &bursty),
             ("hotspot", &hotspot),
         ] {
             let outcome = run_sweep(grid, ctx.threads);
-            workers_seen = workers_seen.max(outcome.workers_used);
             for r in &outcome.results {
                 table.push_row(vec![
                     r.scenario.wavelengths.to_string(),
@@ -151,15 +147,13 @@ impl Experiment for Saturation {
             }
         }
         report.push_table(table);
-        report.push_text(format!(
+        report.push_text(
             "Reading: uniform traffic saturates the 1-λ comb (latency explodes,\n\
              accepted < offered) and smooths out by 8–16 λ; bursty arrivals keep\n\
              a long p99 tail even with spectrum to spare; the hotspot workload\n\
              stays congested at every comb size because the victim's two ingress\n\
-             waveguides — not wavelengths — are the bottleneck. Workers used: \
-             {workers_seen} of {}.",
-            ctx.threads
-        ));
+             waveguides — not wavelengths — are the bottleneck.",
+        );
         report
     }
 }

@@ -446,8 +446,8 @@ fn open_loop_mode(
     })
 }
 
-/// How many lane-sharing pairs the allocation summary spells out
-/// (mirrors the engine's conflict-example cap); the rest stay counted.
+/// How many lane-sharing pairs the allocation summary spells out; the
+/// rest stay counted.
 const SHARED_PAIR_EXAMPLE_CAP: usize = 16;
 
 /// Reports the predicted conflict budget of a (possibly relaxed) flow
@@ -799,7 +799,9 @@ fn push_telemetry(
     Ok(())
 }
 
-fn run_synthetic(spec: &ScenarioSpec, report: &mut Report) -> Result<(), ScenarioError> {
+/// The generator configuration of a synthetic workload, its horizon
+/// scaled — the stream both [`run_spec`] and [`capture_trace`] draw.
+fn synthetic_traffic(spec: &ScenarioSpec) -> TrafficConfig {
     let WorkloadSpec::Synthetic {
         pattern,
         injection_rate,
@@ -810,30 +812,43 @@ fn run_synthetic(spec: &ScenarioSpec, report: &mut Report) -> Result<(), Scenari
     else {
         unreachable!("caller dispatches only synthetic workloads here");
     };
-    let horizon = scaled_horizon(spec.scale, *horizon);
-    let config = TrafficConfig {
+    TrafficConfig {
         nodes: spec.arch.nodes,
         pattern: pattern.clone(),
         injection_rate: *injection_rate,
         message_volume: Bits::new(*message_bits),
-        horizon,
+        horizon: scaled_horizon(spec.scale, *horizon),
         seed: spec.seed,
         burstiness: burstiness.map(|(mean_on, mean_off)| OnOffConfig { mean_on, mean_off }),
+    }
+}
+
+/// Reads and parses a trace workload's CSV file.
+pub(crate) fn read_trace(path: &str) -> Result<TrafficTrace, ScenarioError> {
+    let error = |e: &dyn std::fmt::Display| ScenarioError::Build {
+        stage: "trace file",
+        message: format!("{path}: {e}"),
     };
+    let raw = std::fs::read_to_string(path).map_err(|e| error(&e))?;
+    TrafficTrace::from_csv_str(&raw).map_err(|e| error(&e))
+}
+
+fn run_synthetic(spec: &ScenarioSpec, report: &mut Report) -> Result<(), ScenarioError> {
+    let config = synthetic_traffic(spec);
     let trace = generate(&config);
     report.push_text(format!(
         "trace: {} pattern, rate {}, {} messages over {} cycles, {} injection",
-        pattern,
-        injection_rate,
+        config.pattern,
+        config.injection_rate,
         trace.len(),
-        horizon,
+        config.horizon,
         spec.injection
     ));
     run_stream(
         spec,
         &trace,
-        pattern.name(),
-        *injection_rate,
+        config.pattern.name(),
+        config.injection_rate,
         config.offered_load(),
         report,
     )
@@ -843,14 +858,7 @@ fn run_trace(spec: &ScenarioSpec, report: &mut Report) -> Result<(), ScenarioErr
     let WorkloadSpec::Trace { path } = &spec.workload else {
         unreachable!("caller dispatches only trace workloads here");
     };
-    let raw = std::fs::read_to_string(path).map_err(|e| ScenarioError::Build {
-        stage: "trace file",
-        message: format!("{path}: {e}"),
-    })?;
-    let trace = TrafficTrace::from_csv_str(&raw).map_err(|e| ScenarioError::Build {
-        stage: "trace file",
-        message: format!("{path}: {e}"),
-    })?;
+    let trace = read_trace(path)?;
     if trace.max_node() >= spec.arch.nodes {
         return Err(ScenarioError::Build {
             stage: "trace file",
@@ -925,8 +933,8 @@ fn run_sweep_workload(
     let scenario_count = grid.scenarios().len();
     let outcome = run_sweep(&grid, threads);
     report.push_text(format!(
-        "{scenario_count} scenarios over {} worker threads ({} participated), {} injection",
-        outcome.threads, outcome.workers_used, spec.injection
+        "{scenario_count} scenarios, {} injection",
+        spec.injection
     ));
     report.push_table(sweep_table("sweep", &outcome));
     Ok(())
@@ -949,35 +957,8 @@ fn run_sweep_workload(
 /// read.
 pub fn capture_trace(spec: &ScenarioSpec) -> Result<String, ScenarioError> {
     match &spec.workload {
-        WorkloadSpec::Synthetic {
-            pattern,
-            injection_rate,
-            message_bits,
-            horizon,
-            burstiness,
-        } => {
-            let config = TrafficConfig {
-                nodes: spec.arch.nodes,
-                pattern: pattern.clone(),
-                injection_rate: *injection_rate,
-                message_volume: Bits::new(*message_bits),
-                horizon: scaled_horizon(spec.scale, *horizon),
-                seed: spec.seed,
-                burstiness: burstiness.map(|(mean_on, mean_off)| OnOffConfig { mean_on, mean_off }),
-            };
-            Ok(generate(&config).to_csv())
-        }
-        WorkloadSpec::Trace { path } => {
-            let raw = std::fs::read_to_string(path).map_err(|e| ScenarioError::Build {
-                stage: "trace file",
-                message: format!("{path}: {e}"),
-            })?;
-            let trace = TrafficTrace::from_csv_str(&raw).map_err(|e| ScenarioError::Build {
-                stage: "trace file",
-                message: format!("{path}: {e}"),
-            })?;
-            Ok(trace.to_csv())
-        }
+        WorkloadSpec::Synthetic { .. } => Ok(generate(&synthetic_traffic(spec)).to_csv()),
+        WorkloadSpec::Trace { path } => Ok(read_trace(path)?.to_csv()),
         other => Err(ScenarioError::Build {
             stage: "trace capture",
             message: format!(
@@ -1306,49 +1287,53 @@ max_lanes_per_flow = 4
     #[test]
     fn streaming_report_knob_runs_and_keeps_exact_metrics() {
         use crate::spec::ReportKind;
-        let build = |report: ReportKind| {
-            run_spec(
-                &ScenarioSpec::builder("streamed")
-                    .scale(Scale::Smoke)
-                    .workload(WorkloadSpec::Synthetic {
-                        pattern: TrafficPattern::UniformRandom,
-                        injection_rate: 0.05,
-                        message_bits: 256.0,
-                        horizon: 20_000,
-                        burstiness: None,
-                    })
-                    .allocator(AllocatorSpec::Dynamic {
-                        policy: DynamicPolicy::Single,
-                    })
-                    .report(report)
-                    .build()
-                    .unwrap(),
-                2,
-            )
-            .unwrap()
-        };
-        let full = build(ReportKind::Full);
-        let streaming = build(ReportKind::Streaming);
-        let row = |r: &Report, col: &str| -> String {
-            let t = *r.tables().last().unwrap();
-            let idx = t.columns().iter().position(|c| c == col).unwrap();
-            t.rows()[0][idx].clone()
-        };
-        // Exact metrics agree across modes; energy folds identically.
-        for col in [
-            "messages",
-            "accepted_bits_per_cycle",
-            "latency_mean",
-            "latency_max",
-            "energy_pj_per_bit",
-            "energy_static_frac",
-        ] {
-            assert_eq!(row(&full, col), row(&streaming, col), "{col}");
+        let dynamic = ScenarioSpec::builder("streamed")
+            .scale(Scale::Smoke)
+            .workload(WorkloadSpec::Synthetic {
+                pattern: TrafficPattern::UniformRandom,
+                injection_rate: 0.05,
+                message_bits: 256.0,
+                horizon: 20_000,
+                burstiness: None,
+            })
+            .allocator(AllocatorSpec::Dynamic {
+                policy: DynamicPolicy::Single,
+            })
+            .build()
+            .unwrap();
+        // A striped map that retransmits and heals: every conflict of a
+        // failed attempt or of a healed flow counts in both modes.
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../examples/scenario_healing.toml");
+        let mut healing =
+            ScenarioSpec::from_toml_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+        healing.scale = Scale::Quick;
+        for mut spec in [dynamic, healing] {
+            spec.report = ReportKind::Full;
+            let full = run_spec(&spec, 2).unwrap();
+            spec.report = ReportKind::Streaming;
+            let streaming = run_spec(&spec, 2).unwrap();
+            let row = |r: &Report, col: &str| -> String {
+                let t = *r.tables().last().unwrap();
+                let idx = t.columns().iter().position(|c| c == col).unwrap();
+                t.rows()[0][idx].clone()
+            };
+            // Exact metrics agree across modes; energy folds identically.
+            for col in full.tables().last().unwrap().columns() {
+                if !matches!(col.as_str(), "latency_p50" | "latency_p95" | "latency_p99") {
+                    assert_eq!(
+                        row(&full, col),
+                        row(&streaming, col),
+                        "{}: {col}",
+                        spec.name
+                    );
+                }
+            }
+            // Quantiles may differ (nearest-rank within one log bin).
+            let p99_full: f64 = row(&full, "latency_p99").parse().unwrap();
+            let p99_stream: f64 = row(&streaming, "latency_p99").parse().unwrap();
+            assert!(p99_stream <= p99_full + 1.0 && p99_full <= p99_stream * 1.125 + 1.0);
         }
-        // Quantiles may differ (nearest-rank within one log bin).
-        let p99_full: f64 = row(&full, "latency_p99").parse().unwrap();
-        let p99_stream: f64 = row(&streaming, "latency_p99").parse().unwrap();
-        assert!(p99_stream <= p99_full + 1.0 && p99_full <= p99_stream * 1.125 + 1.0);
     }
 
     #[test]

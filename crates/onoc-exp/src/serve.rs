@@ -20,10 +20,9 @@ use onoc_serve::{
     sessions_from_trace,
 };
 use onoc_sim::{ChromeTraceProbe, NullProbe, TimeSeriesProbe};
-use onoc_traffic::TrafficTrace;
 
 use crate::artifact::{Report, Table};
-use crate::scenario::{ScenarioError, timeseries_table};
+use crate::scenario::{ScenarioError, read_trace, timeseries_table};
 use crate::spec::{ScenarioSpec, ServiceSpec, WorkloadSpec};
 
 /// Resolves the spec's `[service]` table (defaults when absent) into
@@ -69,14 +68,7 @@ pub fn build_requests(spec: &ScenarioSpec) -> Result<Vec<SessionRequest>, Scenar
             .generate())
         }
         WorkloadSpec::Trace { path } => {
-            let raw = std::fs::read_to_string(path).map_err(|e| ScenarioError::Build {
-                stage: "trace file",
-                message: format!("{path}: {e}"),
-            })?;
-            let trace = TrafficTrace::from_csv_str(&raw).map_err(|e| ScenarioError::Build {
-                stage: "trace file",
-                message: format!("{path}: {e}"),
-            })?;
+            let trace = read_trace(path)?;
             Ok(sessions_from_trace(
                 trace.events(),
                 service.trace_demand(),

@@ -365,8 +365,8 @@ impl AllocatorSpec {
 /// (the spec form of [`onoc_sim::ReportMode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReportKind {
-    /// Retain every record: exact quantiles, per-flow latency, conflict
-    /// examples. Memory is `O(messages)`.
+    /// Retain every record: exact quantiles and per-flow latency. Memory
+    /// is `O(messages)`.
     #[default]
     Full,
     /// Fold retirements into fixed-size histograms as they happen:

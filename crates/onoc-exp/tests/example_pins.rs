@@ -23,7 +23,7 @@ const PINS: &[(&str, &str, u64, u64)] = &[
     (
         "scenario_closed_loop.toml",
         "run-smoke",
-        0x59252f3296b09e23,
+        0x9c85e3ae0c630217,
         0x97cb0cb21b342f34,
     ),
     (

@@ -7,7 +7,9 @@
 //! On a mismatch the test prints the whole observed table, ready to
 //! paste over `ARTIFACT_PINS` once a change of output is intended.
 
-use onoc_exp::{Registry, RunContext, Scale};
+use std::path::Path;
+
+use onoc_exp::{Registry, RunContext, Scale, ScenarioSpec, run_spec};
 use onoc_traffic::SweepOutcome;
 
 /// FNV-1a 64-bit digest of an artifact's bytes.
@@ -17,25 +19,8 @@ fn fnv1a(bytes: &str) -> u64 {
     })
 }
 
-/// The text with each sweep narrative's "Workers used: N of M." count
-/// replaced by `_`: N counts the threads that found work, which depends
-/// on scheduling, so the digest covers every other byte.
-fn mask_worker_counts(text: &str) -> String {
-    const KEY: &str = "Workers used: ";
-    let mut out = String::with_capacity(text.len());
-    let mut rest = text;
-    while let Some(at) = rest.find(KEY) {
-        out.push_str(&rest[..at + KEY.len()]);
-        rest = rest[at + KEY.len()..].trim_start_matches(|c: char| c.is_ascii_digit());
-        out.push('_');
-    }
-    out.push_str(rest);
-    out
-}
-
 /// `(experiment, render() digest, to_json() digest)` at smoke scale,
-/// seed default, two threads; the text is digested through
-/// `mask_worker_counts`.
+/// seed default, two threads.
 const ARTIFACT_PINS: &[(&str, u64, u64)] = &[
     ("table1", 0x566d1e60e9e37212, 0x997241b70f7b6a2c),
     ("table2", 0xac7b0e0e6ee8dc97, 0x40369794e41cabf2),
@@ -49,8 +34,8 @@ const ARTIFACT_PINS: &[(&str, u64, u64)] = &[
     ("mapping-explore", 0x00a9f8d21d04e1de, 0x3c837061a89de8ef),
     ("moea-comparison", 0x8e8e2baaae930f5c, 0x74fc3bc42d5e80a6),
     ("dynamic-vs-static", 0x1b501d28cd5521f9, 0xd56b06dbdcdba9f3),
-    ("traffic-sweep", 0xfc4db753c94f9a6f, 0x27e347be526f11b7),
-    ("saturation", 0x8d7a36de9d5e9c1b, 0x597f4ad00cb042ee),
+    ("traffic-sweep", 0x08f99fe380a67cfe, 0x27e347be526f11b7),
+    ("saturation", 0x8e2bdbcaab7b0e1f, 0x597f4ad00cb042ee),
     (
         "sustained-saturation",
         0xed7b7ef31a10e20c,
@@ -235,11 +220,7 @@ fn every_listed_experiment_runs_and_emits_its_golden_artifact() {
             rendered.contains(&format!("--- begin csv: {table_name} ---")),
             "{experiment_name} render lost the CSV fence"
         );
-        observed.push((
-            *experiment_name,
-            fnv1a(&mask_worker_counts(&rendered)),
-            fnv1a(&report.to_json()),
-        ));
+        observed.push((*experiment_name, fnv1a(&rendered), fnv1a(&report.to_json())));
     }
     if observed != ARTIFACT_PINS {
         let rows: String = observed
@@ -294,4 +275,22 @@ fn experiments_are_seed_deterministic() {
         let b = exp.run(&ctx);
         assert_eq!(a.tables(), b.tables(), "{name} is not deterministic");
     }
+}
+
+#[test]
+fn sweep_artifacts_do_not_depend_on_the_thread_count() {
+    // The rows never did; the narrative used to name the thread count and
+    // how many threads happened to find work.
+    let registry = Registry::standard();
+    let sweep = registry.get("traffic-sweep").unwrap();
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenario_closed_loop.toml");
+    let mut spec = ScenarioSpec::from_toml_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    spec.scale = Scale::Smoke;
+    let artifacts = |threads: usize| {
+        let ctx = RunContext::new(Scale::Smoke).with_threads(threads);
+        [sweep.run(&ctx), run_spec(&spec, threads).unwrap()]
+            .map(|report| (report.render(), report.to_json()))
+    };
+    assert_eq!(artifacts(1), artifacts(3));
 }

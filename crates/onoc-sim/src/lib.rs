@@ -82,8 +82,7 @@ pub use openloop::{
 };
 pub use probe::{NullProbe, SimProbe, TxFact};
 pub use report::{
-    ChannelConflict, LatencyHistogram, LatencyStats, MsgId, MsgRecord, OpenLoopConflict,
-    OpenLoopReport, SimReport,
+    ChannelConflict, LatencyHistogram, LatencyStats, MsgRecord, OpenLoopReport, SimReport,
 };
 pub use telemetry::{ChromeTraceProbe, TimeSeries, TimeSeriesProbe, WindowStats};
 pub use transport::TransportMode;

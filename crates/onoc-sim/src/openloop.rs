@@ -22,10 +22,11 @@
 //!     sweeps stay fast.
 //!   * **Static** — every ordered `(src, dst)` flow owns a fixed wavelength
 //!     set ([`StaticFlowMap`]); messages of one flow serialise on their own
-//!     lanes, and the simulator *checks* rather than arbitrates: any two
-//!     flows that ever drive a common wavelength on a common directed
-//!     segment at the same time are recorded as [`OpenLoopConflict`]s. This
-//!     is the open-loop analogue of the §III-D static-validity checker.
+//!     lanes, and the simulator *checks* rather than arbitrates: it counts
+//!     every pair of transmission attempts that drive a common wavelength
+//!     on a common directed segment at the same time
+//!     ([`OpenLoopReport::conflict_count`]). This is the open-loop analogue
+//!     of the §III-D static-validity checker.
 //!
 //! * **Injection policy** ([`InjectionMode`]): pure open loop (offered
 //!   time is admission time, queues may grow without bound past
@@ -54,7 +55,7 @@ use crate::calendar::EventQueue;
 use crate::fault::{self, CorruptionModel, DropFact, FaultCause, FaultPlan, GeTimeline, HealFact};
 use crate::injection::{AimdParams, InjectionMode, LaneArbiter, SourceGate};
 use crate::probe::{NullProbe, ReportProbe, SimProbe, TxFact};
-use crate::report::{MsgId, MsgRecord, OpenLoopConflict, OpenLoopReport};
+use crate::report::{MsgRecord, OpenLoopReport};
 use crate::transport::TransportMode;
 
 /// One injected message: `volume` bits from `src` to `dst`, offered to the
@@ -267,9 +268,6 @@ impl core::fmt::Display for OpenLoopError {
 }
 
 impl std::error::Error for OpenLoopError {}
-
-/// How many conflict examples an [`OpenLoopReport`] retains.
-const CONFLICT_EXAMPLE_CAP: usize = 16;
 
 /// Engine events. Variant order is the tiebreak at equal timestamps:
 /// completions release lanes and credits first, static transmissions
@@ -650,15 +648,16 @@ impl OpenLoopSimulator {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReportMode {
     /// Retain one [`MsgRecord`] per message: exact (interpolated)
-    /// quantiles, [`OpenLoopReport::latency_by_flow`], and — in static
-    /// mode — retained conflict examples. Memory is `O(messages)`.
+    /// quantiles and [`OpenLoopReport::latency_by_flow`]. Memory is
+    /// `O(messages)`.
     Full,
     /// Fold every retired message into fixed-size aggregates (log-scale
     /// latency/stall histograms, exact count/sum/max, the conservation
     /// integrals). Memory is `O(bins + sources)` plus the in-flight
     /// message window. Quantiles follow the nearest-rank convention and
-    /// sit within one histogram bin (≤ 12.5% relative) of exact; static
-    /// conflicts are still counted exactly but no examples are kept.
+    /// sit within one histogram bin (≤ 12.5% relative) of exact. Every
+    /// other report field, [`OpenLoopReport::conflict_count`] included,
+    /// equals the full mode's.
     Streaming,
 }
 
@@ -703,11 +702,6 @@ impl MsgState {
     }
 }
 
-/// One `(segment, lane)` occupancy span retained for the full-mode
-/// conflict sweep: `(dense key, start, end, message id)` where the key is
-/// `segment_index() * wavelengths + lane`.
-type FlatSpan = (u64, u64, u64, usize);
-
 /// Reusable buffers for [`OpenLoopSimulator::run_with_scratch`]: the
 /// calendar queue, message window, per-source FIFOs and gates, and the
 /// flat dense-indexed occupancy tables. Runs leave the scratch warm, so
@@ -731,19 +725,17 @@ pub struct SimScratch {
     segment_busy: Vec<u64>,
     /// Busy wavelength-cycles per lane.
     lane_busy: Vec<u64>,
-    /// Streaming static mode: live transmissions per
-    /// `segment_index * wavelengths + lane` (online conflict counting).
+    /// The conflict counter: live transmission attempts per
+    /// `segment_index * wavelengths + lane`, sized only when
+    /// [`shared_lanes`](Self::shared_lanes) is.
     active_per_lane_seg: Vec<u32>,
-    /// Full static mode: retired spans for the offline conflict sweep,
-    /// on [`shared_lanes`](Self::shared_lanes) slots only.
-    spans: Vec<FlatSpan>,
     /// Static mode: per dense segment, the lanes that two or more mapped
     /// flows drive there. Only these slots can ever hold overlapping
-    /// spans — a flow's own attempts serialise on `flow_free_at` — so
-    /// full-mode runs keep spans for these slots only. Every slot is marked when a re-pack policy may swap masks mid-run:
-    /// spans retire with the flow's *current* mask, so a swap can put a
-    /// later span on a slot whose earlier spans were skipped, while any
-    /// superset of the truly shared slots stays exact.
+    /// attempts — a flow's own attempts serialise on `flow_free_at` — so
+    /// the conflict counter walks these slots only. Every slot is marked
+    /// when a re-pack policy may swap masks mid-run, since a swap can put
+    /// a flow on lanes another flow drives. Empty when no slot is shared
+    /// (and in dynamic mode), which skips the counter altogether.
     shared_lanes: Vec<u128>,
     /// Flat route table: `path_offsets[flow]..path_offsets[flow + 1]`
     /// slices `path_segs` into the flow's dense segment indices in
@@ -791,7 +783,6 @@ impl SimScratch {
             segment_busy: Vec::new(),
             lane_busy: Vec::new(),
             active_per_lane_seg: Vec::new(),
-            spans: Vec::new(),
             shared_lanes: Vec::new(),
             path_offsets: Vec::new(),
             path_segs: Vec::new(),
@@ -825,7 +816,7 @@ impl SimScratch {
     }
 
     /// Clears and (re)sizes every buffer for a run on the given geometry.
-    fn prepare(&mut self, nodes: usize, wavelengths: usize, static_mode: bool, streaming: bool) {
+    fn prepare(&mut self, nodes: usize, wavelengths: usize, static_mode: bool) {
         self.msgs.clear();
         self.flags.clear();
         self.queue.clear();
@@ -849,11 +840,6 @@ impl SimScratch {
         self.lane_busy.clear();
         self.lane_busy.resize(wavelengths, 0);
         self.active_per_lane_seg.clear();
-        if static_mode && streaming {
-            self.active_per_lane_seg
-                .resize(segment_count(nodes) * wavelengths, 0);
-        }
-        self.spans.clear();
         self.shared_lanes.clear();
         self.path_offsets.clear();
         self.path_segs.clear();
@@ -936,6 +922,13 @@ impl SimScratch {
                         seen[seg] |= mask;
                     }
                 }
+                if self.shared_lanes.iter().all(|&lanes| lanes == 0) {
+                    self.shared_lanes.clear();
+                }
+            }
+            if !self.shared_lanes.is_empty() {
+                self.active_per_lane_seg
+                    .resize(segments * sim.wavelengths, 0);
             }
         }
         self.flow_rows = rows;
@@ -1038,7 +1031,6 @@ impl FaultState {
 struct RunState<'a, P: SimProbe> {
     sim: &'a OpenLoopSimulator,
     n: usize,
-    mode: ReportMode,
     s: SimScratch,
     /// Message id of `s.msgs.front()` (ids are monotone; the window is
     /// the contiguous id range `base..next_id` minus retired prefixes).
@@ -1057,8 +1049,9 @@ struct RunState<'a, P: SimProbe> {
     blocked_attempts: usize,
     /// Messages queued across all NI FIFOs (skip retries when zero).
     waiting: usize,
-    /// Streaming static mode: online conflict-pair count.
-    online_conflicts: usize,
+    /// Static mode: overlapping attempt pairs so far (see
+    /// [`OpenLoopReport::conflict_count`]).
+    conflicts: usize,
     offered_bits: f64,
     last_injection: u64,
     last_time: u64,
@@ -1076,12 +1069,7 @@ impl<'a, P: SimProbe> RunState<'a, P> {
     ) -> Self {
         let n = sim.ring.node_count();
         let static_mode = matches!(sim.mode, WavelengthMode::Static(_));
-        scratch.prepare(
-            n,
-            sim.wavelengths,
-            static_mode,
-            mode == ReportMode::Streaming,
-        );
+        scratch.prepare(n, sim.wavelengths, static_mode);
         scratch.build_flow_tables(sim);
         let mut fault = if sim.faults.is_some() || sim.transport.is_active() {
             Some(Box::new(FaultState::new(
@@ -1137,7 +1125,6 @@ impl<'a, P: SimProbe> RunState<'a, P> {
         Self {
             sim,
             n,
-            mode,
             s: scratch,
             base: 0,
             next_id: 0,
@@ -1148,7 +1135,7 @@ impl<'a, P: SimProbe> RunState<'a, P> {
             capacity,
             blocked_attempts: 0,
             waiting: 0,
-            online_conflicts: 0,
+            conflicts: 0,
             offered_bits: 0.0,
             last_injection: 0,
             last_time: 0,
@@ -1649,8 +1636,8 @@ impl<'a, P: SimProbe> RunState<'a, P> {
         true
     }
 
-    /// Occupancy bookkeeping (and — in streaming static mode — online
-    /// conflict counting) when a transmission begins driving its lanes.
+    /// Occupancy bookkeeping and conflict counting when a transmission
+    /// begins driving its lanes.
     /// Returns whether the transmission is ECN congestion-marked.
     fn note_transmission_start(&mut self, flow: u32, mask: u128) -> bool {
         let (lo, hi) = (
@@ -1666,19 +1653,18 @@ impl<'a, P: SimProbe> RunState<'a, P> {
         } else {
             false
         };
-        if self.mode == ReportMode::Streaming && !self.s.active_per_lane_seg.is_empty() {
+        if !self.s.shared_lanes.is_empty() {
             // Completions at this cycle already released their slots
-            // (Completed < Started in the tie-break), so every live span
-            // here properly overlaps the one starting now.
+            // (Completed < Started in the tie-break), so every live
+            // attempt here properly overlaps the one starting now.
             let w = self.sim.wavelengths;
-            for i in lo..hi {
-                let row = self.s.path_segs[i] as usize * w;
-                let mut rest = mask;
+            for &seg in &self.s.path_segs[lo..hi] {
+                let seg = seg as usize;
+                let mut rest = mask & self.s.shared_lanes[seg];
                 while rest != 0 {
-                    let lane = rest.trailing_zeros() as usize;
+                    let slot = seg * w + rest.trailing_zeros() as usize;
                     rest &= rest - 1;
-                    let slot = row + lane;
-                    self.online_conflicts += self.s.active_per_lane_seg[slot] as usize;
+                    self.conflicts += self.s.active_per_lane_seg[slot] as usize;
                     self.s.active_per_lane_seg[slot] += 1;
                 }
             }
@@ -1764,15 +1750,14 @@ impl<'a, P: SimProbe> RunState<'a, P> {
             self.s.lane_busy[lane] += span * hops;
         }
         self.active_lane_segments -= hops * lanes;
-        if !self.s.active_per_lane_seg.is_empty() {
+        if !self.s.shared_lanes.is_empty() {
             let w = self.sim.wavelengths;
-            for i in lo..hi {
-                let row = self.s.path_segs[i] as usize * w;
-                let mut rest = mask;
+            for &seg in &self.s.path_segs[lo..hi] {
+                let seg = seg as usize;
+                let mut rest = mask & self.s.shared_lanes[seg];
                 while rest != 0 {
-                    let lane = rest.trailing_zeros() as usize;
+                    self.s.active_per_lane_seg[seg * w + rest.trailing_zeros() as usize] -= 1;
                     rest &= rest - 1;
-                    self.s.active_per_lane_seg[row + lane] -= 1;
                 }
             }
         }
@@ -2173,14 +2158,22 @@ impl<'a, P: SimProbe> RunState<'a, P> {
         }
         conflicts.sort_unstable();
         conflicts.dedup();
-        let outcome = reassign_flows_on_lane_loss(
-            &old_masks,
-            &conflicts,
-            &frozen,
-            dead,
-            self.sim.wavelengths,
-            cfg.policy,
-        );
+        // With every lane dark a relaxed re-pack would hand the affected
+        // flows empty masks, which no repair ever refills: treat it as
+        // infeasible, so they park as under `Park`.
+        let live = !dead & (u128::MAX >> (128 - self.sim.wavelengths));
+        let outcome = if live == 0 {
+            None
+        } else {
+            reassign_flows_on_lane_loss(
+                &old_masks,
+                &conflicts,
+                &frozen,
+                dead,
+                self.sim.wavelengths,
+                cfg.policy,
+            )
+        };
         let (moved, shared, feasible) = match &outcome {
             Some(o) => (o.moved, o.shared, true),
             None => (0, 0, false),
@@ -2419,8 +2412,7 @@ impl<'a, P: SimProbe> RunState<'a, P> {
 
     /// Folds every completed message at the front of the window into the
     /// fact consumers (the built-in [`ReportProbe`] plus the caller's
-    /// probe) and, in full static mode, the retained conflict spans — in
-    /// id order.
+    /// probe), in id order.
     fn retire_front(&mut self) {
         while let Some(&bits) = self.s.flags.front() {
             if bits & flag::DONE == 0 {
@@ -2443,31 +2435,6 @@ impl<'a, P: SimProbe> RunState<'a, P> {
             }
             self.report.retired(&record, m.ev.volume.value(), hops);
             self.probe.retired(&record, m.ev.volume.value(), hops);
-            if self.mode == ReportMode::Full && matches!(self.sim.mode, WavelengthMode::Static(_)) {
-                let w = self.sim.wavelengths as u64;
-                let id = self.base - 1;
-                // The flow's *current* nominal lanes. Spans were always
-                // recorded this way (a partial outage narrows the lanes
-                // an attempt drives without narrowing the span); under a
-                // mid-run heal the approximation extends to messages
-                // retired after the swap. Slots no other flow drives
-                // never overlap, so only shared ones are kept.
-                let mask = self.s.flow_lane_masks[flow];
-                let (lo, hi) = (
-                    self.s.path_offsets[flow] as usize,
-                    self.s.path_offsets[flow + 1] as usize,
-                );
-                for i in lo..hi {
-                    let seg = self.s.path_segs[i];
-                    let row = u64::from(seg) * w;
-                    let mut rest = mask & self.s.shared_lanes[seg as usize];
-                    while rest != 0 {
-                        let lane = u64::from(rest.trailing_zeros());
-                        rest &= rest - 1;
-                        self.s.spans.push((row + lane, m.started, m.completed, id));
-                    }
-                }
-            }
         }
     }
 
@@ -2493,15 +2460,10 @@ impl<'a, P: SimProbe> RunState<'a, P> {
             self.s.gates.iter().all(|g| g.offered.is_empty()),
             "deliveries and wake-ups always drain the gates"
         );
-        let (conflict_count, conflict_examples) = match (&self.sim.mode, self.mode) {
-            (WavelengthMode::Dynamic(_), _) => (0, Vec::new()),
-            (WavelengthMode::Static(_), ReportMode::Full) => {
-                sweep_conflicts_flat(&mut self.s.spans, self.sim.wavelengths)
-            }
-            (WavelengthMode::Static(_), ReportMode::Streaming) => {
-                (self.online_conflicts, Vec::new())
-            }
-        };
+        debug_assert!(
+            self.s.active_per_lane_seg.iter().all(|&live| live == 0),
+            "every started attempt completed"
+        );
         let segment_busy: Vec<(DirectedSegment, u64)> = self
             .s
             .segment_busy
@@ -2552,8 +2514,7 @@ impl<'a, P: SimProbe> RunState<'a, P> {
             offered_bits: self.offered_bits,
             delivered_bits: self.report.delivered_bits,
             blocked_attempts: self.blocked_attempts,
-            conflict_count,
-            conflict_examples,
+            conflict_count: self.conflicts,
             segment_busy,
             lane_busy: self.s.lane_busy.clone(),
             credit_occupancy,
@@ -2566,50 +2527,10 @@ impl<'a, P: SimProbe> RunState<'a, P> {
     }
 }
 
-/// Counts wavelength collisions with one sort over the flat span vector —
-/// spans are keyed by `dense segment index × comb + lane`, so a single
-/// `sort_unstable` replaces the old per-`(segment, lane)` hash map and its
-/// per-key sorts, and keys iterate in the canonical report order for free.
-fn sweep_conflicts_flat(
-    spans: &mut [FlatSpan],
-    wavelengths: usize,
-) -> (usize, Vec<OpenLoopConflict>) {
-    spans.sort_unstable();
-    let mut count = 0usize;
-    let mut examples = Vec::new();
-    // Active set of (end, msg) spans per key run; overlapping pairs count
-    // once each.
-    let mut active: Vec<(u64, usize)> = Vec::new();
-    let mut current_key = u64::MAX;
-    for &(key, start, end, id) in spans.iter() {
-        if key != current_key {
-            current_key = key;
-            active.clear();
-        }
-        active.retain(|&(e, _)| e > start);
-        for &(active_end, other) in &active {
-            count += 1;
-            if examples.len() < CONFLICT_EXAMPLE_CAP {
-                let w = wavelengths as u64;
-                examples.push(OpenLoopConflict {
-                    segment: DirectedSegment::from_segment_index((key / w) as usize),
-                    channel: WavelengthId((key % w) as usize),
-                    first: MsgId(other.min(id)),
-                    second: MsgId(other.max(id)),
-                    overlap: (start, end.min(active_end)),
-                });
-            }
-        }
-        active.push((end, id));
-    }
-    (count, examples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{FlowAllocPolicy, FlowMatrix};
-    use onoc_topology::Direction;
 
     fn rate() -> BitsPerCycle {
         BitsPerCycle::new(1.0)
@@ -2802,89 +2723,108 @@ mod tests {
         let src = vec![event(0, 0, 2, 100.0), event(0, 1, 2, 100.0)];
         let report = sim.run(src.into_iter()).unwrap();
         assert_eq!(report.conflict_count, 1);
-        let c = report.conflict_examples[0];
-        assert_eq!(c.channel, WavelengthId(0));
-        assert_eq!(
-            c.segment,
-            DirectedSegment {
-                index: 1,
-                direction: Direction::Clockwise
-            }
-        );
-        assert_eq!((c.first, c.second), (MsgId(0), MsgId(1)));
     }
 
-    /// Counts retirements until the first heal, so the reference sweep
-    /// knows which mask each message retired under.
+    /// Every transmission attempt of a run, from its `completed` or
+    /// `dropped` fact: `(src, dst, start, end, lane mask)`.
     #[derive(Default)]
-    struct RetiredBeforeHeal {
-        retired: usize,
-        at_heal: Option<usize>,
-    }
+    struct AttemptLog(Vec<(NodeId, NodeId, u64, u64, u128)>);
 
-    impl SimProbe for RetiredBeforeHeal {
-        fn retired(&mut self, _: &MsgRecord, _: f64, _: usize) {
-            self.retired += 1;
+    impl SimProbe for AttemptLog {
+        fn completed(&mut self, tx: TxFact) {
+            self.0.push((tx.src, tx.dst, tx.start, tx.end, tx.lanes));
         }
 
-        fn heal(&mut self, _: HealFact) {
-            self.at_heal.get_or_insert(self.retired);
+        fn dropped(&mut self, drop: DropFact) {
+            self.0
+                .push((drop.src, drop.dst, drop.start, drop.end, drop.lanes));
         }
     }
 
-    fn lane_masks(map: &StaticFlowMap, nodes: usize) -> Vec<u128> {
-        (0..nodes * nodes)
-            .map(|flow| {
-                map.lanes(NodeId(flow / nodes), NodeId(flow % nodes))
-                    .iter()
-                    .fold(0u128, |m, l| m | (1 << l.index()))
-            })
-            .collect()
-    }
+    /// One `(segment, lane)` occupancy span of an attempt:
+    /// `(segment_index() * wavelengths + lane, start, end)`.
+    type FlatSpan = (u64, u64, u64);
 
-    /// Runs `events` in full mode and checks the shared-slot conflict
-    /// report against the unfiltered sweep over every retired span (each
-    /// message's route × its flow's mask at retirement). Returns the
-    /// report, the spans the engine kept and the unfiltered span count.
-    fn check_against_unfiltered_sweep(
-        sim: &OpenLoopSimulator,
-        events: &[TrafficEvent],
-    ) -> (OpenLoopReport, usize, usize) {
-        let WavelengthMode::Static(map) = &sim.mode else {
-            panic!("conflict sweeps are static-mode only")
-        };
-        let n = sim.ring.node_count();
-        let before = lane_masks(map, n);
-        let mut probe = RetiredBeforeHeal::default();
-        let mut scratch = SimScratch::new();
-        let report = sim
-            .run_with_scratch_probed(
-                events.iter().copied(),
-                &mut scratch,
-                ReportMode::Full,
-                &mut probe,
-            )
-            .unwrap();
-        assert_eq!(report.lost_messages, 0, "record index = message id");
-        let swap = probe.at_heal.unwrap_or(usize::MAX);
-        let after = &scratch.flow_lane_masks;
+    /// The span of every logged attempt on every slot it drove: each
+    /// segment of its route × each lane of its mask.
+    fn attempt_spans(sim: &OpenLoopSimulator, log: &AttemptLog) -> Vec<FlatSpan> {
         let w = sim.wavelengths as u64;
         let mut spans = Vec::new();
-        for (id, r) in report.records.iter().enumerate() {
-            let flow = r.src.0 * n + r.dst.0;
-            let mask = if id < swap { before[flow] } else { after[flow] };
-            for seg in sim.route(r.src, r.dst).segments() {
+        for &(src, dst, start, end, mask) in &log.0 {
+            for seg in sim.route(src, dst).segments() {
                 let row = seg.segment_index() as u64 * w;
                 for lane in (0..w).filter(|&l| mask & (1 << l) != 0) {
-                    spans.push((row + lane, r.started, r.completed, id));
+                    spans.push((row + lane, start, end));
                 }
             }
         }
-        let unfiltered = spans.len();
-        let (count, examples) = sweep_conflicts_flat(&mut spans, sim.wavelengths);
-        assert_eq!(report.conflict_count, count, "conflict count");
-        assert_eq!(report.conflict_examples, examples, "conflict examples");
-        (report, scratch.spans.len(), unfiltered)
+        spans
+    }
+
+    /// The oracle: counts overlapping span pairs per `(segment, lane)`
+    /// key with one sort.
+    fn sweep_conflicts_flat(spans: &mut [FlatSpan]) -> usize {
+        spans.sort_unstable();
+        let mut count = 0;
+        // Ends of the spans still live at the current start, per key run.
+        let mut active: Vec<u64> = Vec::new();
+        let mut current_key = u64::MAX;
+        for &(key, start, end) in spans.iter() {
+            if key != current_key {
+                current_key = key;
+                active.clear();
+            }
+            active.retain(|&e| e > start);
+            count += active.len();
+            active.push(end);
+        }
+        count
+    }
+
+    /// Runs `events` in both report modes and checks the conflict count
+    /// against the oracle sweep over every attempt; the full report with
+    /// its records cleared must equal the streaming one. Returns the full
+    /// report, the streaming run's scratch and the attempt spans.
+    fn check_against_the_attempt_oracle(
+        sim: &OpenLoopSimulator,
+        events: &[TrafficEvent],
+    ) -> (OpenLoopReport, SimScratch, Vec<FlatSpan>) {
+        let mut scratch = SimScratch::new();
+        let mut run = |mode| {
+            let mut log = AttemptLog::default();
+            let report = sim
+                .run_with_scratch_probed(events.iter().copied(), &mut scratch, mode, &mut log)
+                .unwrap();
+            let spans = attempt_spans(sim, &log);
+            let oracle = sweep_conflicts_flat(&mut spans.clone());
+            assert_eq!(report.conflict_count, oracle, "{mode:?} conflict count");
+            (report, spans)
+        };
+        let (full, spans) = run(ReportMode::Full);
+        let (streaming, _) = run(ReportMode::Streaming);
+        let without_records = OpenLoopReport {
+            records: Vec::new(),
+            ..full.clone()
+        };
+        assert_eq!(
+            without_records, streaming,
+            "the modes differ beyond the records"
+        );
+        (full, scratch, spans)
+    }
+
+    /// How many of `spans` sit on slots the conflict counter walks.
+    fn gated(scratch: &SimScratch, spans: &[FlatSpan], wavelengths: usize) -> usize {
+        let w = wavelengths as u64;
+        spans
+            .iter()
+            .filter(|&&(key, _, _)| {
+                scratch
+                    .shared_lanes
+                    .get((key / w) as usize)
+                    .is_some_and(|&lanes| lanes & (1 << (key % w)) != 0)
+            })
+            .count()
     }
 
     /// 160 messages over 92 flows of a 16-node ring, three cycles apart.
@@ -2898,20 +2838,24 @@ mod tests {
     }
 
     #[test]
-    fn striped_map_keeps_every_span_and_matches_the_unfiltered_sweep() {
+    fn striped_map_count_matches_the_attempt_oracle() {
         let sim = OpenLoopSimulator::new(
             ring16(),
             4,
             rate(),
             WavelengthMode::Static(StaticFlowMap::striped(16, 4, 1)),
         );
-        let (report, kept, unfiltered) = check_against_unfiltered_sweep(&sim, &busy_trace());
+        let (report, scratch, spans) = check_against_the_attempt_oracle(&sim, &busy_trace());
         assert!(report.conflict_count > 0);
-        assert_eq!(kept, unfiltered, "every slot of a striped map is shared");
+        assert_eq!(
+            gated(&scratch, &spans, 4),
+            spans.len(),
+            "every slot of a striped map is shared"
+        );
     }
 
     #[test]
-    fn relaxed_synthesis_keeps_shared_spans_and_matches_the_unfiltered_sweep() {
+    fn relaxed_synthesis_count_matches_the_attempt_oracle() {
         let events = busy_trace();
         let flows = FlowMatrix::from_events(16, events.iter());
         let (map, summary) = StaticFlowMap::from_allocator_with_summary(
@@ -2923,16 +2867,18 @@ mod tests {
         .unwrap();
         assert!(!summary.is_disjoint());
         let sim = OpenLoopSimulator::new(ring16(), 4, rate(), WavelengthMode::Static(map));
-        let (report, kept, unfiltered) = check_against_unfiltered_sweep(&sim, &events);
+        let (report, scratch, spans) = check_against_the_attempt_oracle(&sim, &events);
         assert!(report.conflict_count > 0);
+        let counted = gated(&scratch, &spans, 4);
         assert!(
-            0 < kept && kept < unfiltered,
-            "{kept} of {unfiltered} spans kept"
+            0 < counted && counted < spans.len(),
+            "{counted} of {} spans on shared slots",
+            spans.len()
         );
     }
 
     #[test]
-    fn disjoint_synthesis_keeps_no_spans_and_matches_the_unfiltered_sweep() {
+    fn disjoint_synthesis_count_matches_the_attempt_oracle() {
         let events = busy_trace();
         let flows = FlowMatrix::from_events(16, events.iter());
         let map = StaticFlowMap::from_allocator(
@@ -2945,10 +2891,13 @@ mod tests {
         )
         .unwrap();
         let sim = OpenLoopSimulator::new(ring16(), 64, rate(), WavelengthMode::Static(map));
-        let (report, kept, unfiltered) = check_against_unfiltered_sweep(&sim, &events);
+        let (report, scratch, spans) = check_against_the_attempt_oracle(&sim, &events);
         assert_eq!(report.conflict_count, 0);
-        assert_eq!(kept, 0, "a disjoint map shares no slot");
-        assert!(unfiltered > 0);
+        assert!(
+            scratch.shared_lanes.is_empty() && scratch.active_per_lane_seg.is_empty(),
+            "a disjoint map shares no slot, so the counter stays empty"
+        );
+        assert!(!spans.is_empty());
     }
 
     #[test]
@@ -2956,10 +2905,9 @@ mod tests {
         // 4-node ring, 2 lanes. X = 0→2 (CW s0, s1) alone on λ0 over s1;
         // Y = 1→2 (CW s1) and 1→3 (CW s1, s2) on λ1; W = 2→3 (CW s2)
         // holds the retirement window open. λ1 dies at 60 and the relaxed
-        // re-pack moves Y onto λ0. Y's message ran at [2, 12) on λ1 but
-        // retires after W, under its healed mask — so its span lands on
-        // (s1, λ0), where X's earlier span, retired before the heal, must
-        // still be on record.
+        // re-pack moves Y onto λ0. Y's message ran at [2, 12) on λ1 and
+        // retires after the heal, under its new mask, but it never drove
+        // λ0: it collides with nothing.
         let nodes = 4;
         let mut table = vec![vec![WavelengthId(0)]; nodes * nodes];
         for d in 0..nodes {
@@ -2987,16 +2935,40 @@ mod tests {
             event(1, 2, 3, 1000.0), // W: [1, 1001)
             event(2, 1, 2, 10.0),   // Y: [2, 12)
         ];
-        let (report, kept, unfiltered) = check_against_unfiltered_sweep(&sim, &events);
+        let (report, scratch, spans) = check_against_the_attempt_oracle(&sim, &events);
         assert_eq!(
-            kept, unfiltered,
-            "a run that may swap masks keeps every span"
+            gated(&scratch, &spans, 2),
+            spans.len(),
+            "a run that may swap masks counts on every slot"
         );
-        assert_eq!(report.conflict_count, 1);
-        let c = report.conflict_examples[0];
-        assert_eq!((c.first, c.second), (MsgId(0), MsgId(2)));
-        assert_eq!(c.channel, WavelengthId(0));
-        assert_eq!(c.overlap, (2, 12));
+        assert_eq!(report.conflict_count, 0);
+    }
+
+    #[test]
+    fn relaxed_heal_with_every_lane_dark_parks_until_the_repair() {
+        // The only lane is dark over [10, 60): a relaxed re-pack has no
+        // lane to move the flows to, so they keep theirs, and a message
+        // offered during the outage waits for the repair.
+        let sim = OpenLoopSimulator::new(
+            RingTopology::new(4),
+            1,
+            rate(),
+            WavelengthMode::Static(StaticFlowMap::striped(4, 1, 1)),
+        )
+        .with_faults(FaultPlan::new(1).with_scheduled(fault::LaneFault {
+            lane: 0,
+            at: 10,
+            duration: 50,
+        }))
+        .with_healing(HealingConfig {
+            policy: HealPolicy::RePackRelaxed,
+            ber_threshold: None,
+        });
+        let report = sim
+            .run([event(20, 0, 1, 8.0), event(100, 0, 1, 8.0)].into_iter())
+            .unwrap();
+        assert_eq!((report.message_count, report.lost_messages), (2, 0));
+        assert_eq!(report.records[0].started, 60);
     }
 
     #[test]
@@ -3302,6 +3274,92 @@ mod tests {
                     "q {}: exact nearest-rank {} vs streaming {}", q, exact, approx
                 );
             }
+        }
+    }
+
+    proptest::proptest! {
+        /// The online conflict counter against the attempt oracle on
+        /// random static maps (striped, relaxed synthesis, random tables
+        /// of 1–2 lanes per flow) under an optional outage, transport
+        /// recovery and healing, in both report modes.
+        #[test]
+        fn conflict_count_matches_the_attempt_oracle(
+            seed in 0u64..1 << 32,
+            nodes in 4usize..17,
+            wavelengths in 1usize..9,
+            map_kind in 0usize..3,
+            count in 60usize..201,
+            outage in 0usize..3,
+            transport in 0usize..3,
+            healing in 0usize..4,
+        ) {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let n = nodes as u64;
+            let mut time = 0u64;
+            let events: Vec<TrafficEvent> = (0..count)
+                .map(|_| {
+                    time += next() % 6;
+                    let src = (next() % n) as usize;
+                    let dst = (src + 1 + (next() % (n - 1)) as usize) % nodes;
+                    event(time, src, dst, 16.0 + (next() % 256) as f64)
+                })
+                .collect();
+            let ring = RingTopology::new(nodes);
+            let w = wavelengths as u64;
+            let map = match map_kind {
+                0 => StaticFlowMap::striped(nodes, wavelengths, 1 + (next() % w) as usize % 2),
+                1 => {
+                    let flows = FlowMatrix::from_events(nodes, events.iter());
+                    StaticFlowMap::from_allocator(&ring, wavelengths, &flows, FlowAllocPolicy::Relaxed)
+                        .unwrap()
+                }
+                _ => {
+                    let table = (0..nodes * nodes)
+                        .map(|flow| {
+                            if flow / nodes == flow % nodes {
+                                return Vec::new();
+                            }
+                            let first = next() % w;
+                            let mut lanes = vec![WavelengthId(first as usize)];
+                            if w > 1 && next() % 2 == 0 {
+                                lanes.push(WavelengthId(((first + 1 + next() % (w - 1)) % w) as usize));
+                            }
+                            lanes
+                        })
+                        .collect();
+                    StaticFlowMap::from_table(nodes, wavelengths, table)
+                }
+            };
+            let mut sim =
+                OpenLoopSimulator::new(ring, wavelengths, rate(), WavelengthMode::Static(map));
+            if outage > 0 {
+                let fault = fault::LaneFault {
+                    lane: (next() % w) as usize,
+                    at: next() % (time + 1),
+                    duration: if outage == 1 { 1 + next() % 400 } else { u64::MAX },
+                };
+                sim = sim.with_faults(FaultPlan::new(seed).with_scheduled(fault));
+            }
+            sim = sim.with_transport(match transport {
+                0 => TransportMode::None,
+                1 => TransportMode::go_back_n(),
+                _ => TransportMode::pfc(),
+            });
+            if healing > 0 {
+                let policy =
+                    [HealPolicy::Park, HealPolicy::RePackStrict, HealPolicy::RePackRelaxed][healing - 1];
+                sim = sim.with_healing(HealingConfig {
+                    policy,
+                    ber_threshold: None,
+                });
+            }
+            check_against_the_attempt_oracle(&sim, &events);
         }
     }
 

@@ -82,33 +82,6 @@ impl SimReport {
     }
 }
 
-/// Message index within one open-loop run (injection order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MsgId(pub usize);
-
-impl core::fmt::Display for MsgId {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "m{}", self.0)
-    }
-}
-
-/// Two messages driving the same wavelength on the same directed segment
-/// during overlapping cycles (static mode only; dynamic runs are
-/// conflict-free by construction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpenLoopConflict {
-    /// Where the collision happens.
-    pub segment: DirectedSegment,
-    /// The contested wavelength.
-    pub channel: WavelengthId,
-    /// The earlier-starting message.
-    pub first: MsgId,
-    /// The later-starting message.
-    pub second: MsgId,
-    /// The overlapping cycle interval `[start, end)`.
-    pub overlap: (u64, u64),
-}
-
 /// Summary statistics over a latency (or any nonnegative) sample set.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
@@ -395,10 +368,14 @@ pub struct OpenLoopReport {
     /// the same ONI still queued (dynamic mode); flow lanes busy
     /// (static mode).
     pub blocked_attempts: usize,
-    /// Total wavelength collisions (static mode; 0 in dynamic mode).
+    /// Wavelength collisions (static mode; 0 in dynamic mode, which
+    /// arbitrates). Counts pairs of transmission attempts that drive a
+    /// common lane on a common directed segment during overlapping
+    /// cycles (half-open `[start, end)` spans, so back-to-back attempts
+    /// do not collide). Failed attempts count, since they drove their
+    /// lanes; a pair counts once per `(segment, lane)` slot it shares.
+    /// The count is the same in both report modes.
     pub conflict_count: usize,
-    /// The first few collisions, for diagnostics.
-    pub conflict_examples: Vec<OpenLoopConflict>,
     /// Busy wavelength-cycles per directed segment.
     pub segment_busy: Vec<(DirectedSegment, u64)>,
     /// Busy wavelength-cycles per wavelength, summed over segments.

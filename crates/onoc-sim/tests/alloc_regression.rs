@@ -13,8 +13,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use onoc_photonics::EnergyParams;
 use onoc_sim::{
-    DynamicPolicy, EnergyModel, EnergyProbe, OpenLoopSimulator, ReportMode, SimScratch,
-    TimeSeriesProbe, TrafficEvent, TrafficSource, WavelengthMode,
+    DynamicPolicy, EnergyModel, EnergyProbe, OpenLoopReport, OpenLoopSimulator, ReportMode,
+    SimScratch, StaticFlowMap, TimeSeriesProbe, TrafficEvent, TrafficSource, WavelengthMode,
 };
 use onoc_topology::{NodeId, RingTopology};
 use onoc_units::{Bits, BitsPerCycle};
@@ -84,12 +84,20 @@ impl TrafficSource for ArmingSource {
 
 #[test]
 fn steady_state_admit_path_is_allocation_free() {
-    let sim = OpenLoopSimulator::new(
-        RingTopology::new(16),
-        4,
-        BitsPerCycle::new(1.0),
-        WavelengthMode::Dynamic(DynamicPolicy::Single),
+    counted_run("dynamic", WavelengthMode::Dynamic(DynamicPolicy::Single));
+    // Every slot of a striped map is shared, so the conflict counter
+    // runs on each start and completion.
+    let striped = counted_run(
+        "striped",
+        WavelengthMode::Static(StaticFlowMap::striped(16, 4, 1)),
     );
+    assert!(striped.conflict_count > 0, "the workload collides");
+}
+
+/// Runs the workload on a warm scratch with the allocation counter armed
+/// for its steady state, and requires zero allocations there.
+fn counted_run(name: &str, mode: WavelengthMode) -> OpenLoopReport {
+    let sim = OpenLoopSimulator::new(RingTopology::new(16), 4, BitsPerCycle::new(1.0), mode);
     let mut scratch = SimScratch::new();
     // The probes attach *inside* the counted window: per-lane, per-source
     // and per-flow buffers are sized at construction and the telemetry
@@ -131,7 +139,7 @@ fn steady_state_admit_path_is_allocation_free() {
     let counted = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
         counted, 0,
-        "steady-state admit path allocated {counted} times"
+        "{name}: steady-state admit path allocated {counted} times"
     );
     let energy = energy.report();
     assert_eq!(energy.messages, 64);
@@ -139,4 +147,5 @@ fn steady_state_admit_path_is_allocation_free() {
     let series = telemetry.report();
     assert_eq!(series.total_retired(), 64);
     assert_eq!(series.horizon, report.horizon);
+    report
 }

@@ -11,7 +11,8 @@
 //! [`TrafficRng`], and results are written back by
 //! scenario index — so the outcome is bit-identical for 1, 4 or 64
 //! worker threads. The only thread-dependent value is the
-//! [`SweepOutcome::workers_used`] head-count kept as run metadata.
+//! [`SweepOutcome::workers_used`] head-count, run metadata that no
+//! rendering prints.
 
 use std::sync::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -211,10 +212,12 @@ pub struct ScenarioResult {
 pub struct SweepOutcome {
     /// One result per scenario, ordered by [`Scenario::index`].
     pub results: Vec<ScenarioResult>,
-    /// Worker threads the pool was started with.
+    /// Worker threads the pool was started with. Run metadata: no
+    /// artifact or rendering prints it.
     pub threads: usize,
     /// Workers that actually processed at least one scenario
-    /// (thread-schedule dependent; metadata only).
+    /// (thread-schedule dependent). Run metadata: no artifact or
+    /// rendering prints it, so they are identical for any thread count.
     pub workers_used: usize,
 }
 
@@ -313,12 +316,7 @@ impl SweepOutcome {
                 )
             })
             .collect();
-        format!(
-            "{{\n  \"threads\": {},\n  \"workers_used\": {},\n  \"results\": [\n{}\n  ]\n}}",
-            self.threads,
-            self.workers_used,
-            rows.join(",\n")
-        )
+        format!("{{\n  \"results\": [\n{}\n  ]\n}}", rows.join(",\n"))
     }
 }
 
