@@ -242,7 +242,7 @@ fn context(args: &[String]) -> Result<RunContext, String> {
     } else if let Some(raw) = value_of(args, "--scale") {
         Scale::from_name(&raw).ok_or_else(|| format!("unknown scale {raw:?}"))?
     } else {
-        Scale::from_env_and_args()
+        Scale::Paper
     };
     let mut ctx = RunContext::new(scale);
     if let Some(seed) = parsed_value::<u64>(args, "--seed")? {

@@ -976,7 +976,7 @@ pub fn sweep_table(name: &str, outcome: &SweepOutcome) -> Table {
     let columns: Vec<&str> = SweepOutcome::CSV_HEADER.split(',').collect();
     let mut table = Table::new(name, &columns);
     for row in outcome.to_csv() {
-        table.push_row(row.split(',').map(ToString::to_string).collect());
+        table.push_csv_row(|body| body.push_str(&row));
     }
     table
 }

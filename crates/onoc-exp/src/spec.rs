@@ -12,15 +12,14 @@ use onoc_sim::{
     InjectionMode, LaneFault, StochasticFaults, TransportMode,
 };
 use onoc_topology::NodeId;
-use onoc_traffic::TrafficPattern;
+use onoc_traffic::{MAX_MESSAGE_BITS, TrafficPattern};
 use onoc_wa::{GrantPolicy, Nsga2Config, ObjectiveSet};
 
 use crate::value::{ParseError, Value};
 
 /// How large the search/simulation runs should be.
 ///
-/// This is the single scale knob of the workspace (the seven per-binary
-/// copies of `Scale::from_env_and_args` collapsed here): GA population ×
+/// This is the single scale knob of the workspace: GA population ×
 /// generations, and a shrink factor experiments apply to horizons and
 /// sample counts via [`Scale::pick`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,24 +36,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Resolves the scale from the process arguments (`--quick`) and the
-    /// `ONOC_SCALE` / legacy `ONOC_BENCH_SCALE` environment variables
-    /// (`paper` / `quick` / `smoke`). Defaults to [`Scale::Paper`].
-    #[must_use]
-    pub fn from_env_and_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
-            return Scale::Quick;
-        }
-        for var in ["ONOC_SCALE", "ONOC_BENCH_SCALE"] {
-            if let Ok(v) = std::env::var(var) {
-                if let Some(scale) = Self::from_name(&v.to_ascii_lowercase()) {
-                    return scale;
-                }
-            }
-        }
-        Scale::Paper
-    }
-
     /// Document names, in variant order.
     const NAMES: [&'static str; 3] = ["paper", "quick", "smoke"];
     const ALL: [Scale; 3] = [Scale::Paper, Scale::Quick, Scale::Smoke];
@@ -1772,6 +1753,8 @@ const UNIT_NO_ONE: Range = between(0.0, 1.0, false, true);
 /// Comb sizes: a lane mask is 128 bits wide.
 const LANES: Range = between(1.0, 128.0, false, false);
 const U32: Range = between(0.0, u32::MAX as f64, false, false);
+/// Message sizes: every single-lane transfer time fits `u64` cycles.
+const MESSAGE_SIZE: Range = between(0.0, MAX_MESSAGE_BITS, true, false);
 
 impl Range {
     fn admits(self, x: f64) -> bool {
@@ -2343,7 +2326,7 @@ const HOTSPOTS: Field = field("workload.hotspots", Ints(NAT), Required, "Hotspot
 #[rustfmt::skip]
 const FRACTION: Field = field("workload.fraction", Float(UNIT), Required, "Share of traffic sent to the hotspots.");
 #[rustfmt::skip]
-const MESSAGE_BITS: Field = field("workload.message_bits", Float(POSITIVE), Required, "Size of every message, bits.");
+const MESSAGE_BITS: Field = field("workload.message_bits", Float(MESSAGE_SIZE), Required, "Size of every message, bits.");
 #[rustfmt::skip]
 const HORIZON: Field = field("workload.horizon", Int(ONE_UP), Required, "Injection window, cycles.");
 #[rustfmt::skip]

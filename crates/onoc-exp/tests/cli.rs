@@ -114,7 +114,7 @@ fn override_flags_that_break_the_spec_exit_2() {
 #[test]
 fn one_edit_spec_mistakes_exit_1_and_name_the_key() {
     let base = std::fs::read_to_string(ENERGY).unwrap();
-    let edits: [(&str, &str, &str); 8] = [
+    let edits: [(&str, &str, &str); 9] = [
         ("wavelengths = 8", "wavelenghts = 2", "arch.wavelengths"),
         (
             "policy = \"single\"",
@@ -146,6 +146,11 @@ fn one_edit_spec_mistakes_exit_1_and_name_the_key() {
             "pattern = \"uniform\"",
             "pattern = \"uniform\"\nhotspots = [3]",
             "workload.hotspots",
+        ),
+        (
+            "message_bits = 512.0",
+            "message_bits = 1e300",
+            "workload.message_bits",
         ),
     ];
     for (i, (from, to, key)) in edits.into_iter().enumerate() {

@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use onoc_sim::{DropFact, FaultCause, HealFact, HealPolicy, MsgRecord, SimProbe, TxFact};
 use onoc_topology::{RingPath, RingTopology};
-use onoc_wa::heuristics::assign_disjoint_lanes;
+use onoc_wa::heuristics::{ConflictGraph, assign_disjoint_lanes};
 use onoc_wa::{GrantError, GrantPolicy, OccupancyLedger};
 
 use crate::workload::SessionRequest;
@@ -917,7 +917,8 @@ pub fn compare_replay_cost(config: &ServiceConfig, requests: &[SessionRequest]) 
             }
         }
         let clock = Instant::now();
-        let feasible = assign_disjoint_lanes(&demands, &conflicts, config.wavelengths).is_ok();
+        let graph = ConflictGraph::new(batch.len(), &conflicts);
+        let feasible = assign_disjoint_lanes(&demands, &graph, config.wavelengths).is_ok();
         full_nanos += clock.elapsed().as_nanos();
         full_packs += batch.len() as u64;
         if !feasible {

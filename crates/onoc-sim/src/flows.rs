@@ -6,7 +6,7 @@
 //! the next best thing: a measured `(src, dst)` volume matrix. This module
 //! closes the loop the ROADMAP asks for — measure a trace into a
 //! [`FlowMatrix`], synthesise per-flow wavelength sets with
-//! [`StaticFlowMap::from_allocator`] (the same greedy disjoint-lane packer
+//! [`StaticFlowMap::from_allocator_with_spares`] (the same greedy disjoint-lane packer
 //! behind `onoc_wa::heuristics::first_fit` and
 //! `ProblemInstance::allocation_from_counts`), and replay the trace in
 //! [`WavelengthMode::Static`](crate::WavelengthMode) to compare design-time
@@ -20,7 +20,7 @@
 use onoc_photonics::WavelengthId;
 use onoc_topology::{NodeId, RingPath, RingTopology};
 use onoc_units::Bits;
-use onoc_wa::heuristics::{assign_disjoint_lanes, assign_shared_lanes};
+use onoc_wa::heuristics::{ConflictGraph, assign_disjoint_lanes, assign_shared_lanes};
 
 use crate::openloop::{StaticFlowMap, TrafficEvent};
 
@@ -129,7 +129,7 @@ impl FlowMatrix {
     }
 }
 
-/// How [`StaticFlowMap::from_allocator`] sizes each flow's wavelength set.
+/// How [`StaticFlowMap::from_allocator_with_spares`] sizes each flow's wavelength set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowAllocPolicy {
     /// One wavelength per measured flow — the classical single-lightpath
@@ -159,7 +159,7 @@ pub enum FlowAllocPolicy {
 /// the contested lane.
 pub type SharedLanePair = ((NodeId, NodeId), (NodeId, NodeId), WavelengthId);
 
-/// What [`StaticFlowMap::from_allocator_with_summary`] learned while
+/// What [`StaticFlowMap::from_allocator_with_spares`] learned while
 /// packing: the predicted conflict budget of a relaxed assignment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisSummary {
@@ -228,8 +228,10 @@ impl std::error::Error for FlowSynthesisError {}
 
 impl StaticFlowMap {
     /// Synthesises per-flow wavelength sets from a measured [`FlowMatrix`]
-    /// by reusing the `onoc-wa` greedy disjoint-lane allocator
-    /// ([`assign_disjoint_lanes`]).
+    /// by reusing the `onoc-wa` greedy lane packers
+    /// ([`assign_disjoint_lanes`], [`assign_shared_lanes`]), and returns
+    /// the [`SynthesisSummary`]: the predicted conflict budget when the
+    /// [`FlowAllocPolicy::Relaxed`] policy had to share lanes.
     ///
     /// Flows are routed along the shortest ring direction (clockwise on
     /// ties, matching the open-loop engine) and packed heaviest-first; any
@@ -238,64 +240,24 @@ impl StaticFlowMap {
     /// absent from the matrix get no lanes; replaying traffic on them
     /// fails with [`OpenLoopError::UnmappedFlow`](crate::OpenLoopError).
     ///
-    /// # Errors
-    ///
-    /// Returns [`FlowSynthesisError`] when the matrix is empty or even one
-    /// lane per flow does not fit the comb.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wavelengths` is outside `1..=128`, the ring is smaller
-    /// than the matrix, or a `Proportional` policy has a zero lane cap.
-    pub fn from_allocator(
-        ring: &RingTopology,
-        wavelengths: usize,
-        flows: &FlowMatrix,
-        policy: FlowAllocPolicy,
-    ) -> Result<Self, FlowSynthesisError> {
-        Self::from_allocator_with_summary(ring, wavelengths, flows, policy).map(|(map, _)| map)
-    }
-
-    /// Like [`StaticFlowMap::from_allocator`], additionally returning the
-    /// [`SynthesisSummary`] — the predicted conflict budget when the
-    /// [`FlowAllocPolicy::Relaxed`] policy had to share lanes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowSynthesisError`] under the strict policies when the
-    /// matrix is empty or one lane per flow does not fit the comb; the
-    /// relaxed policy only fails on an empty matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the conditions of [`StaticFlowMap::from_allocator`].
-    pub fn from_allocator_with_summary(
-        ring: &RingTopology,
-        wavelengths: usize,
-        flows: &FlowMatrix,
-        policy: FlowAllocPolicy,
-    ) -> Result<(Self, SynthesisSummary), FlowSynthesisError> {
-        Self::from_allocator_with_spares(ring, wavelengths, flows, policy, 0)
-    }
-
-    /// Like [`StaticFlowMap::from_allocator_with_summary`], but holds the
-    /// top `spares` lanes of the comb out of the synthesis: flows pack
-    /// into the low `wavelengths - spares` channels, and λ`(NW-spares)`..
-    /// λ`(NW-1)` stay unclaimed. A strict mid-run re-pack
+    /// The top `spares` lanes of the comb stay out of the synthesis:
+    /// flows pack into the low `wavelengths - spares` channels, and
+    /// λ`(NW-spares)`..λ`(NW-1)` stay unclaimed. A strict mid-run re-pack
     /// ([`onoc_wa::reassign_flows_on_lane_loss`]) or an online defrag then
     /// always has a disjoint re-home for up to `spares` lost lanes.
     ///
     /// # Errors
     ///
-    /// Returns [`FlowSynthesisError`] on the conditions of
-    /// [`StaticFlowMap::from_allocator_with_summary`], judged against the
-    /// reduced packing comb (the `wavelengths` field of an `Infeasible`
-    /// error reports the lanes that were actually packable).
+    /// Returns [`FlowSynthesisError`] when the matrix is empty or, under
+    /// the strict policies, one lane per flow does not fit the packing
+    /// comb (the `wavelengths` field of an `Infeasible` error reports the
+    /// lanes that were actually packable).
     ///
     /// # Panics
     ///
-    /// Panics on the conditions of [`StaticFlowMap::from_allocator`], or
-    /// when `spares` does not leave at least one packable lane
+    /// Panics if `wavelengths` is outside `1..=128`, the ring is smaller
+    /// than the matrix, a `Proportional` policy has a zero lane cap, or
+    /// `spares` does not leave at least one packable lane
     /// (`spares >= wavelengths`).
     pub fn from_allocator_with_spares(
         ring: &RingTopology,
@@ -341,37 +303,32 @@ impl StaticFlowMap {
                 .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
         });
 
-        // Conflict graph: flows whose shortest-direction paths share a
-        // directed segment.
+        // Conflict graph, built once for every pack below: flows whose
+        // shortest-direction paths share a directed segment.
         let paths: Vec<RingPath> = measured
             .iter()
             .map(|&(src, dst, _)| RingPath::new(ring, src, dst, ring.shortest_direction(src, dst)))
             .collect();
-        let mut conflicts = Vec::new();
+        let mut pairs = Vec::new();
         for i in 0..paths.len() {
             for j in i + 1..paths.len() {
                 if paths[i].overlaps(&paths[j]) {
-                    conflicts.push((i, j));
+                    pairs.push((i, j));
                 }
             }
         }
+        let graph = ConflictGraph::new(paths.len(), &pairs);
+        let pack = |demands: &[usize]| assign_disjoint_lanes(demands, &graph, pack_comb);
 
-        let pack = |demands: &[usize]| assign_disjoint_lanes(demands, &conflicts, pack_comb);
-
-        // The relaxed policy never fails: it shares lanes on the light
-        // tail and reports the sharing pairs as the conflict budget.
-        if matches!(policy, FlowAllocPolicy::Relaxed) {
-            let relaxed = assign_shared_lanes(&vec![1; measured.len()], &conflicts, pack_comb);
-            let shared_pairs: Vec<_> = relaxed
+        let (lanes, summary) = if matches!(policy, FlowAllocPolicy::Relaxed) {
+            // The relaxed policy never fails: it shares lanes on the light
+            // tail and reports the sharing pairs as the conflict budget.
+            let relaxed = assign_shared_lanes(&vec![1; measured.len()], &graph, pack_comb);
+            let flow = |k: usize| (measured[k].0, measured[k].1);
+            let shared_pairs = relaxed
                 .shared
                 .iter()
-                .map(|&(k, owner, lane)| {
-                    (
-                        (measured[k].0, measured[k].1),
-                        (measured[owner].0, measured[owner].1),
-                        lane,
-                    )
-                })
+                .map(|&(k, owner, lane)| (flow(k), flow(owner), lane))
                 .collect();
             let mut involved: Vec<usize> = relaxed
                 .shared
@@ -385,57 +342,49 @@ impl StaticFlowMap {
                 shared_pairs,
                 shared_bits,
             };
-            let nodes = flows.nodes();
-            let mut table = vec![Vec::new(); nodes * nodes];
-            for (k, &(src, dst, _)) in measured.iter().enumerate() {
-                table[src.0 * nodes + dst.0] = relaxed.lanes[k].clone();
-            }
-            return Ok((Self::from_parts(nodes, wavelengths, table), summary));
-        }
-
-        // One lane per flow is the feasibility floor.
-        let mut demands = vec![1usize; measured.len()];
-        let mut lanes = pack(&demands).map_err(|e| FlowSynthesisError::Infeasible {
-            src: measured[e.index].0,
-            dst: measured[e.index].1,
-            wavelengths: pack_comb,
-        })?;
-
-        // Proportional water-filling: grant the hungriest flow one more
-        // lane while the packing still fits.
-        if max_lanes > 1 {
-            let mut saturated = vec![false; measured.len()];
-            loop {
-                let candidate = (0..measured.len())
-                    .filter(|&i| !saturated[i] && demands[i] < max_lanes)
-                    .max_by(|&a, &b| {
-                        let per_lane = |i: usize| measured[i].2 / demands[i] as f64;
-                        per_lane(a)
-                            .partial_cmp(&per_lane(b))
-                            .expect("volumes are finite")
-                            .then_with(|| b.cmp(&a)) // ties: earlier (heavier) flow
-                    });
-                let Some(i) = candidate else { break };
-                demands[i] += 1;
-                match pack(&demands) {
-                    Ok(packed) => lanes = packed,
-                    Err(_) => {
-                        demands[i] -= 1;
-                        saturated[i] = true;
+            (relaxed.lanes, summary)
+        } else {
+            // One lane per flow is the feasibility floor.
+            let mut demands = vec![1usize; measured.len()];
+            let mut lanes = pack(&demands).map_err(|e| FlowSynthesisError::Infeasible {
+                src: measured[e.index].0,
+                dst: measured[e.index].1,
+                wavelengths: pack_comb,
+            })?;
+            // Proportional water-filling: grant the hungriest flow one
+            // more lane while the packing still fits.
+            if max_lanes > 1 {
+                let mut saturated = vec![false; measured.len()];
+                loop {
+                    let candidate = (0..measured.len())
+                        .filter(|&i| !saturated[i] && demands[i] < max_lanes)
+                        .max_by(|&a, &b| {
+                            let per_lane = |i: usize| measured[i].2 / demands[i] as f64;
+                            per_lane(a)
+                                .partial_cmp(&per_lane(b))
+                                .expect("volumes are finite")
+                                .then_with(|| b.cmp(&a)) // ties: earlier (heavier) flow
+                        });
+                    let Some(i) = candidate else { break };
+                    demands[i] += 1;
+                    match pack(&demands) {
+                        Ok(packed) => lanes = packed,
+                        Err(_) => {
+                            demands[i] -= 1;
+                            saturated[i] = true;
+                        }
                     }
                 }
             }
-        }
+            (lanes, SynthesisSummary::disjoint())
+        };
 
         let nodes = flows.nodes();
         let mut table = vec![Vec::new(); nodes * nodes];
-        for (k, &(src, dst, _)) in measured.iter().enumerate() {
-            table[src.0 * nodes + dst.0] = lanes[k].clone();
+        for (&(src, dst, _), lanes) in measured.iter().zip(lanes) {
+            table[src.0 * nodes + dst.0] = lanes;
         }
-        Ok((
-            Self::from_parts(nodes, wavelengths, table),
-            SynthesisSummary::disjoint(),
-        ))
+        Ok((Self::from_parts(nodes, wavelengths, table), summary))
     }
 }
 
@@ -485,7 +434,10 @@ mod tests {
         m.record(NodeId(0), NodeId(2), Bits::new(100.0));
         m.record(NodeId(1), NodeId(3), Bits::new(50.0));
         let ring = RingTopology::new(4);
-        let map = StaticFlowMap::from_allocator(&ring, 2, &m, FlowAllocPolicy::FirstFit).unwrap();
+        let map =
+            StaticFlowMap::from_allocator_with_spares(&ring, 2, &m, FlowAllocPolicy::FirstFit, 0)
+                .unwrap()
+                .0;
         let a = map.lanes(NodeId(0), NodeId(2));
         let b = map.lanes(NodeId(1), NodeId(3));
         assert_eq!(a.len(), 1);
@@ -501,7 +453,8 @@ mod tests {
         m.record(NodeId(1), NodeId(3), Bits::new(50.0));
         let ring = RingTopology::new(4);
         let err =
-            StaticFlowMap::from_allocator(&ring, 1, &m, FlowAllocPolicy::FirstFit).unwrap_err();
+            StaticFlowMap::from_allocator_with_spares(&ring, 1, &m, FlowAllocPolicy::FirstFit, 0)
+                .unwrap_err();
         assert_eq!(
             err,
             FlowSynthesisError::Infeasible {
@@ -516,8 +469,14 @@ mod tests {
     fn empty_matrix_is_rejected() {
         let ring = RingTopology::new(4);
         assert_eq!(
-            StaticFlowMap::from_allocator(&ring, 4, &FlowMatrix::new(4), FlowAllocPolicy::FirstFit)
-                .unwrap_err(),
+            StaticFlowMap::from_allocator_with_spares(
+                &ring,
+                4,
+                &FlowMatrix::new(4),
+                FlowAllocPolicy::FirstFit,
+                0
+            )
+            .unwrap_err(),
             FlowSynthesisError::NoFlows
         );
     }
@@ -528,15 +487,17 @@ mod tests {
         m.record(NodeId(0), NodeId(2), Bits::new(10_000.0));
         m.record(NodeId(4), NodeId(6), Bits::new(100.0));
         let ring = RingTopology::new(8);
-        let map = StaticFlowMap::from_allocator(
+        let map = StaticFlowMap::from_allocator_with_spares(
             &ring,
             4,
             &m,
             FlowAllocPolicy::Proportional {
                 max_lanes_per_flow: 4,
             },
+            0,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // Disjoint paths: both can take the whole comb under water-filling.
         assert_eq!(map.lanes(NodeId(0), NodeId(2)).len(), 4);
         assert_eq!(map.lanes(NodeId(4), NodeId(6)).len(), 4);
@@ -549,15 +510,17 @@ mod tests {
         m.record(NodeId(0), NodeId(2), Bits::new(3_000.0));
         m.record(NodeId(1), NodeId(3), Bits::new(1_000.0));
         let ring = RingTopology::new(4);
-        let map = StaticFlowMap::from_allocator(
+        let map = StaticFlowMap::from_allocator_with_spares(
             &ring,
             4,
             &m,
             FlowAllocPolicy::Proportional {
                 max_lanes_per_flow: 4,
             },
+            0,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let heavy = map.lanes(NodeId(0), NodeId(2)).len();
         let light = map.lanes(NodeId(1), NodeId(3)).len();
         assert_eq!(heavy + light, 4, "shared segment bounds the total");
@@ -573,15 +536,17 @@ mod tests {
             .collect();
         let m = FlowMatrix::from_events(16, events.iter());
         let ring = RingTopology::new(16);
-        let map = StaticFlowMap::from_allocator(
+        let map = StaticFlowMap::from_allocator_with_spares(
             &ring,
             8,
             &m,
             FlowAllocPolicy::Proportional {
                 max_lanes_per_flow: 2,
             },
+            0,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let sim =
             OpenLoopSimulator::new(ring, 8, BitsPerCycle::new(1.0), WavelengthMode::Static(map));
         let report = sim.run(events.into_iter()).unwrap();
@@ -596,9 +561,11 @@ mod tests {
         m.record(NodeId(1), NodeId(3), Bits::new(50.0));
         let ring = RingTopology::new(4);
         let strict =
-            StaticFlowMap::from_allocator(&ring, 2, &m, FlowAllocPolicy::FirstFit).unwrap();
+            StaticFlowMap::from_allocator_with_spares(&ring, 2, &m, FlowAllocPolicy::FirstFit, 0)
+                .unwrap()
+                .0;
         let (relaxed, summary) =
-            StaticFlowMap::from_allocator_with_summary(&ring, 2, &m, FlowAllocPolicy::Relaxed)
+            StaticFlowMap::from_allocator_with_spares(&ring, 2, &m, FlowAllocPolicy::Relaxed, 0)
                 .unwrap();
         assert_eq!(strict, relaxed);
         assert!(summary.is_disjoint());
@@ -614,9 +581,12 @@ mod tests {
         m.record(NodeId(0), NodeId(2), Bits::new(1_000.0));
         m.record(NodeId(1), NodeId(3), Bits::new(10.0));
         let ring = RingTopology::new(4);
-        assert!(StaticFlowMap::from_allocator(&ring, 1, &m, FlowAllocPolicy::FirstFit).is_err());
+        assert!(
+            StaticFlowMap::from_allocator_with_spares(&ring, 1, &m, FlowAllocPolicy::FirstFit, 0)
+                .is_err()
+        );
         let (map, summary) =
-            StaticFlowMap::from_allocator_with_summary(&ring, 1, &m, FlowAllocPolicy::Relaxed)
+            StaticFlowMap::from_allocator_with_spares(&ring, 1, &m, FlowAllocPolicy::Relaxed, 0)
                 .unwrap();
         assert_eq!(map.lanes(NodeId(0), NodeId(2)), &[WavelengthId(0)]);
         assert_eq!(map.lanes(NodeId(1), NodeId(3)), &[WavelengthId(0)]);
@@ -644,8 +614,14 @@ mod tests {
     fn relaxed_policy_still_rejects_empty_matrices() {
         let ring = RingTopology::new(4);
         assert_eq!(
-            StaticFlowMap::from_allocator(&ring, 4, &FlowMatrix::new(4), FlowAllocPolicy::Relaxed)
-                .unwrap_err(),
+            StaticFlowMap::from_allocator_with_spares(
+                &ring,
+                4,
+                &FlowMatrix::new(4),
+                FlowAllocPolicy::Relaxed,
+                0
+            )
+            .unwrap_err(),
             FlowSynthesisError::NoFlows
         );
     }
@@ -719,7 +695,10 @@ mod tests {
         let mut m = FlowMatrix::new(16);
         m.record(NodeId(0), NodeId(3), Bits::new(100.0));
         let ring = RingTopology::new(16);
-        let map = StaticFlowMap::from_allocator(&ring, 4, &m, FlowAllocPolicy::FirstFit).unwrap();
+        let map =
+            StaticFlowMap::from_allocator_with_spares(&ring, 4, &m, FlowAllocPolicy::FirstFit, 0)
+                .unwrap()
+                .0;
         let sim =
             OpenLoopSimulator::new(ring, 4, BitsPerCycle::new(1.0), WavelengthMode::Static(map));
         let err = sim.run(vec![event(0, 5, 9, 64.0)].into_iter()).unwrap_err();
@@ -742,15 +721,17 @@ mod tests {
             .collect();
         let m = FlowMatrix::from_events(16, events.iter());
         let ring = RingTopology::new(16);
-        let map = StaticFlowMap::from_allocator(
+        let map = StaticFlowMap::from_allocator_with_spares(
             &ring,
             8,
             &m,
             FlowAllocPolicy::Proportional {
                 max_lanes_per_flow: 8,
             },
+            0,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let static_report =
             OpenLoopSimulator::new(ring, 8, BitsPerCycle::new(1.0), WavelengthMode::Static(map))
                 .run(events.clone().into_iter())

@@ -2858,11 +2858,12 @@ mod tests {
     fn relaxed_synthesis_count_matches_the_attempt_oracle() {
         let events = busy_trace();
         let flows = FlowMatrix::from_events(16, events.iter());
-        let (map, summary) = StaticFlowMap::from_allocator_with_summary(
+        let (map, summary) = StaticFlowMap::from_allocator_with_spares(
             &ring16(),
             4,
             &flows,
             FlowAllocPolicy::Relaxed,
+            0,
         )
         .unwrap();
         assert!(!summary.is_disjoint());
@@ -2881,15 +2882,17 @@ mod tests {
     fn disjoint_synthesis_count_matches_the_attempt_oracle() {
         let events = busy_trace();
         let flows = FlowMatrix::from_events(16, events.iter());
-        let map = StaticFlowMap::from_allocator(
+        let map = StaticFlowMap::from_allocator_with_spares(
             &ring16(),
             64,
             &flows,
             FlowAllocPolicy::Proportional {
                 max_lanes_per_flow: 4,
             },
+            0,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let sim = OpenLoopSimulator::new(ring16(), 64, rate(), WavelengthMode::Static(map));
         let (report, scratch, spans) = check_against_the_attempt_oracle(&sim, &events);
         assert_eq!(report.conflict_count, 0);
@@ -3316,8 +3319,15 @@ mod tests {
                 0 => StaticFlowMap::striped(nodes, wavelengths, 1 + (next() % w) as usize % 2),
                 1 => {
                     let flows = FlowMatrix::from_events(nodes, events.iter());
-                    StaticFlowMap::from_allocator(&ring, wavelengths, &flows, FlowAllocPolicy::Relaxed)
-                        .unwrap()
+                    StaticFlowMap::from_allocator_with_spares(
+                        &ring,
+                        wavelengths,
+                        &flows,
+                        FlowAllocPolicy::Relaxed,
+                        0,
+                    )
+                    .unwrap()
+                    .0
                 }
                 _ => {
                     let table = (0..nodes * nodes)

@@ -61,6 +61,6 @@ pub use sweep::{
     run_sweep,
 };
 pub use trace::{
-    OnOffConfig, TRACE_CSV_HEADER, TraceParseError, TraceSource, TraceStats, TrafficConfig,
-    TrafficTrace, generate,
+    MAX_MESSAGE_BITS, OnOffConfig, TRACE_CSV_HEADER, TraceParseError, TraceSource, TraceStats,
+    TrafficConfig, TrafficTrace, generate,
 };

@@ -268,56 +268,6 @@ impl SweepOutcome {
             })
             .collect()
     }
-
-    /// Renders the whole outcome as a self-contained JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .results
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"pattern\": \"{}\", \"nodes\": {}, \"wavelengths\": {}, \
-                     \"injection_rate\": {}, \"offered_bits_per_cycle\": {:.3}, \
-                     \"accepted_bits_per_cycle\": {:.3}, \"messages\": {}, \"blocked\": {}, \
-                     \"latency\": {{\"mean\": {:.2}, \"p50\": {:.2}, \"p95\": {:.2}, \
-                     \"p99\": {:.2}, \"max\": {}}}, \"occupancy\": {:.5}, \
-                     \"stall_mean\": {:.2}, \"credit_occupancy\": {:.5}, \
-                     \"energy_pj_per_bit\": {:.4}, \"energy_static_frac\": {:.4}, \
-                     \"failed_attempts\": {}, \"lost\": {}, \"retx_bits\": {:.1}, \
-                     \"outages\": {}, \"heals\": {}, \"recovery\": {{\"p50\": {:.1}, \
-                     \"p95\": {:.1}, \"p99\": {:.1}}}}}",
-                    r.scenario.pattern.name(),
-                    r.scenario.nodes,
-                    r.scenario.wavelengths,
-                    r.scenario.injection_rate,
-                    r.offered_load,
-                    r.accepted_throughput,
-                    r.injected,
-                    r.blocked,
-                    r.latency.mean,
-                    r.latency.p50,
-                    r.latency.p95,
-                    r.latency.p99,
-                    r.latency.max,
-                    r.occupancy,
-                    r.stall_mean,
-                    r.credit_occupancy,
-                    r.energy_pj_per_bit,
-                    r.energy_static_frac,
-                    r.failed_attempts,
-                    r.lost,
-                    r.retransmitted_bits,
-                    r.outages,
-                    r.heals,
-                    r.recovery_p50,
-                    r.recovery_p95,
-                    r.recovery_p99,
-                )
-            })
-            .collect();
-        format!("{{\n  \"results\": [\n{}\n  ]\n}}", rows.join(",\n"))
-    }
 }
 
 /// Runs one scenario to completion (generation + open-loop simulation).
@@ -829,7 +779,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_json_are_well_formed() {
+    fn csv_rows_are_well_formed() {
         let outcome = run_sweep(&tiny_grid(), 2);
         let rows = outcome.to_csv();
         assert_eq!(rows.len(), 8);
@@ -837,11 +787,6 @@ mod tests {
         for row in &rows {
             assert_eq!(row.split(',').count(), columns, "row {row}");
         }
-        let json = outcome.to_json();
-        assert!(json.contains("\"results\": ["));
-        assert_eq!(json.matches("\"pattern\"").count(), 8);
-        // Balanced braces as a cheap well-formedness proxy.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

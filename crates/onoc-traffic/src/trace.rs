@@ -273,6 +273,11 @@ impl core::fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
+/// The largest message, in bits, a trace row or a scenario spec may
+/// carry: 2³² bits, so a single-lane transfer at the specs' 1 bit per
+/// cycle lasts at most 2³² cycles and every latency fits `u64`.
+pub const MAX_MESSAGE_BITS: f64 = 4_294_967_296.0;
+
 /// The header [`TrafficTrace::to_csv`] writes and
 /// [`TrafficTrace::from_csv_str`] accepts (and skips) on the first line.
 pub const TRACE_CSV_HEADER: &str = "cycle,src,dst,size";
@@ -289,8 +294,8 @@ impl TrafficTrace {
     /// # Errors
     ///
     /// Returns [`TraceParseError`] on a malformed row (wrong column
-    /// count, unparsable number, nonpositive size) or an event-free
-    /// document.
+    /// count, unparsable number, nonpositive size or one above
+    /// [`MAX_MESSAGE_BITS`]) or an event-free document.
     pub fn from_csv_str(input: &str) -> Result<Self, TraceParseError> {
         let mut events = Vec::new();
         let mut seen_row = false;
@@ -334,6 +339,12 @@ impl TrafficTrace {
                 return Err(TraceParseError::Row {
                     line,
                     message: format!("size must be a positive bit count, got {size}"),
+                });
+            }
+            if size > MAX_MESSAGE_BITS {
+                return Err(TraceParseError::Row {
+                    line,
+                    message: format!("size {size} exceeds the {MAX_MESSAGE_BITS}-bit limit"),
                 });
             }
             if src == dst {
@@ -812,6 +823,12 @@ mod tests {
         assert!(matches!(bad_columns, TraceParseError::Row { line: 1, .. }));
         let bad_size = TrafficTrace::from_csv_str("1,0,2,-5\n").unwrap_err();
         assert!(matches!(bad_size, TraceParseError::Row { line: 1, .. }));
+        // A size past the message limit is refused with its line; the
+        // limit itself loads.
+        let huge = TrafficTrace::from_csv_str("0,0,2,64\n1,0,2,1e300\n").unwrap_err();
+        assert!(matches!(huge, TraceParseError::Row { line: 2, .. }));
+        let at_limit = format!("0,0,2,{MAX_MESSAGE_BITS}\n");
+        assert_eq!(TrafficTrace::from_csv_str(&at_limit).unwrap().len(), 1);
         let self_loop = TrafficTrace::from_csv_str("1,2,2,64\n").unwrap_err();
         assert!(matches!(self_loop, TraceParseError::Row { line: 1, .. }));
         assert_eq!(

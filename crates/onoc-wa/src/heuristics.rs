@@ -12,7 +12,7 @@ use onoc_app::CommId;
 use onoc_photonics::WavelengthId;
 use rand::Rng;
 
-use crate::{Allocation, Evaluator, ProblemInstance};
+use crate::{Allocation, Evaluator, InstanceError, ProblemInstance};
 
 /// Why a heuristic could not produce an allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,18 +69,173 @@ impl core::fmt::Display for LanePackingError {
 
 impl std::error::Error for LanePackingError {}
 
+/// A conflict graph as neighbour lists: item `k`'s neighbours in pair
+/// order, the order [`assign_shared_lanes`] reports sharing pairs in. A
+/// repeated pair lists a neighbour twice, so it counts twice; a self pair
+/// changes no packing. Build it once and pack against it as often as
+/// needed.
+#[derive(Debug, Clone)]
+pub struct ConflictGraph {
+    neighbours: Vec<Vec<usize>>,
+}
+
+impl ConflictGraph {
+    /// The graph over items `0..items` whose edges are `pairs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair names an item outside `0..items`.
+    #[must_use]
+    pub fn new(items: usize, pairs: &[(usize, usize)]) -> Self {
+        let mut neighbours = vec![Vec::new(); items];
+        for &(a, b) in pairs {
+            assert!(
+                a < items && b < items,
+                "conflict pair ({a}, {b}) out of range 0..{items}"
+            );
+            neighbours[a].push(b);
+            if a != b {
+                neighbours[b].push(a);
+            }
+        }
+        Self { neighbours }
+    }
+
+    /// The lanes each neighbour of item `k` holds in `masks`.
+    pub(crate) fn held(&self, k: usize, masks: &[u128]) -> impl Iterator<Item = u128> + Clone {
+        self.neighbours[k].iter().map(move |&o| masks[o])
+    }
+}
+
+/// The one greedy step behind every lane packer in the workspace, on
+/// `u128` lane masks: the item keeps `seed`, then takes the lowest
+/// `allowed` lanes that neither it nor a neighbour holds until it holds
+/// `count` (`neighbours` yields each neighbour's lanes). With `share` set,
+/// `count` is clamped to the `allowed` lanes and the item fills the rest
+/// with the allowed lane the fewest neighbours hold, ties to the lowest
+/// index, passing each such lane and its holder count to `on_share`.
+///
+/// # Errors
+///
+/// Without `share`, how many lanes the item holds when it falls short.
+pub(crate) fn pack_item(
+    neighbours: impl Iterator<Item = u128> + Clone,
+    seed: u128,
+    allowed: u128,
+    count: usize,
+    share: bool,
+    mut on_share: impl FnMut(usize, usize),
+) -> Result<u128, usize> {
+    let count = if share {
+        count.min(allowed.count_ones() as usize)
+    } else {
+        count
+    };
+    let mut mask = seed;
+    let mut free = allowed & !neighbours.clone().fold(seed, |m, n| m | n);
+    for _ in seed.count_ones() as usize..count {
+        if free == 0 {
+            break;
+        }
+        mask |= free & free.wrapping_neg();
+        free &= free - 1;
+    }
+    let held = mask.count_ones() as usize;
+    if held < count && !share {
+        return Err(held);
+    }
+    for _ in held..count {
+        let holders = |lane: usize| neighbours.clone().filter(|n| n >> lane & 1 == 1).count();
+        let lane = lanes(allowed & !mask)
+            .min_by_key(|&lane| holders(lane))
+            .expect("demand is clamped to the allowed lanes");
+        on_share(lane, holders(lane));
+        mask |= 1 << lane;
+    }
+    Ok(mask)
+}
+
+/// `(item, owner, lane)`: `item` shares `lane` with its neighbour `owner`.
+type SharedLane = (usize, usize, WavelengthId);
+
+/// Packs every item of `conflicts` in index order, one [`pack_item`] step
+/// each, into a `wavelengths`-lane comb. Returns the masks and the
+/// `(item, owner, lane)` sharing triples: per shared lane in choice
+/// order, each neighbour that holds it, in neighbour order.
+///
+/// # Errors
+///
+/// Without `share`, the first item that falls short.
+pub(crate) fn pack_batch(
+    demands: &[usize],
+    conflicts: &ConflictGraph,
+    wavelengths: usize,
+    share: bool,
+) -> Result<(Vec<u128>, Vec<SharedLane>), LanePackingError> {
+    let items = conflicts.neighbours.len();
+    assert_eq!(demands.len(), items, "one demand per conflict-graph item");
+    let comb = comb_mask(wavelengths);
+    let mut masks = vec![0u128; items];
+    let mut shared = Vec::new();
+    for (k, &count) in demands.iter().enumerate() {
+        let record = |lane: usize, _| {
+            for &o in &conflicts.neighbours[k] {
+                if masks[o] >> lane & 1 == 1 {
+                    shared.push((k, o, WavelengthId(lane)));
+                }
+            }
+        };
+        let held = conflicts.held(k, &masks);
+        let packed = pack_item(held, 0, comb, count, share, record);
+        masks[k] = packed.map_err(|available| LanePackingError {
+            index: k,
+            requested: count,
+            available,
+        })?;
+    }
+    Ok((masks, shared))
+}
+
+/// The lanes set in `mask`, lowest first.
+pub(crate) fn lanes(mut mask: u128) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
+/// Mask with the low `wavelengths` bits set.
+pub(crate) fn comb_mask(wavelengths: usize) -> u128 {
+    if wavelengths == 128 {
+        u128::MAX
+    } else {
+        (1u128 << wavelengths) - 1
+    }
+}
+
+/// The lane lists of `masks`, lowest lane first.
+fn lane_lists(masks: &[u128]) -> Vec<Vec<WavelengthId>> {
+    masks
+        .iter()
+        .map(|&m| lanes(m).map(WavelengthId).collect())
+        .collect()
+}
+
 /// The core greedy allocator shared by every static assignment in the
 /// workspace: packs `demands[k]` wavelengths per item into a
-/// `wavelengths`-channel comb so that any two items named by a `conflicts`
-/// pair receive disjoint sets, always taking the lowest-indexed feasible
-/// channel.
+/// `wavelengths`-channel comb so that any two items adjacent in
+/// `conflicts` receive disjoint sets, always taking the lowest-indexed
+/// feasible channel.
 ///
 /// Items are processed in index order, so the result is deterministic.
 /// This is the engine behind [`first_fit`],
 /// [`ProblemInstance::allocation_from_counts`] and (via `onoc-sim`)
-/// `StaticFlowMap::from_allocator` — the conflict graph is *abstract*, so
-/// callers may pack task-graph communications, measured traffic flows, or
-/// anything else that shares waveguide segments.
+/// `StaticFlowMap::from_allocator_with_spares` — the conflict graph is
+/// *abstract*, so callers may pack task-graph communications, measured
+/// traffic flows, or anything else that shares waveguide segments.
 ///
 /// # Errors
 ///
@@ -89,99 +244,19 @@ impl std::error::Error for LanePackingError {}
 ///
 /// # Panics
 ///
-/// Panics if `wavelengths` exceeds the 128-channel mask limit or a
-/// conflict pair names an item out of range.
+/// Panics if `wavelengths` exceeds the 128-channel mask limit or
+/// `demands` and `conflicts` differ in item count.
 pub fn assign_disjoint_lanes(
     demands: &[usize],
-    conflicts: &[(usize, usize)],
+    conflicts: &ConflictGraph,
     wavelengths: usize,
 ) -> Result<Vec<Vec<WavelengthId>>, LanePackingError> {
     assert!(
         wavelengths <= 128,
         "{wavelengths} wavelengths exceed the 128-channel mask limit"
     );
-    let n = demands.len();
-    let neighbours = neighbour_lists(n, conflicts);
-    let mut masks = vec![0u128; n];
-    let mut lanes: Vec<Vec<WavelengthId>> = vec![Vec::new(); n];
-    for (k, &count) in demands.iter().enumerate() {
-        let occupied = neighbours[k].iter().fold(0u128, |m, &o| m | masks[o]);
-        let assigned = fill_free_lanes(occupied, count, wavelengths, &mut lanes[k], &mut masks[k]);
-        if assigned < count {
-            return Err(LanePackingError {
-                index: k,
-                requested: count,
-                available: assigned,
-            });
-        }
-    }
-    Ok(lanes)
-}
-
-/// Each item's conflict neighbours, in `conflicts` order (the order the
-/// relaxed packer reports sharing pairs in). Built once per packing
-/// call, so packing item `k` ORs only its own neighbours' masks instead
-/// of rescanning every pair; OR does not depend on order, so the lanes
-/// are those of [`conflict_neighbour_mask`].
-///
-/// # Panics
-///
-/// Panics if a conflict pair names an item outside `0..n`.
-fn neighbour_lists(n: usize, conflicts: &[(usize, usize)]) -> Vec<Vec<usize>> {
-    let mut neighbours = vec![Vec::new(); n];
-    for &(a, b) in conflicts {
-        assert!(
-            a < n && b < n,
-            "conflict pair ({a}, {b}) out of range 0..{n}"
-        );
-        neighbours[a].push(b);
-        if a != b {
-            neighbours[b].push(a);
-        }
-    }
-    neighbours
-}
-
-/// Wavelengths already held by item `k`'s conflict neighbours.
-pub(crate) fn conflict_neighbour_mask(
-    k: usize,
-    conflicts: &[(usize, usize)],
-    masks: &[u128],
-) -> u128 {
-    conflicts.iter().fold(0u128, |m, &(a, b)| {
-        if a == k {
-            m | masks[b]
-        } else if b == k {
-            m | masks[a]
-        } else {
-            m
-        }
-    })
-}
-
-/// The greedy fill both packers share: assigns up to `count` channels
-/// disjoint from `occupied`, lowest index first, into `lanes`/`mask`.
-/// Returns how many were assigned (less than `count` when the
-/// neighbourhood exhausted the comb).
-pub(crate) fn fill_free_lanes(
-    occupied: u128,
-    count: usize,
-    wavelengths: usize,
-    lanes: &mut Vec<WavelengthId>,
-    mask: &mut u128,
-) -> usize {
-    let mut assigned = 0usize;
-    for w in 0..wavelengths {
-        if assigned == count {
-            break;
-        }
-        if occupied & (1 << w) == 0 {
-            lanes.push(WavelengthId(w));
-            *mask |= 1 << w;
-            assigned += 1;
-        }
-    }
-    assigned
+    let (masks, _) = pack_batch(demands, conflicts, wavelengths, false)?;
+    Ok(lane_lists(&masks))
 }
 
 /// Outcome of [`assign_shared_lanes`]: the per-item lane sets plus the
@@ -223,55 +298,23 @@ impl RelaxedAssignment {
 /// # Panics
 ///
 /// Panics if `wavelengths` is 0 or exceeds the 128-channel mask limit, or
-/// a conflict pair names an item out of range.
+/// `demands` and `conflicts` differ in item count.
 #[must_use]
 pub fn assign_shared_lanes(
     demands: &[usize],
-    conflicts: &[(usize, usize)],
+    conflicts: &ConflictGraph,
     wavelengths: usize,
 ) -> RelaxedAssignment {
     assert!(
         (1..=128).contains(&wavelengths),
         "relaxed packing needs a comb of 1..=128 wavelengths, got {wavelengths}"
     );
-    let n = demands.len();
-    let all_neighbours = neighbour_lists(n, conflicts);
-    let mut masks = vec![0u128; n];
-    let mut lanes: Vec<Vec<WavelengthId>> = vec![Vec::new(); n];
-    let mut shared = Vec::new();
-    for (k, &count) in demands.iter().enumerate() {
-        let count = count.min(wavelengths);
-        let neighbours = &all_neighbours[k];
-        let occupied = neighbours.iter().fold(0u128, |m, &o| m | masks[o]);
-        // Free channels first — the same greedy fill as the strict
-        // packer, so the two agree while the comb lasts.
-        let mut assigned =
-            fill_free_lanes(occupied, count, wavelengths, &mut lanes[k], &mut masks[k]);
-        // Relaxation: fill the remaining demand with the lanes claimed by
-        // the fewest conflicting neighbours (ties to the lowest index),
-        // recording every sharing pair.
-        while assigned < count {
-            let choice = (0..wavelengths)
-                .filter(|&w| masks[k] & (1 << w) == 0)
-                .min_by_key(|&w| {
-                    neighbours
-                        .iter()
-                        .filter(|&&o| masks[o] & (1 << w) != 0)
-                        .count()
-                })
-                .expect("count is clamped to the comb size");
-            for &o in neighbours {
-                if masks[o] & (1 << choice) != 0 {
-                    shared.push((k, o, WavelengthId(choice)));
-                }
-            }
-            lanes[k].push(WavelengthId(choice));
-            masks[k] |= 1 << choice;
-            assigned += 1;
-        }
-        lanes[k].sort_unstable_by_key(|w| w.index());
+    let (masks, shared) =
+        pack_batch(demands, conflicts, wavelengths, true).expect("sharing fills every demand");
+    RelaxedAssignment {
+        lanes: lane_lists(&masks),
+        shared,
     }
-    RelaxedAssignment { lanes, shared }
 }
 
 /// Order in which single-wavelength heuristics pick channels.
@@ -291,19 +334,12 @@ fn assign_single(
 ) -> Result<Allocation, HeuristicError> {
     let nl = instance.comm_count();
     let nw = instance.wavelength_count();
-    let pairs = instance.app().overlapping_pairs();
+    let graph = instance.conflict_graph();
     let mut alloc = Allocation::new(nl, nw);
     let mut masks = vec![0u128; nl];
     let mut usage = vec![0usize; nw];
     for k in 0..nl {
-        let mut blocked = 0u128;
-        for &(a, b) in &pairs {
-            if a.0 == k {
-                blocked |= masks[b.0];
-            } else if b.0 == k {
-                blocked |= masks[a.0];
-            }
-        }
+        let blocked = graph.held(k, &masks).fold(0, |m, n| m | n);
         let feasible = (0..nw).filter(|&w| blocked & (1 << w) == 0);
         let choice = match policy {
             PickPolicy::MostUsed => feasible.max_by_key(|&w| (usage[w], nw - w)),
@@ -324,22 +360,14 @@ fn assign_single(
 ///
 /// Returns [`HeuristicError::OutOfWavelengths`] if the comb is too small.
 pub fn first_fit(instance: &ProblemInstance) -> Result<Allocation, HeuristicError> {
-    let nl = instance.comm_count();
-    let pairs: Vec<(usize, usize)> = instance
-        .app()
-        .overlapping_pairs()
-        .iter()
-        .map(|&(a, b)| (a.0, b.0))
-        .collect();
-    let lanes = assign_disjoint_lanes(&vec![1; nl], &pairs, instance.wavelength_count())
-        .map_err(|e| HeuristicError::OutOfWavelengths(CommId(e.index)))?;
-    let mut alloc = Allocation::new(nl, instance.wavelength_count());
-    for (k, set) in lanes.iter().enumerate() {
-        for &w in set {
-            alloc.set(CommId(k), w, true);
-        }
-    }
-    Ok(alloc)
+    instance
+        .allocation_from_counts(&vec![1; instance.comm_count()])
+        .map_err(|e| match e {
+            InstanceError::CountsDoNotFit { comm, .. } => HeuristicError::OutOfWavelengths(comm),
+            other => {
+                unreachable!("one count per communication always has the right length: {other}")
+            }
+        })
 }
 
 /// Most-Used: prefer the wavelength already reserved by the most
@@ -464,7 +492,56 @@ pub fn greedy_makespan(
 }
 
 #[cfg(test)]
+/// The packers' building blocks before the one packing step, kept as
+/// test oracles: each item rescans the whole pair list and pushes its
+/// lanes one by one.
+pub(crate) mod list_scan {
+    use onoc_photonics::WavelengthId;
+
+    /// Wavelengths already held by item `k`'s conflict neighbours.
+    pub(crate) fn conflict_neighbour_mask(
+        k: usize,
+        conflicts: &[(usize, usize)],
+        masks: &[u128],
+    ) -> u128 {
+        conflicts.iter().fold(0u128, |m, &(a, b)| {
+            if a == k {
+                m | masks[b]
+            } else if b == k {
+                m | masks[a]
+            } else {
+                m
+            }
+        })
+    }
+
+    /// Assigns up to `count` channels disjoint from `occupied`, lowest
+    /// index first, into `lanes`/`mask`; returns how many it assigned.
+    pub(crate) fn fill_free_lanes(
+        occupied: u128,
+        count: usize,
+        wavelengths: usize,
+        lanes: &mut Vec<WavelengthId>,
+        mask: &mut u128,
+    ) -> usize {
+        let mut assigned = 0usize;
+        for w in 0..wavelengths {
+            if assigned == count {
+                break;
+            }
+            if occupied & (1 << w) == 0 {
+                lanes.push(WavelengthId(w));
+                *mask |= 1 << w;
+                assigned += 1;
+            }
+        }
+        assigned
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::list_scan::{conflict_neighbour_mask, fill_free_lanes};
     use super::*;
     use rand::SeedableRng;
     use rand::rngs::StdRng;
@@ -560,7 +637,8 @@ mod tests {
     #[test]
     fn disjoint_lanes_pack_lowest_index_first() {
         // 0 conflicts with 1; 2 is independent.
-        let lanes = assign_disjoint_lanes(&[2, 1, 2], &[(0, 1)], 4).unwrap();
+        let lanes =
+            assign_disjoint_lanes(&[2, 1, 2], &ConflictGraph::new(3, &[(0, 1)]), 4).unwrap();
         assert_eq!(lanes[0], vec![WavelengthId(0), WavelengthId(1)]);
         assert_eq!(lanes[1], vec![WavelengthId(2)]);
         assert_eq!(lanes[2], vec![WavelengthId(0), WavelengthId(1)]);
@@ -569,7 +647,12 @@ mod tests {
     #[test]
     fn disjoint_lanes_report_the_failing_demand() {
         // A triangle of mutual conflicts needs 3 channels for one each.
-        let err = assign_disjoint_lanes(&[1, 1, 1], &[(0, 1), (1, 2), (0, 2)], 2).unwrap_err();
+        let err = assign_disjoint_lanes(
+            &[1, 1, 1],
+            &ConflictGraph::new(3, &[(0, 1), (1, 2), (0, 2)]),
+            2,
+        )
+        .unwrap_err();
         assert_eq!(
             err,
             LanePackingError {
@@ -582,7 +665,8 @@ mod tests {
 
     #[test]
     fn disjoint_lanes_allow_zero_demands() {
-        let lanes = assign_disjoint_lanes(&[0, 3, 0], &[(0, 1), (1, 2)], 4).unwrap();
+        let lanes = assign_disjoint_lanes(&[0, 3, 0], &ConflictGraph::new(3, &[(0, 1), (1, 2)]), 4)
+            .unwrap();
         assert!(lanes[0].is_empty() && lanes[2].is_empty());
         assert_eq!(lanes[1].len(), 3);
     }
@@ -601,8 +685,9 @@ mod tests {
     fn relaxed_matches_strict_while_the_comb_lasts() {
         let demands = [2, 1, 2];
         let conflicts = [(0, 1)];
-        let strict = assign_disjoint_lanes(&demands, &conflicts, 4).unwrap();
-        let relaxed = assign_shared_lanes(&demands, &conflicts, 4);
+        let strict =
+            assign_disjoint_lanes(&demands, &ConflictGraph::new(3, &conflicts), 4).unwrap();
+        let relaxed = assign_shared_lanes(&demands, &ConflictGraph::new(3, &conflicts), 4);
         assert_eq!(strict, relaxed.lanes);
         assert!(relaxed.is_disjoint());
     }
@@ -611,7 +696,11 @@ mod tests {
     fn relaxed_shares_instead_of_failing_on_a_triangle() {
         // Three mutually conflicting items on a 2-λ comb: the strict
         // packer fails; the relaxed one shares a lane and says which.
-        let relaxed = assign_shared_lanes(&[1, 1, 1], &[(0, 1), (1, 2), (0, 2)], 2);
+        let relaxed = assign_shared_lanes(
+            &[1, 1, 1],
+            &ConflictGraph::new(3, &[(0, 1), (1, 2), (0, 2)]),
+            2,
+        );
         assert_eq!(relaxed.lanes[0], vec![WavelengthId(0)]);
         assert_eq!(relaxed.lanes[1], vec![WavelengthId(1)]);
         assert_eq!(relaxed.lanes[2].len(), 1, "the tail item still gets a lane");
@@ -627,8 +716,11 @@ mod tests {
         // Items 0 and 1 both hold λ0 (no mutual conflict), item 2 holds
         // λ1 alone; item 3 conflicts with all of them on a full comb.
         // Sharing should land on λ1 (one owner) over λ0 (two owners).
-        let relaxed =
-            assign_shared_lanes(&[1, 1, 1, 1], &[(0, 3), (1, 3), (2, 3), (0, 2), (1, 2)], 2);
+        let relaxed = assign_shared_lanes(
+            &[1, 1, 1, 1],
+            &ConflictGraph::new(4, &[(0, 3), (1, 3), (2, 3), (0, 2), (1, 2)]),
+            2,
+        );
         assert_eq!(relaxed.lanes[0], vec![WavelengthId(0)]);
         assert_eq!(relaxed.lanes[1], vec![WavelengthId(0)]);
         assert_eq!(relaxed.lanes[2], vec![WavelengthId(1)]);
@@ -638,7 +730,7 @@ mod tests {
 
     #[test]
     fn relaxed_clamps_oversized_demands() {
-        let relaxed = assign_shared_lanes(&[5], &[], 3);
+        let relaxed = assign_shared_lanes(&[5], &ConflictGraph::new(1, &[]), 3);
         assert_eq!(relaxed.lanes[0].len(), 3);
         assert!(relaxed.is_disjoint());
     }
@@ -729,11 +821,11 @@ mod tests {
             let conflicts: Vec<(usize, usize)> =
                 lhs.iter().zip(&rhs).map(|(&a, &b)| (a % items, b % items)).collect();
             proptest::prop_assert_eq!(
-                assign_disjoint_lanes(demands, &conflicts, wavelengths),
+                assign_disjoint_lanes(demands, &ConflictGraph::new(items, &conflicts), wavelengths),
                 list_scan_disjoint(demands, &conflicts, wavelengths)
             );
             proptest::prop_assert_eq!(
-                assign_shared_lanes(demands, &conflicts, wavelengths),
+                assign_shared_lanes(demands, &ConflictGraph::new(items, &conflicts), wavelengths),
                 list_scan_shared(demands, &conflicts, wavelengths)
             );
         }

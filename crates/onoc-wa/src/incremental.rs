@@ -10,19 +10,16 @@
 //! flow as *frozen*: its lanes are occupied territory the re-pack must
 //! route around.
 //!
-//! The packer is the same lowest-index greedy engine the static
-//! allocators use ([`conflict_neighbour_mask`] + [`fill_free_lanes`]),
-//! so a heal on a fault-free map is a no-op and the healed map obeys the
-//! exact §III-D disjointness discipline of the original synthesis.
+//! Each flow is packed by the one greedy step the static allocators and
+//! the occupancy ledger use (lowest free lanes first, then, when sharing
+//! is allowed, the least-claimed lane), so a heal on a fault-free map is
+//! a no-op and the healed map obeys the exact §III-D disjointness
+//! discipline of the original synthesis.
 //!
 //! [`assign_disjoint_lanes`]: crate::heuristics::assign_disjoint_lanes
 //! [`assign_shared_lanes`]: crate::heuristics::assign_shared_lanes
-//! [`conflict_neighbour_mask`]: crate::heuristics
-//! [`fill_free_lanes`]: crate::heuristics
 
-use onoc_photonics::WavelengthId;
-
-use crate::heuristics::{conflict_neighbour_mask, fill_free_lanes};
+use crate::heuristics::{ConflictGraph, comb_mask, pack_item};
 
 /// What the engine should do when a lane serving static flows goes dark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,7 +91,8 @@ pub struct HealOutcome {
 ///   into `old_masks`).
 /// * `frozen[k]` — union of the lane masks of every *frozen* (unaffected)
 ///   flow that conflicts with affected flow `k`; the re-pack treats these
-///   lanes as occupied.
+///   lanes as occupied, and a relaxed re-pack that must share counts each
+///   as one claim, however many frozen flows hold it.
 /// * `dead` — mask of dark lanes; the healed map never claims one.
 /// * `wavelengths` — comb size (≤ 128).
 /// * `policy` — [`HealPolicy::Park`] returns `None` (no swap); the
@@ -130,61 +128,26 @@ pub fn reassign_flows_on_lane_loss(
         frozen.len() >= n,
         "frozen mask table shorter than the affected-flow list"
     );
-    for &(a, b) in conflicts {
-        assert!(
-            a < n && b < n,
-            "conflict pair ({a}, {b}) out of range 0..{n}"
-        );
-    }
+    let graph = ConflictGraph::new(n, conflicts);
     if policy == HealPolicy::Park {
         return None;
     }
-    let live = wavelengths - (dead & comb_mask(wavelengths)).count_ones() as usize;
+    let relaxed = policy == HealPolicy::RePackRelaxed;
+    let live = comb_mask(wavelengths) & !dead;
     // Seed every flow with its *surviving* lanes before filling any
     // deficit: the original map already made them disjoint, so keeping
-    // them moves the minimum number of micro-resonators and lets the
-    // conflict-neighbour masks below see the whole kept occupancy.
+    // them moves the minimum number of micro-resonators and lets each
+    // flow's neighbours see the whole kept occupancy. The frozen union
+    // is one more neighbour, so a lane it holds counts as one claim.
     let mut masks: Vec<u128> = old_masks.iter().map(|&m| m & !dead).collect();
-    let mut scratch: Vec<WavelengthId> = Vec::new();
     let mut shared = 0usize;
     for (k, &old) in old_masks.iter().enumerate() {
         let demand = old.count_ones() as usize;
-        let count = match policy {
-            HealPolicy::RePackStrict => demand,
-            _ => demand.min(live),
-        };
-        let kept = masks[k].count_ones() as usize;
-        let deficit = count.saturating_sub(kept);
-        let occupied = dead | frozen[k] | conflict_neighbour_mask(k, conflicts, &masks) | masks[k];
-        scratch.clear();
-        let assigned =
-            kept + fill_free_lanes(occupied, deficit, wavelengths, &mut scratch, &mut masks[k]);
-        if assigned < count {
-            if policy == HealPolicy::RePackStrict {
-                return None;
-            }
-            // Relaxed: fill the remainder with the live lanes claimed by
-            // the fewest conflicting flows (frozen or affected), ties to
-            // the lowest index — mirroring `assign_shared_lanes`.
-            let claims = |w: usize, masks: &[u128]| -> usize {
-                let bit = 1u128 << w;
-                usize::from(frozen[k] & bit != 0)
-                    + conflicts
-                        .iter()
-                        .filter(|&&(a, b)| {
-                            (a == k && masks[b] & bit != 0) || (b == k && masks[a] & bit != 0)
-                        })
-                        .count()
-            };
-            for _ in assigned..count {
-                let choice = (0..wavelengths)
-                    .filter(|&w| dead & (1 << w) == 0 && masks[k] & (1 << w) == 0)
-                    .min_by_key(|&w| claims(w, &masks))
-                    .expect("count is clamped to the surviving comb");
-                shared += claims(choice, &masks);
-                masks[k] |= 1 << choice;
-            }
-        }
+        let held = graph.held(k, &masks).chain([frozen[k]]);
+        masks[k] = pack_item(held, masks[k], live, demand, relaxed, |_, holders| {
+            shared += holders;
+        })
+        .ok()?;
     }
     let moved = masks
         .iter()
@@ -198,18 +161,147 @@ pub fn reassign_flows_on_lane_loss(
     })
 }
 
-/// Mask with the low `wavelengths` bits set.
-fn comb_mask(wavelengths: usize) -> u128 {
-    if wavelengths == 128 {
-        u128::MAX
-    } else {
-        (1u128 << wavelengths) - 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heuristics::list_scan::{conflict_neighbour_mask, fill_free_lanes};
+    use onoc_photonics::WavelengthId;
+
+    /// The heal packer before the one packing step: every flow rescans
+    /// the whole pair list, for its free fill and for each claim count.
+    fn list_scan_heal(
+        old_masks: &[u128],
+        conflicts: &[(usize, usize)],
+        frozen: &[u128],
+        dead: u128,
+        wavelengths: usize,
+        policy: HealPolicy,
+    ) -> Option<HealOutcome> {
+        if policy == HealPolicy::Park {
+            return None;
+        }
+        let live = wavelengths - (dead & comb_mask(wavelengths)).count_ones() as usize;
+        let mut masks: Vec<u128> = old_masks.iter().map(|&m| m & !dead).collect();
+        let mut scratch: Vec<WavelengthId> = Vec::new();
+        let mut shared = 0usize;
+        for (k, &old) in old_masks.iter().enumerate() {
+            let demand = old.count_ones() as usize;
+            let count = match policy {
+                HealPolicy::RePackStrict => demand,
+                _ => demand.min(live),
+            };
+            let kept = masks[k].count_ones() as usize;
+            let deficit = count.saturating_sub(kept);
+            let occupied =
+                dead | frozen[k] | conflict_neighbour_mask(k, conflicts, &masks) | masks[k];
+            scratch.clear();
+            let assigned =
+                kept + fill_free_lanes(occupied, deficit, wavelengths, &mut scratch, &mut masks[k]);
+            if assigned < count {
+                if policy == HealPolicy::RePackStrict {
+                    return None;
+                }
+                let claims = |w: usize, masks: &[u128]| -> usize {
+                    let bit = 1u128 << w;
+                    usize::from(frozen[k] & bit != 0)
+                        + conflicts
+                            .iter()
+                            .filter(|&&(a, b)| {
+                                (a == k && masks[b] & bit != 0) || (b == k && masks[a] & bit != 0)
+                            })
+                            .count()
+                };
+                for _ in assigned..count {
+                    let choice = (0..wavelengths)
+                        .filter(|&w| dead & (1 << w) == 0 && masks[k] & (1 << w) == 0)
+                        .min_by_key(|&w| claims(w, &masks))
+                        .expect("count is clamped to the surviving comb");
+                    shared += claims(choice, &masks);
+                    masks[k] |= 1 << choice;
+                }
+            }
+        }
+        let moved = masks
+            .iter()
+            .zip(old_masks)
+            .filter(|&(new, old)| new != old)
+            .count();
+        Some(HealOutcome {
+            masks,
+            moved,
+            shared,
+        })
+    }
+
+    /// Deterministic xorshift stream for the oracle corpus.
+    fn stream(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// Each lane of `within` with probability ½.
+    fn random_mask(next: &mut impl FnMut() -> u64, within: u128) -> u128 {
+        (u128::from(next()) << 64 | u128::from(next())) & within
+    }
+
+    /// Each lane of `within` with probability ¼.
+    fn sparse_mask(next: &mut impl FnMut() -> u64, within: u128) -> u128 {
+        random_mask(next, within) & random_mask(next, within)
+    }
+
+    proptest::proptest! {
+        /// Every heal policy keeps the list-scan packer's masks, `moved`
+        /// and `shared`, on random outages: repeated and self pairs,
+        /// surviving lanes to keep, frozen unions of several flows, dead
+        /// lanes up to an all-dark comb, full 128-lane combs, and flows
+        /// holding lanes above the comb (demands the comb cannot meet).
+        #[test]
+        fn heal_matches_the_list_scan_packer(seed in 0u64..1_000_000) {
+            use HealPolicy::{Park, RePackRelaxed, RePackStrict};
+            let mut next = stream(seed);
+            for _ in 0..16 {
+                let nw = match next() % 8 {
+                    0 => 128,
+                    r => 1 + (r as usize) % 6,
+                };
+                let comb = comb_mask(nw);
+                let wide = if next().is_multiple_of(4) {
+                    comb_mask((nw + 2).min(128))
+                } else {
+                    comb
+                };
+                let flows = 1 + (next() % 7) as usize;
+                let old: Vec<u128> = (0..flows).map(|_| random_mask(&mut next, wide)).collect();
+                let frozen: Vec<u128> = (0..flows)
+                    .map(|_| {
+                        let owners = next() % 4;
+                        (0..owners).fold(0, |m, _| m | sparse_mask(&mut next, comb))
+                    })
+                    .collect();
+                let dead = match next() % 4 {
+                    0 => comb,
+                    1 => 0,
+                    _ => sparse_mask(&mut next, comb),
+                };
+                let pairs: Vec<(usize, usize)> = (0..next() % 12)
+                    .map(|_| (next() as usize % flows, next() as usize % flows))
+                    .collect();
+                for policy in [Park, RePackStrict, RePackRelaxed] {
+                    proptest::prop_assert_eq!(
+                        reassign_flows_on_lane_loss(&old, &pairs, &frozen, dead, nw, policy),
+                        list_scan_heal(&old, &pairs, &frozen, dead, nw, policy),
+                        "{} λ, old {:x?}, pairs {:?}, frozen {:x?}, dead {:x}, {}",
+                        nw, old, pairs, frozen, dead, policy
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn park_never_swaps() {

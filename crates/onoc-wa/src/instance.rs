@@ -5,6 +5,7 @@ use onoc_photonics::BerConvention;
 use onoc_topology::{CrosstalkModel, OnocArchitecture};
 use onoc_units::{BitsPerCycle, Gigahertz};
 
+use crate::heuristics::{ConflictGraph, assign_disjoint_lanes};
 use crate::{Allocation, Evaluator, ValidityChecker};
 
 /// Tunable knobs of the objective models.
@@ -223,13 +224,7 @@ impl ProblemInstance {
                 entries: counts.len(),
             });
         }
-        let pairs: Vec<(usize, usize)> = self
-            .app
-            .overlapping_pairs()
-            .iter()
-            .map(|&(a, b)| (a.0, b.0))
-            .collect();
-        let lanes = crate::heuristics::assign_disjoint_lanes(counts, &pairs, nw).map_err(|e| {
+        let lanes = assign_disjoint_lanes(counts, &self.conflict_graph(), nw).map_err(|e| {
             InstanceError::CountsDoNotFit {
                 comm: CommId(e.index),
                 requested: e.requested,
@@ -243,6 +238,18 @@ impl ProblemInstance {
             }
         }
         Ok(alloc)
+    }
+
+    /// The communications' conflict graph: pairs whose paths share a
+    /// directed waveguide segment.
+    pub(crate) fn conflict_graph(&self) -> ConflictGraph {
+        let pairs: Vec<(usize, usize)> = self
+            .app
+            .overlapping_pairs()
+            .iter()
+            .map(|&(a, b)| (a.0, b.0))
+            .collect();
+        ConflictGraph::new(self.comm_count(), &pairs)
     }
 }
 

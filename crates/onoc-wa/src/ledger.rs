@@ -13,10 +13,11 @@
 //! [`OccupancyLedger::grant`] touches only the arriving session's
 //! *conflicting* neighbours — `O(degree)` instead of the batch packer's
 //! `O(sessions)` — and a [`OccupancyLedger::release`] is `O(degree)`
-//! bookkeeping. The greedy engine is the very same lowest-index fill the
-//! batch packers use ([`conflict_neighbour_mask`] + [`fill_free_lanes`]),
-//! so a ledger built by replaying a batch instance grant-by-grant lands on
-//! the batch result exactly.
+//! bookkeeping. A grant runs the very packing step the batch packers run
+//! for each item (lowest free lanes first, then, under
+//! [`GrantPolicy::Shared`], the least-claimed lane), so a ledger built by
+//! replaying a batch instance grant-by-grant lands on the batch result
+//! exactly.
 //!
 //! Long-running churn fragments the comb (sessions release from the
 //! middle, later grants pack around survivors). [`OccupancyLedger::fragmentation`]
@@ -28,14 +29,12 @@
 //!
 //! [`assign_disjoint_lanes`]: crate::heuristics::assign_disjoint_lanes
 //! [`assign_shared_lanes`]: crate::heuristics::assign_shared_lanes
-//! [`conflict_neighbour_mask`]: crate::heuristics
-//! [`fill_free_lanes`]: crate::heuristics
 
 use std::collections::BTreeMap;
 
 use onoc_photonics::WavelengthId;
 
-use crate::heuristics::{conflict_neighbour_mask, fill_free_lanes};
+use crate::heuristics::{ConflictGraph, comb_mask, lanes, pack_batch, pack_item};
 
 /// How a [`OccupancyLedger::grant`] treats an exhausted comb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,8 +44,8 @@ pub enum GrantPolicy {
     #[default]
     Disjoint,
     /// Relaxed discipline: when the comb runs out the session shares the
-    /// least-claimed lanes of its conflict neighbourhood (mirroring
-    /// `assign_shared_lanes`), and the grant reports how many sharing
+    /// least-claimed lanes of its conflict neighbourhood, as
+    /// `assign_shared_lanes` does, and the grant reports how many sharing
     /// pairs it accepted.
     Shared,
 }
@@ -262,44 +261,15 @@ impl OccupancyLedger {
                 });
             }
         }
-        let count = match policy {
-            GrantPolicy::Disjoint => demand,
-            GrantPolicy::Shared => demand.min(self.wavelengths),
-        };
-        let occupied = conflicts
-            .iter()
-            .fold(0u128, |m, n| m | self.sessions[n].mask);
-        let mut lanes = Vec::new();
-        let mut mask = 0u128;
-        let assigned = fill_free_lanes(occupied, count, self.wavelengths, &mut lanes, &mut mask);
         let mut shared = 0usize;
-        if assigned < count {
-            if policy == GrantPolicy::Disjoint {
-                return Err(GrantError::Exhausted {
-                    requested: count,
-                    available: assigned,
-                });
-            }
-            // Relaxed fill: the lanes claimed by the fewest conflicting
-            // neighbours, ties to the lowest index (assign_shared_lanes).
-            let claims = |w: usize| -> usize {
-                let bit = 1u128 << w;
-                conflicts
-                    .iter()
-                    .filter(|n| self.sessions[*n].mask & bit != 0)
-                    .count()
-            };
-            for _ in assigned..count {
-                let choice = (0..self.wavelengths)
-                    .filter(|&w| mask & (1 << w) == 0)
-                    .min_by_key(|&w| claims(w))
-                    .expect("count is clamped to the comb size");
-                shared += claims(choice);
-                lanes.push(WavelengthId(choice));
-                mask |= 1 << choice;
-            }
-            lanes.sort_unstable_by_key(|w| w.index());
-        }
+        let held = conflicts.iter().map(|n| self.sessions[n].mask);
+        let share = policy == GrantPolicy::Shared;
+        let comb = comb_mask(self.wavelengths);
+        let packed = pack_item(held, 0, comb, demand, share, |_, holders| shared += holders);
+        let mask = packed.map_err(|available| GrantError::Exhausted {
+            requested: demand,
+            available,
+        })?;
         for neighbour in conflicts {
             let entry = self
                 .sessions
@@ -316,12 +286,12 @@ impl OccupancyLedger {
             id,
             Session {
                 mask,
-                demand: count,
+                demand: mask.count_ones() as usize,
                 conflicts,
             },
         );
         Ok(Grant {
-            lanes,
+            lanes: lanes(mask).map(WavelengthId).collect(),
             mask,
             shared,
         })
@@ -391,11 +361,130 @@ impl OccupancyLedger {
     #[must_use]
     pub fn defrag(&mut self, policy: GrantPolicy) -> Option<DefragOutcome> {
         let ids: Vec<u64> = self.sessions.keys().copied().collect();
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for (i, id) in ids.iter().enumerate() {
+            for neighbour in &self.sessions[id].conflicts {
+                let j = ids.binary_search(neighbour).expect("neighbours are live");
+                if i < j {
+                    pairs.push((i, j));
+                }
+            }
+        }
+        let graph = ConflictGraph::new(ids.len(), &pairs);
+        let demands: Vec<usize> = ids.iter().map(|id| self.sessions[id].demand).collect();
+        let share = policy == GrantPolicy::Shared;
+        let (masks, shared) = pack_batch(&demands, &graph, self.wavelengths, share).ok()?;
+        let mut moved = 0usize;
+        for (k, id) in ids.iter().enumerate() {
+            let session = self.sessions.get_mut(id).expect("id is live");
+            if session.mask != masks[k] {
+                session.mask = masks[k];
+                moved += 1;
+            }
+        }
+        Some(DefragOutcome {
+            moved,
+            shared: shared.len(),
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::heuristics::list_scan::{conflict_neighbour_mask, fill_free_lanes};
+
+    /// `OccupancyLedger::grant` before the one packing step: its own free
+    /// fill and least-claimed loop over the live conflict list.
+    fn list_scan_grant(
+        ledger: &mut OccupancyLedger,
+        id: u64,
+        demand: usize,
+        conflicts: &[u64],
+        policy: GrantPolicy,
+    ) -> Result<Grant, GrantError> {
+        if ledger.sessions.contains_key(&id) {
+            return Err(GrantError::DuplicateSession(id));
+        }
+        for &neighbour in conflicts {
+            if !ledger.sessions.contains_key(&neighbour) {
+                return Err(GrantError::UnknownConflict {
+                    session: id,
+                    neighbour,
+                });
+            }
+        }
+        let count = match policy {
+            GrantPolicy::Disjoint => demand,
+            GrantPolicy::Shared => demand.min(ledger.wavelengths),
+        };
+        let occupied = conflicts
+            .iter()
+            .fold(0u128, |m, n| m | ledger.sessions[n].mask);
+        let mut lanes = Vec::new();
+        let mut mask = 0u128;
+        let assigned = fill_free_lanes(occupied, count, ledger.wavelengths, &mut lanes, &mut mask);
+        let mut shared = 0usize;
+        if assigned < count {
+            if policy == GrantPolicy::Disjoint {
+                return Err(GrantError::Exhausted {
+                    requested: count,
+                    available: assigned,
+                });
+            }
+            let claims = |w: usize| -> usize {
+                let bit = 1u128 << w;
+                conflicts
+                    .iter()
+                    .filter(|n| ledger.sessions[*n].mask & bit != 0)
+                    .count()
+            };
+            for _ in assigned..count {
+                let choice = (0..ledger.wavelengths)
+                    .filter(|&w| mask & (1 << w) == 0)
+                    .min_by_key(|&w| claims(w))
+                    .expect("count is clamped to the comb size");
+                shared += claims(choice);
+                lanes.push(WavelengthId(choice));
+                mask |= 1 << choice;
+            }
+            lanes.sort_unstable_by_key(|w| w.index());
+        }
+        for neighbour in conflicts {
+            let entry = ledger.sessions.get_mut(neighbour).unwrap();
+            if !entry.conflicts.contains(&id) {
+                entry.conflicts.push(id);
+            }
+        }
+        let mut conflicts: Vec<u64> = conflicts.to_vec();
+        conflicts.sort_unstable();
+        conflicts.dedup();
+        let session = Session {
+            mask,
+            demand: count,
+            conflicts,
+        };
+        ledger.sessions.insert(id, session);
+        Ok(Grant {
+            lanes,
+            mask,
+            shared,
+        })
+    }
+
+    /// `OccupancyLedger::defrag` before the one packing step: a pair
+    /// list that every session rescans, for its free fill and for each
+    /// claim count.
+    fn list_scan_defrag(
+        ledger: &mut OccupancyLedger,
+        policy: GrantPolicy,
+    ) -> Option<DefragOutcome> {
+        let ids: Vec<u64> = ledger.sessions.keys().copied().collect();
         let index_of: BTreeMap<u64, usize> =
             ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         for (i, id) in ids.iter().enumerate() {
-            for neighbour in &self.sessions[id].conflicts {
+            for neighbour in &ledger.sessions[id].conflicts {
                 let j = index_of[neighbour];
                 if i < j {
                     pairs.push((i, j));
@@ -406,16 +495,12 @@ impl OccupancyLedger {
         let mut shared_total = 0usize;
         let mut scratch: Vec<WavelengthId> = Vec::new();
         for (k, id) in ids.iter().enumerate() {
-            let count = self.sessions[id].demand;
+            let count = ledger.sessions[id].demand;
             let occupied = conflict_neighbour_mask(k, &pairs, &masks);
             scratch.clear();
-            let assigned = fill_free_lanes(
-                occupied,
-                count,
-                self.wavelengths,
-                &mut scratch,
-                &mut masks[k],
-            );
+            let wavelengths = ledger.wavelengths;
+            let assigned =
+                fill_free_lanes(occupied, count, wavelengths, &mut scratch, &mut masks[k]);
             if assigned < count {
                 if policy == GrantPolicy::Disjoint {
                     return None;
@@ -430,7 +515,7 @@ impl OccupancyLedger {
                         .count()
                 };
                 for _ in assigned..count {
-                    let choice = (0..self.wavelengths)
+                    let choice = (0..wavelengths)
                         .filter(|&w| masks[k] & (1 << w) == 0)
                         .min_by_key(|&w| claims(w, &masks))
                         .expect("demand is clamped to the comb size at grant time");
@@ -441,7 +526,7 @@ impl OccupancyLedger {
         }
         let mut moved = 0usize;
         for (k, id) in ids.iter().enumerate() {
-            let session = self.sessions.get_mut(id).expect("id is live");
+            let session = ledger.sessions.get_mut(id).expect("id is live");
             if session.mask != masks[k] {
                 session.mask = masks[k];
                 moved += 1;
@@ -452,11 +537,75 @@ impl OccupancyLedger {
             shared: shared_total,
         })
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// Every session's state: id, mask, stored demand and conflict list.
+    fn sessions(ledger: &OccupancyLedger) -> Vec<(u64, u128, usize, Vec<u64>)> {
+        ledger
+            .sessions
+            .iter()
+            .map(|(&id, s)| (id, s.mask, s.demand, s.conflicts.clone()))
+            .collect()
+    }
+
+    /// Deterministic xorshift stream for the oracle corpus.
+    fn stream(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    proptest::proptest! {
+        /// Grants and defrags keep the list-scan packers' lanes, masks,
+        /// `moved` and `shared` counts and refusals under both policies,
+        /// on random churn: demands up to two above the comb, conflict
+        /// lists with repeated neighbours (and, rarely, the arriving
+        /// session itself), releases, and defrags under either policy.
+        #[test]
+        fn grant_and_defrag_match_the_list_scan_packers(seed in 0u64..1_000_000) {
+            let mut next = stream(seed);
+            let wavelengths = 1 + (next() % 8) as usize;
+            for policy in [GrantPolicy::Disjoint, GrantPolicy::Shared] {
+                let mut ledger = OccupancyLedger::new(wavelengths);
+                let mut oracle = ledger.clone();
+                let mut live: Vec<u64> = Vec::new();
+                for id in 0..48u64 {
+                    match next() % 6 {
+                        0..=2 => {
+                            let demand = (next() % (wavelengths as u64 + 3)) as usize;
+                            let mut conflicts = live.clone();
+                            conflicts.retain(|_| !next().is_multiple_of(3));
+                            match next() % 8 {
+                                0 | 1 if !conflicts.is_empty() => conflicts.push(conflicts[0]),
+                                2 => conflicts.push(id),
+                                _ => {}
+                            }
+                            let got = ledger.grant(id, demand, &conflicts, policy);
+                            let want = list_scan_grant(&mut oracle, id, demand, &conflicts, policy);
+                            proptest::prop_assert_eq!(&got, &want, "grant {} of {}", id, demand);
+                            if got.is_ok() {
+                                live.push(id);
+                            }
+                        }
+                        3 | 4 if !live.is_empty() => {
+                            let gone = live.swap_remove((next() % live.len() as u64) as usize);
+                            proptest::prop_assert_eq!(ledger.release(gone), oracle.release(gone));
+                        }
+                        _ => {
+                            let strict = next().is_multiple_of(2);
+                            let pick = if strict { GrantPolicy::Disjoint } else { policy };
+                            let got = ledger.defrag(pick);
+                            proptest::prop_assert_eq!(got, list_scan_defrag(&mut oracle, pick));
+                        }
+                    }
+                    proptest::prop_assert_eq!(sessions(&ledger), sessions(&oracle));
+                }
+            }
+        }
+    }
 
     #[test]
     fn grants_pack_lowest_index_first_like_the_batch_packer() {

@@ -10,7 +10,7 @@
 //!   `assign_disjoint_lanes` exactly (same lanes, same failure point), so
 //!   the incremental and batch packers are one algorithm.
 
-use onoc_wa::heuristics::assign_disjoint_lanes;
+use onoc_wa::heuristics::{ConflictGraph, assign_disjoint_lanes};
 use onoc_wa::ledger::{GrantPolicy, OccupancyLedger};
 
 /// Deterministic pseudo-random stream (the conservation-corpus generator
@@ -135,7 +135,7 @@ proptest::proptest! {
                 }
             }
         }
-        let batch = assign_disjoint_lanes(&demands, &conflicts, wavelengths);
+        let batch = assign_disjoint_lanes(&demands, &ConflictGraph::new(n, &conflicts), wavelengths);
         let mut ledger = OccupancyLedger::new(wavelengths);
         let mut failed_at: Option<usize> = None;
         let mut lanes = Vec::new();
