@@ -43,7 +43,8 @@ USAGE:
 
 OPTIONS (bench):
     --quick               horizons ÷ 10 (the CI smoke tier)
-    --out <file>          artifact path            [default: BENCH_sim_core.json]
+    --out <file>          artifact path            [default: BENCH_sim_core.json,
+                          or no file with --check]
     --check <baseline>    fail (exit 1) if any pinned scenario regresses
                           more than --factor vs the baseline file
     --factor <x>          regression threshold      [default: 2.0]
@@ -620,10 +621,13 @@ fn cmd_serve(args: &[String]) -> i32 {
 }
 
 /// The tracked benchmark: run the pinned scenario set, write the JSON
-/// artifact, and optionally gate against a committed baseline.
+/// artifact, and optionally gate against a committed baseline. A check
+/// writes an artifact only to an explicit `--out`, so checking against
+/// the committed baseline never overwrites it.
 fn cmd_bench(args: &[String]) -> i32 {
     let quick = flag(args, "--quick");
-    let out = value_of(args, "--out").unwrap_or_else(|| bench::BENCH_DEFAULT_PATH.to_string());
+    let out = value_of(args, "--out")
+        .or_else(|| (!flag(args, "--check")).then(|| bench::BENCH_DEFAULT_PATH.to_string()));
     let factor = match parsed_value::<f64>(args, "--factor") {
         Ok(factor) => factor.unwrap_or(2.0),
         Err(message) => {
@@ -643,12 +647,13 @@ fn cmd_bench(args: &[String]) -> i32 {
             r.name, r.wall_ms, r.messages, r.peak_rss_kb
         );
     }
-    let json = bench::render_json(&records, quick);
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("could not write {out}: {e}");
-        return 1;
+    if let Some(out) = out {
+        if let Err(e) = std::fs::write(&out, bench::render_json(&records, quick)) {
+            eprintln!("could not write {out}: {e}");
+            return 1;
+        }
+        println!("wrote {out}");
     }
-    println!("wrote {out}");
     if let Some(history_path) = value_of(args, "--append-history") {
         let unix_ms = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)

@@ -13,9 +13,9 @@
 use onoc_app::{MappedApplication, Mapping, RouteStrategy, TaskGraph, workloads};
 use onoc_sim::{
     Activity, AimdParams, ChromeTraceProbe, EnergyProbe, EnergyReport, FaultPlan, FlowEnergy,
-    FlowMatrix, OpenLoopReport, OpenLoopSimulator, ReliabilityProbe, SimError, SimScratch,
-    Simulator, StaticFlowMap, SynthesisSummary, TimeSeries, TimeSeriesProbe, TransportMode,
-    WavelengthMode,
+    FlowMatrix, MAX_TELEMETRY_WINDOWS, OpenLoopReport, OpenLoopSimulator, ReliabilityProbe,
+    SimError, SimScratch, Simulator, StaticFlowMap, SynthesisSummary, TimeSeries, TimeSeriesProbe,
+    TransportMode, WavelengthMode,
 };
 use onoc_topology::{OnocArchitecture, RingTopology};
 use onoc_traffic::{
@@ -547,17 +547,24 @@ fn run_stream(
     let sim_err = |e: &dyn core::fmt::Display| ScenarioError::Simulation {
         message: e.to_string(),
     };
-    // With a `[telemetry]` table the windowed series and the trace
-    // exporter ride beside the energy probe in the same run; without one
-    // the engine monomorphises over the energy probe alone, as before.
-    let mut telemetry_out: Option<(TimeSeries, ChromeTraceProbe)> = None;
+    // With a `[telemetry]` table the windowed series rides beside the
+    // energy probe in the same run, and the trace exporter too when a
+    // file is named; without one the engine monomorphises over the
+    // energy probe alone, as before.
+    let mut telemetry_out: Option<(TimeSeries, Option<ChromeTraceProbe>)> = None;
     let run = if let Some(telemetry) = &spec.telemetry {
         let last_injection = trace.events().iter().map(|e| e.time).max().unwrap_or(0);
+        if last_injection / telemetry.window() >= MAX_TELEMETRY_WINDOWS as u64 {
+            return Err(window_cap_err(telemetry.window()));
+        }
         let mut series =
             TimeSeriesProbe::new(telemetry.window(), spec.arch.nodes, spec.arch.wavelengths)
                 .with_horizon_hint(last_injection + telemetry.window());
-        let mut chrome = ChromeTraceProbe::with_capacity(trace.len());
-        let mut probes = ((&mut probe, &mut rel), (&mut series, &mut chrome));
+        let mut chrome = telemetry
+            .chrome_trace
+            .as_ref()
+            .map(|_| ChromeTraceProbe::with_capacity(trace.len()));
+        let mut probes = ((&mut probe, &mut rel), (&mut series, chrome.as_mut()));
         let run = sim
             .run_with_scratch_probed(
                 trace.source(),
@@ -566,6 +573,9 @@ fn run_stream(
                 &mut probes,
             )
             .map_err(|e| sim_err(&e))?;
+        if series.truncated() {
+            return Err(window_cap_err(telemetry.window()));
+        }
         telemetry_out = Some((series.report(), chrome));
         run
     } else {
@@ -627,9 +637,23 @@ fn run_stream(
     );
     report.push_table(table);
     if let (Some(telemetry), Some((series, chrome))) = (&spec.telemetry, telemetry_out) {
-        push_telemetry(report, telemetry, &series, &energy, &chrome)?;
+        push_telemetry(report, telemetry, &series, &energy, chrome.as_ref())?;
     }
     Ok(())
+}
+
+/// The error of a run that passes the last of the
+/// [`MAX_TELEMETRY_WINDOWS`] windows of `window` cycles a telemetry
+/// series holds.
+pub(crate) fn window_cap_err(window: u64) -> ScenarioError {
+    ScenarioError::Build {
+        stage: "telemetry series",
+        message: format!(
+            "`telemetry.window` = {window} cycles is too short: the run passes cycle {}, \
+             the end of the {MAX_TELEMETRY_WINDOWS} windows a series holds",
+            window.saturating_mul(MAX_TELEMETRY_WINDOWS as u64)
+        ),
+    }
 }
 
 // ----------------------------------------------------------- telemetry --
@@ -757,13 +781,13 @@ fn per_flow_energy_table(flows: &[FlowEnergy]) -> Table {
 
 /// Pushes the telemetry artifacts (window series, per-source
 /// attribution, per-flow energy) and writes the Chrome trace file when
-/// the spec names one.
+/// the spec names one (`chrome` is the capture made for it).
 fn push_telemetry(
     report: &mut Report,
     spec: &TelemetrySpec,
     series: &TimeSeries,
     energy: &EnergyReport,
-    chrome: &ChromeTraceProbe,
+    chrome: Option<&ChromeTraceProbe>,
 ) -> Result<(), ScenarioError> {
     let active = series.windows.iter().filter(|w| w.retired > 0).count();
     let mean_fairness = {
@@ -786,7 +810,7 @@ fn push_telemetry(
     if spec.per_flow() {
         report.push_table(per_flow_energy_table(&energy.per_flow()));
     }
-    if let Some(path) = &spec.chrome_trace {
+    if let (Some(path), Some(chrome)) = (&spec.chrome_trace, chrome) {
         std::fs::write(path, chrome.to_json()).map_err(|e| ScenarioError::Build {
             stage: "chrome trace export",
             message: format!("{path}: {e}"),

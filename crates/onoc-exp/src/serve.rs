@@ -22,7 +22,7 @@ use onoc_serve::{
 use onoc_sim::{ChromeTraceProbe, NullProbe, TimeSeriesProbe};
 
 use crate::artifact::{Report, Table};
-use crate::scenario::{ScenarioError, read_trace, timeseries_table};
+use crate::scenario::{ScenarioError, read_trace, timeseries_table, window_cap_err};
 use crate::spec::{ScenarioSpec, ServiceSpec, WorkloadSpec};
 
 /// Resolves the spec's `[service]` table (defaults when absent) into
@@ -105,11 +105,19 @@ pub fn run_serve(spec: &ScenarioSpec) -> Result<Report, ScenarioError> {
     let outcome = if let Some(telemetry) = &spec.telemetry {
         let mut series =
             TimeSeriesProbe::new(telemetry.window(), spec.arch.nodes, spec.arch.wavelengths);
-        let mut chrome = ChromeTraceProbe::new();
-        let mut probes = (&mut series, &mut chrome);
+        let mut chrome = telemetry
+            .chrome_trace
+            .as_ref()
+            .map(|_| ChromeTraceProbe::new());
+        let mut probes = (&mut series, chrome.as_mut());
         let outcome = run_with_probe(&config, &requests, &mut probes)?;
+        // The service horizon is open, so the window cap is checked on
+        // the probe once the loop has drained.
+        if series.truncated() {
+            return Err(window_cap_err(telemetry.window()));
+        }
         report.push_table(timeseries_table(&series.report()).csv_only());
-        if let Some(path) = &telemetry.chrome_trace {
+        if let (Some(path), Some(chrome)) = (&telemetry.chrome_trace, chrome) {
             std::fs::write(path, chrome.to_json()).map_err(|e| ScenarioError::Build {
                 stage: "chrome trace export",
                 message: format!("{path}: {e}"),

@@ -1923,11 +1923,25 @@ impl Field {
         // A built spec can hold a non-finite float, which JSON cannot show.
         let finite = |v: &Value| v.as_float().is_none_or(f64::is_finite);
         let got = if finite(value) && value.as_array().is_none_or(|a| a.iter().all(finite)) {
-            value.to_json_compact()
+            short_json(value)
         } else {
             format!("{value:?}")
         };
         invalid(self.path, format!("must be {}, got {got}", self.ty))
+    }
+}
+
+/// A value as a range error quotes it: compact JSON, except that a float
+/// far from 1 reads in Rust's shortest `{:e}` form (`1e300`, not 301
+/// digits).
+fn short_json(value: &Value) -> String {
+    match value {
+        Value::Float(x) if *x != 0.0 && !(1e-5..1e16).contains(&x.abs()) => format!("{x:e}"),
+        Value::Array(items) => {
+            let items: Vec<String> = items.iter().map(short_json).collect();
+            format!("[{}]", items.join(","))
+        }
+        _ => value.to_json_compact(),
     }
 }
 

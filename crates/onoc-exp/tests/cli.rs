@@ -163,6 +163,10 @@ fn one_edit_spec_mistakes_exit_1_and_name_the_key() {
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(1), "{name} ({to}): {stderr}");
             assert!(stderr.contains(&format!("`{key}`")), "{name}: {stderr}");
+            if to.contains("1e300") {
+                // The range error quotes the value short, not in 301 digits.
+                assert!(stderr.contains("got 1e300"), "{name}: {stderr}");
+            }
         }
     }
 }
@@ -266,4 +270,82 @@ fn transfer_time_past_u64_exits_1_and_names_the_volume() {
 #[test]
 fn task_time_past_u64_exits_1_and_names_the_exec_time() {
     assert_time_overflow_names("1e300", "6.0", "workload.exec_kcc");
+}
+
+/// Runs `onoc args…` with its address space capped at 2 GiB, so a
+/// telemetry series that grows with simulated time aborts at once
+/// instead of taking the host's memory.
+#[cfg(unix)]
+fn onoc_capped(args: &[&str]) -> Output {
+    Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 2097152 && exec \"$0\" \"$@\"")
+        .arg(env!("CARGO_BIN_EXE_onoc"))
+        .args(args)
+        .output()
+        .expect("sh runs the onoc binary")
+}
+
+/// Requires exit 1 naming `telemetry.window`, without a panic.
+fn assert_window_cap(out: &Output, case: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{case}: {stderr}");
+    assert!(stderr.contains("`telemetry.window`"), "{case}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+}
+
+#[cfg(unix)]
+#[test]
+fn a_serve_run_past_the_telemetry_window_cap_exits_1() {
+    // Sessions this sparse arrive at the end of time, which the series
+    // must not grow towards one window at a time.
+    let base = std::fs::read_to_string(SERVE).unwrap();
+    let toml = base.replacen("arrival_rate = 0.02 ", "arrival_rate = 1e-300 ", 1);
+    assert_ne!(toml, base);
+    let path = spec_file("window-cap", "serve.toml", &toml);
+    let out = onoc_capped(&["serve", "--spec", &path, "--quick"]);
+    assert_window_cap(&out, "serve");
+}
+
+#[test]
+fn a_run_past_the_telemetry_window_cap_exits_1_before_simulating() {
+    // Injections reach cycle ~200 000: 100 000 windows of 2 cycles.
+    let toml = "name = \"windows\"\n[arch]\nnodes = 4\nwavelengths = 2\n\
+                [workload]\nkind = \"synthetic\"\npattern = \"uniform\"\n\
+                injection_rate = 0.001\nmessage_bits = 64.0\nhorizon = 200000\n\
+                [allocator]\nkind = \"dynamic\"\npolicy = \"single\"\n\
+                [telemetry]\nwindow = 2\n";
+    let path = spec_file("window-cap", "run.toml", toml);
+    let out = onoc(&["run", "--spec", &path]);
+    assert_window_cap(&out, "run");
+    assert!(out.stdout.is_empty(), "the cap is checked before the run");
+}
+
+#[test]
+fn a_bench_check_leaves_the_baseline_and_writes_no_artifact() {
+    let dir = std::env::temp_dir().join(format!("onoc-cli-bench-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim_core.json");
+    let baseline = std::fs::read(committed).unwrap();
+    std::fs::write(dir.join("baseline.json"), &baseline).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_onoc"))
+        .args([
+            "bench",
+            "--quick",
+            "--factor",
+            "1e9",
+            "--check",
+            "baseline.json",
+        ])
+        .current_dir(&dir)
+        .output()
+        .expect("the onoc binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        !dir.join("BENCH_sim_core.json").exists(),
+        "a check wrote the default artifact"
+    );
+    assert_eq!(std::fs::read(dir.join("baseline.json")).unwrap(), baseline);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -71,7 +71,7 @@ const PINS: &[(&str, &str, u64, u64)] = &[
     (
         "scenario_trace_replay.toml",
         "run-smoke",
-        0x2d7c60e8b2aca0b7,
+        0x5b72d3270e8a95cf,
         0x4e8c9351167a93ac,
     ),
 ];
@@ -88,12 +88,17 @@ fn fnv1a(bytes: &str) -> u64 {
 }
 
 /// Parses a spec file, resolving a relative trace path against the
-/// examples directory the way the CLI does.
+/// examples directory the way the CLI does. The trace artifact prints
+/// that path, so it stays package-relative (cargo runs integration tests
+/// from the package root) and the pins hold wherever the checkout lives.
 fn load(path: &Path) -> ScenarioSpec {
     let raw = std::fs::read_to_string(path).unwrap();
     let mut spec = ScenarioSpec::from_toml_str(&raw).unwrap();
     if let WorkloadSpec::Trace { path: trace } = &mut spec.workload {
-        *trace = examples_dir().join(&*trace).to_string_lossy().into_owned();
+        *trace = Path::new("../../examples")
+            .join(&*trace)
+            .to_string_lossy()
+            .into_owned();
     }
     spec
 }

@@ -409,19 +409,20 @@ impl<P: SimProbe> Loop<'_, P> {
                 self.full_repack_packs += self.live.len() as u64 + 1;
                 self.shared_grants += grant.shared;
                 let wait = now - request.arrival;
+                // A session arriving near the end of time ends there.
+                let end = now.saturating_add(request.hold);
                 self.waits.push(wait);
                 self.probe.admitted(now, wait, request.src);
                 self.probe.started(TxFact {
                     start: now,
-                    end: now + request.hold,
+                    end,
                     lanes: grant.mask,
                     hops: path.hops(),
                     src: request.src,
                     dst: request.dst,
                     marked: false,
                 });
-                self.departures
-                    .push(std::cmp::Reverse((now + request.hold, request.id)));
+                self.departures.push(std::cmp::Reverse((end, request.id)));
                 self.live.insert(
                     request.id,
                     LiveSession {
@@ -895,7 +896,10 @@ pub fn compare_replay_cost(config: &ServiceConfig, requests: &[SessionRequest]) 
         incremental_nanos += clock.elapsed().as_nanos();
         incremental_packs += 1;
         if granted {
-            live.insert(request.id, (path, request.arrival + request.hold));
+            live.insert(
+                request.id,
+                (path, request.arrival.saturating_add(request.hold)),
+            );
         }
     }
 
@@ -906,7 +910,11 @@ pub fn compare_replay_cost(config: &ServiceConfig, requests: &[SessionRequest]) 
     for request in requests {
         batch.retain(|&(_, _, end)| end > request.arrival);
         let path = path_of(request);
-        batch.push((path, request.demand, request.arrival + request.hold));
+        batch.push((
+            path,
+            request.demand,
+            request.arrival.saturating_add(request.hold),
+        ));
         let demands: Vec<usize> = batch.iter().map(|&(_, d, _)| d).collect();
         let mut conflicts = Vec::new();
         for a in 0..batch.len() {

@@ -84,5 +84,7 @@ pub use probe::{NullProbe, SimProbe, TxFact};
 pub use report::{
     ChannelConflict, LatencyHistogram, LatencyStats, MsgRecord, OpenLoopReport, SimReport,
 };
-pub use telemetry::{ChromeTraceProbe, TimeSeries, TimeSeriesProbe, WindowStats};
+pub use telemetry::{
+    ChromeTraceProbe, MAX_TELEMETRY_WINDOWS, TimeSeries, TimeSeriesProbe, WindowStats,
+};
 pub use transport::TransportMode;

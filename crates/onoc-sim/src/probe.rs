@@ -233,6 +233,88 @@ impl<A: SimProbe, B: SimProbe> SimProbe for (A, B) {
     }
 }
 
+/// An optional probe: `Some` forwards every fact and `None` observes
+/// nothing, so a caller can attach a costly probe only when its output
+/// is asked for.
+impl<P: SimProbe> SimProbe for Option<P> {
+    #[inline]
+    fn offered(&mut self, time: u64, src: NodeId) {
+        if let Some(probe) = self {
+            probe.offered(time, src);
+        }
+    }
+
+    #[inline]
+    fn admitted(&mut self, now: u64, stall: u64, src: NodeId) {
+        if let Some(probe) = self {
+            probe.admitted(now, stall, src);
+        }
+    }
+
+    #[inline]
+    fn started(&mut self, fact: TxFact) {
+        if let Some(probe) = self {
+            probe.started(fact);
+        }
+    }
+
+    #[inline]
+    fn completed(&mut self, fact: TxFact) {
+        if let Some(probe) = self {
+            probe.completed(fact);
+        }
+    }
+
+    #[inline]
+    fn retired(&mut self, record: &MsgRecord, volume_bits: f64, hops: usize) {
+        if let Some(probe) = self {
+            probe.retired(record, volume_bits, hops);
+        }
+    }
+
+    #[inline]
+    fn dropped(&mut self, fact: DropFact) {
+        if let Some(probe) = self {
+            probe.dropped(fact);
+        }
+    }
+
+    #[inline]
+    fn lost(&mut self, record: &MsgRecord, volume_bits: f64, attempts: u32) {
+        if let Some(probe) = self {
+            probe.lost(record, volume_bits, attempts);
+        }
+    }
+
+    #[inline]
+    fn recovered(&mut self, record: &MsgRecord, attempts: u32, recovery_cycles: u64) {
+        if let Some(probe) = self {
+            probe.recovered(record, attempts, recovery_cycles);
+        }
+    }
+
+    #[inline]
+    fn lane_event(&mut self, now: u64, lane: usize, down: bool) {
+        if let Some(probe) = self {
+            probe.lane_event(now, lane, down);
+        }
+    }
+
+    #[inline]
+    fn heal(&mut self, fact: HealFact) {
+        if let Some(probe) = self {
+            probe.heal(fact);
+        }
+    }
+
+    #[inline]
+    fn finished(&mut self, horizon: u64, last_injection: u64) {
+        if let Some(probe) = self {
+            probe.finished(horizon, last_injection);
+        }
+    }
+}
+
 /// Forwarding through a mutable reference, so callers can keep ownership
 /// of their probe across runs.
 impl<P: SimProbe + ?Sized> SimProbe for &mut P {
@@ -420,38 +502,37 @@ mod tests {
         assert_eq!(fact.span(), 100);
     }
 
-    #[test]
-    fn pair_composition_forwards_every_fact_to_both() {
-        let mut pair = (Counter::default(), Counter::default());
-        pair.offered(5, NodeId(0));
-        pair.admitted(5, 0, NodeId(0));
+    /// Sends one of every fact to `probe`.
+    fn every_fact<P: SimProbe>(probe: &mut P) {
         let fact = TxFact {
             start: 5,
             end: 15,
-            lanes: 1,
+            lanes: 0b11,
             hops: 2,
             src: NodeId(0),
             dst: NodeId(3),
             marked: false,
         };
-        pair.started(fact);
-        pair.completed(fact);
-        pair.retired(&record(5, 15), 64.0, 2);
-        pair.dropped(crate::fault::DropFact {
+        probe.offered(5, NodeId(0));
+        probe.admitted(5, 0, NodeId(0));
+        probe.started(fact);
+        probe.completed(fact);
+        probe.retired(&record(5, 15), 64.0, 2);
+        probe.dropped(crate::fault::DropFact {
             start: 5,
             end: 15,
             lanes: 1,
             hops: 2,
             src: NodeId(0),
             dst: NodeId(3),
-            bits: 64.0,
+            bits: 32.0,
             cause: crate::fault::FaultCause::Corrupt,
             attempt: 1,
         });
-        pair.lost(&record(5, 15), 64.0, 2);
-        pair.recovered(&record(5, 15), 2, 10);
-        pair.lane_event(7, 0, true);
-        pair.heal(HealFact {
+        probe.lost(&record(5, 15), 64.0, 2);
+        probe.recovered(&record(5, 15), 2, 10);
+        probe.lane_event(7, 0, true);
+        probe.heal(HealFact {
             at: 7,
             lane: 0,
             policy: onoc_wa::HealPolicy::RePackStrict,
@@ -462,7 +543,13 @@ mod tests {
             stall_cycles: 0,
             feasible: true,
         });
-        pair.finished(15, 5);
+        probe.finished(15, 5);
+    }
+
+    #[test]
+    fn pair_composition_forwards_every_fact_to_both() {
+        let mut pair = (Counter::default(), Counter::default());
+        every_fact(&mut pair);
         assert_eq!(pair.0, pair.1);
         assert_eq!(pair.0.offered, 1);
         assert_eq!(pair.0.admitted, 1);
@@ -474,6 +561,26 @@ mod tests {
         assert_eq!(pair.0.heals, 1);
         assert_eq!(pair.0.bits, 64.0);
         assert_eq!(pair.0.finished, 1);
+    }
+
+    #[test]
+    fn an_optional_probe_forwards_only_when_present() {
+        let mut direct = Counter::default();
+        every_fact(&mut direct);
+        let mut present = Some(Counter::default());
+        every_fact(&mut present);
+        assert_eq!(present, Some(direct));
+        // An absent probe beside a present one leaves the other's view
+        // unchanged and observes nothing itself.
+        let mut pair = (Counter::default(), None::<Counter>);
+        every_fact(&mut pair);
+        assert_eq!(pair.0, present.unwrap());
+        assert_eq!(pair.1, None);
+        // Through a borrow, as the CLI attaches it.
+        let mut owner = Counter::default();
+        every_fact(&mut Some(&mut owner));
+        assert_eq!(owner.finished, 1);
+        assert_eq!(owner.bits, 64.0);
     }
 
     #[test]

@@ -46,11 +46,17 @@
 //! assert_eq!(series.total_retired(), 32);
 //! ```
 //!
-//! All buffers are sized per source/flow at construction and the window
-//! vector grows only past its reserved capacity
-//! ([`TimeSeriesProbe::with_horizon_hint`]), so a hinted probe keeps the
+//! Memory follows what the series reports. Per-source and per-flow
+//! totals are sized at construction; per-window state grows with the
+//! windows the run reaches (one bin and one per-source row each) and,
+//! for the per-flow fairness index, with the `(window, flow)` pairs that
+//! retire bits: one cell each, not a `windows × nodes²` matrix. Both
+//! stores grow only past the capacity reserved by
+//! [`TimeSeriesProbe::with_horizon_hint`], so a hinted probe keeps the
 //! zero-alloc admit path allocation-free (the counting-allocator
-//! regression test runs with one attached).
+//! regression test runs with one attached). The window count is capped
+//! at [`MAX_TELEMETRY_WINDOWS`]: a fact past the cap is not booked and
+//! the probe reports itself [truncated](TimeSeriesProbe::truncated).
 
 use onoc_topology::NodeId;
 
@@ -135,16 +141,43 @@ pub struct WindowStats {
     pub flow_fairness: f64,
 }
 
-/// Jain's index over the active (nonzero) entries of `xs`: 1.0 when no
-/// entry is active.
-fn jain_over_active(xs: &[f64]) -> f64 {
-    let sum: f64 = xs.iter().sum();
+/// Most windows a [`TimeSeriesProbe`] folds. A fact that falls in a
+/// later window is not booked, and the probe reports itself
+/// [truncated](TimeSeriesProbe::truncated) instead of growing with
+/// simulated time.
+pub const MAX_TELEMETRY_WINDOWS: usize = 1 << 16;
+
+/// The bits one flow retired in one window: the sparse form of a
+/// `windows × nodes²` matrix, one cell per `(window, flow)` pair that
+/// retires bits.
+#[derive(Debug, Clone, Copy)]
+struct FlowCell {
+    bits: f64,
+    window: u32,
+    flow: usize,
+    /// The flow's cell of the next older window it retired into
+    /// ([`NO_CELL`] for its oldest), so each flow's cells form a chain,
+    /// newest window first.
+    older: usize,
+}
+
+/// The end of a flow's cell chain.
+const NO_CELL: usize = usize::MAX;
+
+/// Jain's index over one window's flow cells, in flow order: 1.0 when
+/// no cell holds bits.
+///
+/// Folding only the cells gives the bits of the dense row fold: a zero
+/// entry adds `+0.0`, which leaves a positive partial sum unchanged and
+/// is not counted as active.
+fn jain_over_cells(cells: &[FlowCell]) -> f64 {
+    let sum: f64 = cells.iter().map(|c| c.bits).sum();
     if sum <= 0.0 {
         return 1.0;
     }
-    let sq: f64 = xs.iter().map(|x| x * x).sum();
+    let sq: f64 = cells.iter().map(|c| c.bits * c.bits).sum();
     #[allow(clippy::cast_precision_loss)]
-    let active = xs.iter().filter(|&&x| x > 0.0).count() as f64;
+    let active = cells.iter().filter(|c| c.bits > 0.0).count() as f64;
     sum * sum / (active * sq)
 }
 
@@ -284,9 +317,12 @@ impl TimeSeries {
 
 /// A [`SimProbe`] folding the fact stream into a [`TimeSeries`].
 ///
-/// Per-source and per-flow buffers are sized at construction; the
-/// window vector grows on demand, allocation-free up to the capacity
-/// reserved with [`with_horizon_hint`](Self::with_horizon_hint).
+/// Per-source and per-flow totals are sized at construction. The window
+/// bins and the per-source rows grow with the windows the run reaches,
+/// and the per-flow fairness cells with the `(window, flow)` pairs that
+/// retire bits, allocation-free up to the capacity reserved with
+/// [`with_horizon_hint`](Self::with_horizon_hint). Neither grows past
+/// [`MAX_TELEMETRY_WINDOWS`] windows.
 #[derive(Debug, Clone)]
 pub struct TimeSeriesProbe {
     window: u64,
@@ -295,9 +331,14 @@ pub struct TimeSeriesProbe {
     bins: Vec<WindowBin>,
     /// Flat `bins.len() × nodes` matrix of per-source retired bits.
     src_window_bits: Vec<f64>,
-    /// Flat `bins.len() × nodes²` matrix of per-flow retired bits
-    /// (`src × nodes + dst` within each bin's row).
-    flow_window_bits: Vec<f64>,
+    /// One cell per `(window, flow)` pair that retired bits, in the order
+    /// the pairs first retired.
+    flow_cells: Vec<FlowCell>,
+    /// Per flow (`src × nodes + dst`), its newest-window cell
+    /// ([`NO_CELL`] before its first retirement).
+    flow_newest: Vec<usize>,
+    /// Whether a fact fell past [`MAX_TELEMETRY_WINDOWS`] windows.
+    truncated: bool,
     src_hists: Vec<LatencyHistogram>,
     src_retired: Vec<u64>,
     src_retired_bits: Vec<f64>,
@@ -323,7 +364,9 @@ impl TimeSeriesProbe {
             wavelengths,
             bins: Vec::new(),
             src_window_bits: Vec::new(),
-            flow_window_bits: Vec::new(),
+            flow_cells: Vec::new(),
+            flow_newest: vec![NO_CELL; nodes * nodes],
+            truncated: false,
             src_hists: vec![LatencyHistogram::new(); nodes],
             src_retired: vec![0; nodes],
             src_retired_bits: vec![0.0; nodes],
@@ -335,16 +378,24 @@ impl TimeSeriesProbe {
     }
 
     /// Reserves window capacity for a run expected to span `horizon`
-    /// cycles, so folding it allocates nothing.
+    /// cycles (at most [`MAX_TELEMETRY_WINDOWS`] windows), with one flow
+    /// cell per source per window, so folding it allocates nothing.
     #[must_use]
     pub fn with_horizon_hint(mut self, horizon: u64) -> Self {
         #[allow(clippy::cast_possible_truncation)]
-        let bins = (horizon / self.window + 2) as usize;
+        let bins = (horizon / self.window + 2).min(MAX_TELEMETRY_WINDOWS as u64) as usize;
         self.bins.reserve(bins);
         self.src_window_bits.reserve(bins * self.nodes);
-        self.flow_window_bits
-            .reserve(bins * self.nodes * self.nodes);
+        self.flow_cells.reserve(bins * self.nodes);
         self
+    }
+
+    /// Whether a fact fell past [`MAX_TELEMETRY_WINDOWS`] windows. The
+    /// probe books no window past the cap, so its series then stops short
+    /// of the run; its per-source and per-flow totals stay whole.
+    #[must_use]
+    pub fn truncated(&self) -> bool {
+        self.truncated
     }
 
     /// The window length in cycles.
@@ -358,7 +409,9 @@ impl TimeSeriesProbe {
     pub fn reset(&mut self) {
         self.bins.clear();
         self.src_window_bits.clear();
-        self.flow_window_bits.clear();
+        self.flow_cells.clear();
+        self.flow_newest.fill(NO_CELL);
+        self.truncated = false;
         for h in &mut self.src_hists {
             *h = LatencyHistogram::new();
         }
@@ -376,16 +429,52 @@ impl TimeSeriesProbe {
     }
 
     /// Grows the window vector (and the per-source matrix in lockstep)
-    /// to cover bin `idx`.
-    fn ensure_bin(&mut self, idx: usize) -> &mut WindowBin {
-        while self.bins.len() <= idx {
-            self.bins.push(WindowBin::default());
-            self.src_window_bits
-                .resize(self.bins.len() * self.nodes, 0.0);
-            self.flow_window_bits
-                .resize(self.bins.len() * self.nodes * self.nodes, 0.0);
+    /// to cover bin `idx`; `None`, and the probe truncated, past
+    /// [`MAX_TELEMETRY_WINDOWS`].
+    fn ensure_bin(&mut self, idx: usize) -> Option<&mut WindowBin> {
+        if idx >= MAX_TELEMETRY_WINDOWS {
+            self.truncated = true;
+            return None;
         }
-        &mut self.bins[idx]
+        if self.bins.len() <= idx {
+            self.bins.resize(idx + 1, WindowBin::default());
+            self.src_window_bits.resize((idx + 1) * self.nodes, 0.0);
+        }
+        Some(&mut self.bins[idx])
+    }
+
+    /// Adds `bits` to the cell of `(window, flow)`, creating it the first
+    /// time the pair retires bits.
+    ///
+    /// Retirements come in message order, not window order, so a flow
+    /// can return to a window older than its newest cell (a late head, a
+    /// retried attempt): the walk down the flow's chain finds that cell,
+    /// or the place to link a new one, after as many cells as the
+    /// retirement is late.
+    fn add_flow_bits(&mut self, window: usize, flow: usize, bits: f64) {
+        // Below MAX_TELEMETRY_WINDOWS, so it fits.
+        #[allow(clippy::cast_possible_truncation)]
+        let window = window as u32;
+        let (mut newer, mut at) = (NO_CELL, self.flow_newest[flow]);
+        while at != NO_CELL && self.flow_cells[at].window > window {
+            newer = at;
+            at = self.flow_cells[at].older;
+        }
+        if at != NO_CELL && self.flow_cells[at].window == window {
+            self.flow_cells[at].bits += bits;
+            return;
+        }
+        let cell = self.flow_cells.len();
+        self.flow_cells.push(FlowCell {
+            bits,
+            window,
+            flow,
+            older: at,
+        });
+        match newer {
+            NO_CELL => self.flow_newest[flow] = cell,
+            newer => self.flow_cells[newer].older = cell,
+        }
     }
 
     /// Spreads the busy interval `[start, end)` of a transmission on
@@ -400,9 +489,10 @@ impl TimeSeriesProbe {
         let last = self.bin_index(end - 1);
         for idx in self.bin_index(start)..=last {
             let w_start = idx as u64 * self.window;
-            let w_end = w_start + self.window;
-            let overlap = end.min(w_end) - start.max(w_start);
-            let b = self.ensure_bin(idx);
+            let overlap = end.min(w_start.saturating_add(self.window)) - start.max(w_start);
+            let Some(b) = self.ensure_bin(idx) else {
+                break;
+            };
             b.lane_cycles += overlap * lanes;
             b.seg_cycles += overlap * lanes * hops;
         }
@@ -414,6 +504,11 @@ impl TimeSeriesProbe {
     pub fn report(&self) -> TimeSeries {
         let (mut offered, mut admitted, mut started, mut completed, mut failed) =
             (0u64, 0u64, 0u64, 0u64, 0u64);
+        // Each window's flow cells in flow order, so the fairness fold
+        // adds them in the dense row's order.
+        let mut cells = self.flow_cells.clone();
+        cells.sort_unstable_by_key(|c| (c.window, c.flow));
+        let mut rest = cells.as_slice();
         let windows = self
             .bins
             .iter()
@@ -432,9 +527,10 @@ impl TimeSeriesProbe {
                 } else {
                     1.0
                 };
-                let flows = self.nodes * self.nodes;
-                let flow_fairness =
-                    jain_over_active(&self.flow_window_bits[i * flows..(i + 1) * flows]);
+                let here = rest.partition_point(|c| c.window as usize == i);
+                let (row, later) = rest.split_at(here);
+                rest = later;
+                let flow_fairness = jain_over_cells(row);
                 WindowStats {
                     start: i as u64 * self.window,
                     offered: bin.offered,
@@ -484,39 +580,44 @@ impl SimProbe for TimeSeriesProbe {
         // Booked from the engine's offer fact rather than derived from
         // `admitted − stall`, so messages a fault run loses before they
         // ever pass a gate still count as offered load.
-        self.ensure_bin(self.bin_index(time)).offered += 1;
+        if let Some(b) = self.ensure_bin(self.bin_index(time)) {
+            b.offered += 1;
+        }
         self.last_injection = self.last_injection.max(time);
     }
 
     #[inline]
     fn admitted(&mut self, now: u64, stall: u64, _src: NodeId) {
-        let bin = self.bin_index(now);
-        let b = self.ensure_bin(bin);
-        b.admitted += 1;
-        b.stall_cycles += stall;
+        if let Some(b) = self.ensure_bin(self.bin_index(now)) {
+            b.admitted += 1;
+            b.stall_cycles += stall;
+        }
     }
 
     #[inline]
     fn started(&mut self, fact: TxFact) {
-        let b = self.ensure_bin(self.bin_index(fact.start));
-        b.started += 1;
-        if fact.marked {
-            b.ecn_marks += 1;
+        if let Some(b) = self.ensure_bin(self.bin_index(fact.start)) {
+            b.started += 1;
+            if fact.marked {
+                b.ecn_marks += 1;
+            }
         }
     }
 
     #[inline]
     fn completed(&mut self, fact: TxFact) {
-        let end_bin = self.bin_index(fact.end);
-        self.ensure_bin(end_bin).completed += 1;
+        if let Some(b) = self.ensure_bin(self.bin_index(fact.end)) {
+            b.completed += 1;
+        }
         self.spread((fact.start, fact.end), fact.lane_count(), fact.hops);
     }
 
     #[inline]
     fn dropped(&mut self, fact: DropFact) {
-        let b = self.ensure_bin(self.bin_index(fact.end));
-        b.failed += 1;
-        b.retransmitted_bits += fact.bits;
+        if let Some(b) = self.ensure_bin(self.bin_index(fact.end)) {
+            b.failed += 1;
+            b.retransmitted_bits += fact.bits;
+        }
         // The failed attempt drove its lanes for the full span: spread
         // the busy interval exactly as a completion would.
         self.spread((fact.start, fact.end), fact.lane_count(), fact.hops);
@@ -524,22 +625,25 @@ impl SimProbe for TimeSeriesProbe {
 
     #[inline]
     fn lost(&mut self, record: &MsgRecord, _volume_bits: f64, _attempts: u32) {
-        self.ensure_bin(self.bin_index(record.completed)).lost += 1;
+        if let Some(b) = self.ensure_bin(self.bin_index(record.completed)) {
+            b.lost += 1;
+        }
     }
 
     #[inline]
     fn retired(&mut self, record: &MsgRecord, volume_bits: f64, _hops: usize) {
+        let (src, nodes) = (record.src.0, self.nodes);
+        let flow = src * nodes + record.dst.0;
         let idx = self.bin_index(record.completed);
-        let nodes = self.nodes;
-        let b = self.ensure_bin(idx);
-        b.retired += 1;
-        b.retired_bits += volume_bits;
-        self.src_window_bits[idx * nodes + record.src.0] += volume_bits;
-        self.src_hists[record.src.0].record(record.latency());
-        self.src_retired[record.src.0] += 1;
-        self.src_retired_bits[record.src.0] += volume_bits;
-        let flow = record.src.0 * nodes + record.dst.0;
-        self.flow_window_bits[idx * nodes * nodes + flow] += volume_bits;
+        if let Some(b) = self.ensure_bin(idx) {
+            b.retired += 1;
+            b.retired_bits += volume_bits;
+            self.src_window_bits[idx * nodes + src] += volume_bits;
+            self.add_flow_bits(idx, flow, volume_bits);
+        }
+        self.src_hists[src].record(record.latency());
+        self.src_retired[src] += 1;
+        self.src_retired_bits[src] += volume_bits;
         self.flow_bits[flow] += volume_bits;
         self.flow_messages[flow] += 1;
     }
@@ -859,7 +963,7 @@ mod tests {
         let mut probe = TimeSeriesProbe::new(8, 4, 2).with_horizon_hint(800);
         let bins_cap = probe.bins.capacity();
         let src_cap = probe.src_window_bits.capacity();
-        let flow_cap = probe.flow_window_bits.capacity();
+        let cell_cap = probe.flow_cells.capacity();
         for k in 0..100u64 {
             probe.offered(k * 8, NodeId(0));
             probe.admitted(k * 8, 0, NodeId(0));
@@ -873,10 +977,341 @@ mod tests {
             "per-source matrix reallocated"
         );
         assert_eq!(
-            probe.flow_window_bits.capacity(),
-            flow_cap,
-            "per-flow matrix reallocated"
+            probe.flow_cells.capacity(),
+            cell_cap,
+            "per-flow cell store reallocated"
         );
+    }
+
+    #[test]
+    fn the_window_count_stops_at_the_cap() {
+        let window = 4;
+        let cap = MAX_TELEMETRY_WINDOWS as u64 * window;
+        // The hint reserves no more than the cap.
+        let mut probe = TimeSeriesProbe::new(window, 2, 1).with_horizon_hint(u64::MAX);
+        assert!(probe.bins.capacity() < 2 * MAX_TELEMETRY_WINDOWS);
+        probe.offered(0, NodeId(0));
+        probe.retired(&record(0, 1, 0, 3), 8.0, 1);
+        assert!(!probe.truncated());
+        // A transmission running past the cap books its overlap with the
+        // last window only, and later facts book nothing.
+        probe.completed(fact(cap - 2, cap + 40, 1, 1, 0, 1));
+        probe.offered(u64::MAX, NodeId(1));
+        probe.retired(&record(1, 0, u64::MAX - 9, u64::MAX), 16.0, 1);
+        probe.finished(u64::MAX, u64::MAX);
+        assert!(probe.truncated());
+        let series = probe.report();
+        assert_eq!(series.windows.len(), MAX_TELEMETRY_WINDOWS);
+        assert_eq!(series.windows.last().unwrap().lane_cycles, 2);
+        assert_eq!((series.total_offered(), series.total_retired()), (1, 1));
+        // Totals outside the windows stay whole.
+        assert_eq!(series.source_retired, vec![1, 1]);
+        assert_eq!(series.flow_messages, vec![0, 1, 1, 0]);
+        assert_eq!(probe.flow_cells.len(), 1);
+        probe.reset();
+        assert!(!probe.truncated());
+        assert!(probe.flow_cells.is_empty());
+    }
+
+    #[test]
+    fn a_flow_returning_to_an_older_window_adds_to_its_cell() {
+        let mut probe = TimeSeriesProbe::new(10, 3, 1);
+        // Flow 0→1 retires into windows 0, 2 and 5, then late into 2 and
+        // 0 again and into 1 for the first time; flow 2→0 interleaves.
+        for (src, dst, completed, bits) in [
+            (0, 1, 3, 1.0 / 3.0),
+            (0, 1, 25, 2.0),
+            (2, 0, 24, 5.0),
+            (0, 1, 51, 7.0),
+            (0, 1, 22, 0.1),
+            (2, 0, 4, 0.7),
+            (0, 1, 8, 0.2),
+            (0, 1, 14, 3.0),
+        ] {
+            probe.retired(&record(src, dst, 0, completed), bits, 1);
+        }
+        probe.finished(60, 0);
+        // Distinct pairs: (0, 0→1), (2, 0→1), (5, 0→1), (2, 2→0),
+        // (0, 2→0), (1, 0→1).
+        assert_eq!(probe.flow_cells.len(), 6);
+        let mut chain = Vec::new();
+        let mut at = probe.flow_newest[1];
+        while at != NO_CELL {
+            chain.push((probe.flow_cells[at].window, probe.flow_cells[at].bits));
+            at = probe.flow_cells[at].older;
+        }
+        assert_eq!(
+            chain,
+            vec![(5, 7.0), (2, 2.0 + 0.1), (1, 3.0), (0, 1.0 / 3.0 + 0.2)]
+        );
+        // Window 2 folds flow 0→1 (2.0 + 0.1) before flow 2→0 (5.0).
+        let w = &probe.report().windows;
+        let (a, b) = (2.0 + 0.1, 5.0);
+        let two: f64 = (a + b) * (a + b) / (2.0 * (a * a + b * b));
+        assert_eq!(w[2].flow_fairness.to_bits(), two.to_bits());
+        assert_eq!(w[3].flow_fairness, 1.0);
+    }
+
+    /// The dense per-flow fold, kept as the oracle of the sparse
+    /// cells: each retirement adds its bits to its window's row of a
+    /// `windows × nodes²` matrix, in retirement order, and each row folds
+    /// to Jain's index over its active entries. The rows are built one
+    /// window at a time from a log of the retirements, so the oracle's
+    /// memory follows one row, not the whole matrix.
+    #[derive(Debug)]
+    struct DenseFlowOracle {
+        window: u64,
+        nodes: usize,
+        /// `(window, flow, bits)` of every retirement, in order.
+        log: Vec<(usize, usize, f64)>,
+    }
+
+    impl DenseFlowOracle {
+        fn new(window: u64, nodes: usize) -> Self {
+            Self {
+                window,
+                nodes,
+                log: Vec::new(),
+            }
+        }
+
+        /// The distinct `(window, flow)` pairs that retired bits.
+        fn pairs(&self) -> usize {
+            let pairs: std::collections::BTreeSet<(usize, usize)> =
+                self.log.iter().map(|&(w, f, _)| (w, f)).collect();
+            pairs.len()
+        }
+
+        /// `series` with every window's `flow_fairness` refolded from its
+        /// dense row.
+        fn fold(&self, mut series: TimeSeries) -> TimeSeries {
+            let flows = self.nodes * self.nodes;
+            let idle = jain_over_active(&vec![0.0; flows]);
+            let mut log = self.log.clone();
+            log.sort_by_key(|&(w, _, _)| w); // stable: retirement order within a row
+            for (i, stats) in series.windows.iter_mut().enumerate() {
+                let start = log.partition_point(|&(w, _, _)| w < i);
+                let end = log.partition_point(|&(w, _, _)| w <= i);
+                stats.flow_fairness = if start == end {
+                    idle
+                } else {
+                    let mut row = vec![0.0; flows];
+                    for &(_, flow, bits) in &log[start..end] {
+                        row[flow] += bits;
+                    }
+                    jain_over_active(&row)
+                };
+            }
+            series
+        }
+    }
+
+    impl SimProbe for DenseFlowOracle {
+        fn retired(&mut self, record: &MsgRecord, volume_bits: f64, _hops: usize) {
+            #[allow(clippy::cast_possible_truncation)]
+            let window = (record.completed / self.window) as usize;
+            let flow = record.src.0 * self.nodes + record.dst.0;
+            self.log.push((window, flow, volume_bits));
+        }
+    }
+
+    /// The dense fold's Jain index over the active (nonzero) entries of
+    /// `xs`: 1.0 when no entry is active.
+    fn jain_over_active(xs: &[f64]) -> f64 {
+        let sum: f64 = xs.iter().sum();
+        if sum <= 0.0 {
+            return 1.0;
+        }
+        let sq: f64 = xs.iter().map(|x| x * x).sum();
+        #[allow(clippy::cast_precision_loss)]
+        let active = xs.iter().filter(|&&x| x > 0.0).count() as f64;
+        sum * sum / (active * sq)
+    }
+
+    /// Every number of a series, each `f64` as its bits.
+    fn series_bits(series: &TimeSeries) -> Vec<u64> {
+        let mut out = vec![
+            series.window,
+            series.nodes as u64,
+            series.wavelengths as u64,
+            series.horizon,
+            series.last_injection,
+        ];
+        for w in &series.windows {
+            out.extend([
+                w.start,
+                w.offered,
+                w.admitted,
+                w.started,
+                w.completed,
+                w.retired,
+                w.retired_bits.to_bits(),
+                w.stall_cycles,
+                w.ecn_marks,
+                w.lane_cycles,
+                w.seg_cycles,
+                w.failed,
+                w.retransmitted_bits.to_bits(),
+                w.lost,
+                w.gate_held,
+                w.queue_depth,
+                w.in_flight,
+                w.fairness.to_bits(),
+                w.flow_fairness.to_bits(),
+            ]);
+        }
+        for l in &series.source_latency {
+            out.extend([
+                l.count as u64,
+                l.mean.to_bits(),
+                l.p50.to_bits(),
+                l.p95.to_bits(),
+                l.p99.to_bits(),
+                l.max,
+            ]);
+        }
+        out.extend(&series.source_retired);
+        out.extend(series.source_retired_bits.iter().map(|x| x.to_bits()));
+        out.extend(series.flow_bits.iter().map(|x| x.to_bits()));
+        out.extend(&series.flow_messages);
+        out
+    }
+
+    /// The sparse probe against the dense oracle on one observed run:
+    /// bit-identical series, and one cell per distinct pair.
+    fn assert_matches_the_dense_fold(probe: &TimeSeriesProbe, oracle: &DenseFlowOracle) {
+        let series = probe.report();
+        let dense = oracle.fold(series.clone());
+        assert_eq!(series_bits(&series), series_bits(&dense));
+        assert_eq!(probe.flow_cells.len(), oracle.pairs());
+    }
+
+    /// A xorshift stream for the generated corpora.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    const WINDOWS: [u64; 12] = [1, 2, 3, 7, 16, 31, 64, 100, 256, 700, 2048, 4096];
+
+    proptest::proptest! {
+        /// The sparse fold against the dense oracle on engine runs:
+        /// single- and multi-lane dynamic policies, corruption and lane
+        /// outages with no recovery (lost messages), go-back-N or PFC,
+        /// over message streams of mixed, non-dyadic sizes.
+        #[test]
+        fn sparse_fold_matches_the_dense_fold_on_engine_runs(
+            seed in 0u64..1 << 32,
+            nodes in 2usize..33,
+            window_sel in 0usize..12,
+            policy in 0usize..3,
+            faults in 0usize..3,
+            transport in 0usize..3,
+        ) {
+            use crate::fault::{FaultPlan, LaneFault};
+            use crate::openloop::{OpenLoopSimulator, TrafficEvent, WavelengthMode};
+            use crate::transport::TransportMode;
+            use crate::DynamicPolicy;
+            use onoc_topology::RingTopology;
+            use onoc_units::{Bits, BitsPerCycle};
+
+            let mut next = xorshift(seed);
+            let n = nodes as u64;
+            let mut time = 0u64;
+            let events: Vec<TrafficEvent> = (0..40 + next() % 160)
+                .map(|_| {
+                    time += next() % 5;
+                    let src = (next() % n) as usize;
+                    let dst = (src + 1 + (next() % (n - 1)) as usize) % nodes;
+                    // Mixed sizes whose sums round differently in
+                    // different orders: short thirds and long sevenths.
+                    let bits = if next().is_multiple_of(4) {
+                        (500 + next() % 3000) as f64 / 7.0
+                    } else {
+                        (1 + next() % 600) as f64 / 3.0
+                    };
+                    TrafficEvent { time, src: NodeId(src), dst: NodeId(dst), volume: Bits::new(bits) }
+                })
+                .collect();
+            let wavelengths = 1 + (next() % 4) as usize;
+            let policy = match policy {
+                0 => DynamicPolicy::Single,
+                _ => DynamicPolicy::Greedy { cap: 1 + policy * (1 + (next() % 2) as usize) },
+            };
+            let mut sim = OpenLoopSimulator::new(
+                RingTopology::new(nodes),
+                wavelengths,
+                BitsPerCycle::new(1.0),
+                WavelengthMode::Dynamic(policy),
+            );
+            if faults > 0 {
+                let mut plan = FaultPlan::new(seed).with_ber(1e-3);
+                if faults == 2 {
+                    plan = plan.with_scheduled(LaneFault {
+                        lane: (next() % wavelengths as u64) as usize,
+                        at: next() % (time + 1),
+                        duration: 1 + next() % 600,
+                    });
+                }
+                sim = sim.with_faults(plan);
+            }
+            sim = sim.with_transport(match transport {
+                0 => TransportMode::None,
+                1 => TransportMode::go_back_n(),
+                _ => TransportMode::pfc(),
+            });
+            let window = WINDOWS[window_sel];
+            let mut probe = TimeSeriesProbe::new(window, nodes, wavelengths);
+            let mut oracle = DenseFlowOracle::new(window, nodes);
+            sim.run_probed(events.into_iter(), &mut (&mut probe, &mut oracle)).unwrap();
+            assert_matches_the_dense_fold(&probe, &oracle);
+        }
+
+        /// The sparse fold against the dense oracle on hand-fed
+        /// retirements whose windows wander back and forth, so flows
+        /// return to windows older than their newest cell.
+        #[test]
+        fn sparse_fold_matches_the_dense_fold_on_late_retirements(
+            seed in 0u64..1 << 32,
+            nodes in 2usize..33,
+            window_sel in 0usize..12,
+            count in 1usize..400,
+        ) {
+            let mut next = xorshift(seed);
+            let window = WINDOWS[window_sel];
+            let n = nodes as u64;
+            // Few distinct flows, so each returns to its windows often.
+            let flows: Vec<(usize, usize)> = (0..1 + next() % 12)
+                .map(|_| {
+                    let src = (next() % n) as usize;
+                    (src, (src + 1 + (next() % (n - 1)) as usize) % nodes)
+                })
+                .collect();
+            let mut probe = TimeSeriesProbe::new(window, nodes, 1);
+            let mut oracle = DenseFlowOracle::new(window, nodes);
+            let mut clock = 0u64;
+            for _ in 0..count {
+                clock += next() % (2 * window);
+                let late = (next() % 5) * window;
+                let completed = clock.saturating_sub(if next().is_multiple_of(3) { late } else { 0 });
+                let (src, dst) = flows[(next() % flows.len() as u64) as usize];
+                let bits = match next() % 8 {
+                    0 => 0.0,
+                    1 => (1 + next() % (1 << 20)) as f64 / 7.0,
+                    _ => (1 + next() % 900) as f64 / 3.0,
+                };
+                let r = record(src, dst, completed.saturating_sub(3), completed);
+                probe.retired(&r, bits, 1);
+                oracle.retired(&r, bits, 1);
+            }
+            probe.finished(clock + 1, clock);
+            assert_matches_the_dense_fold(&probe, &oracle);
+        }
     }
 
     #[test]
