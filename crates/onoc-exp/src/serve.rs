@@ -16,8 +16,8 @@
 //! same-seed runs serialise byte-identically (the CI smoke diffs them).
 
 use onoc_serve::{
-    ADMISSION_LOG_HEADER, PoissonWorkload, ServiceConfig, ServiceOutcome, SessionRequest, serve,
-    sessions_from_trace,
+    ADMISSION_LOG_HEADER, PoissonWorkload, ServiceConfig, ServiceOutcome, SessionRequest,
+    WorkloadError, serve, sessions_from_trace,
 };
 use onoc_sim::{ChromeTraceProbe, NullProbe, TimeSeriesProbe};
 
@@ -46,8 +46,11 @@ pub fn service_config(spec: &ScenarioSpec) -> ServiceConfig {
 ///
 /// # Errors
 ///
-/// Returns [`ScenarioError`] when the trace file cannot be read or the
-/// workload kind has no service semantics (task graphs, sweeps).
+/// Returns [`ScenarioError`] when the trace file cannot be read, the
+/// workload kind has no service semantics (task graphs, sweeps), or a
+/// session's arrival cycle or holding time does not fit `u64` cycles
+/// (naming `service.arrival_rate`, `service.mean_hold` or
+/// `service.stretch`).
 pub fn build_requests(spec: &ScenarioSpec) -> Result<Vec<SessionRequest>, ScenarioError> {
     let service = spec.service.clone().unwrap_or_default();
     match &spec.workload {
@@ -57,7 +60,7 @@ pub fn build_requests(spec: &ScenarioSpec) -> Result<Vec<SessionRequest>, Scenar
                 (service.sessions() / 4).max(1),
                 (service.sessions() / 10).max(1),
             );
-            Ok(PoissonWorkload {
+            PoissonWorkload {
                 nodes: spec.arch.nodes,
                 sessions,
                 arrival_rate: service.arrival_rate(),
@@ -65,15 +68,20 @@ pub fn build_requests(spec: &ScenarioSpec) -> Result<Vec<SessionRequest>, Scenar
                 max_demand: service.max_demand(),
                 seed: spec.seed,
             }
-            .generate())
+            .try_generate()
+            .map_err(|e| match e {
+                WorkloadError::Arrival { .. } => {
+                    clock_err("service.arrival_rate", service.arrival_rate(), e)
+                }
+                WorkloadError::Hold { .. } => {
+                    clock_err("service.mean_hold", service.mean_hold(), e)
+                }
+            })
         }
         WorkloadSpec::Trace { path } => {
             let trace = read_trace(path)?;
-            Ok(sessions_from_trace(
-                trace.events(),
-                service.trace_demand(),
-                service.stretch(),
-            ))
+            sessions_from_trace(trace.events(), service.trace_demand(), service.stretch())
+                .map_err(|e| clock_err("service.stretch", service.stretch(), e))
         }
         other => Err(ScenarioError::Build {
             stage: "service workload",
@@ -83,6 +91,15 @@ pub fn build_requests(spec: &ScenarioSpec) -> Result<Vec<SessionRequest>, Scenar
                 other.kind()
             ),
         }),
+    }
+}
+
+/// The error for a `[service]` value that drives a session's clock past
+/// `u64` cycles.
+fn clock_err(key: &str, value: f64, e: WorkloadError) -> ScenarioError {
+    ScenarioError::Build {
+        stage: "service workload",
+        message: format!("`{key}` = {value:e} is out of range: {e}"),
     }
 }
 

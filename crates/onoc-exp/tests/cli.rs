@@ -297,14 +297,60 @@ fn assert_window_cap(out: &Output, case: &str) {
 #[cfg(unix)]
 #[test]
 fn a_serve_run_past_the_telemetry_window_cap_exits_1() {
-    // Sessions this sparse arrive at the end of time, which the series
+    // Sessions this sparse arrive near cycle 10^11, which the series
     // must not grow towards one window at a time.
     let base = std::fs::read_to_string(SERVE).unwrap();
-    let toml = base.replacen("arrival_rate = 0.02 ", "arrival_rate = 1e-300 ", 1);
+    let toml = base.replacen("arrival_rate = 0.02 ", "arrival_rate = 1e-9 ", 1);
     assert_ne!(toml, base);
     let path = spec_file("window-cap", "serve.toml", &toml);
     let out = onoc_capped(&["serve", "--spec", &path, "--quick"]);
     assert_window_cap(&out, "serve");
+}
+
+/// Runs `onoc serve --quick` on `toml`, whose `key` drives a session's
+/// arrival cycle or holding time past `u64` cycles (which used to
+/// saturate there and print that cycle as the horizon): the run must exit
+/// 1 and name `key`, without a panic.
+fn assert_session_clock_names(toml: &str, key: &str) {
+    let path = spec_file("session-clock", &format!("{key}.toml"), toml);
+    let out = onoc(&["serve", "--spec", &path, "--quick"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{key}: {stderr}");
+    assert!(stderr.contains(&format!("`{key}`")), "{key}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{key}: {stderr}");
+}
+
+#[test]
+fn session_clocks_past_u64_exit_1_and_name_the_key() {
+    let base = std::fs::read_to_string(SERVE).unwrap();
+    let untimed = &base[..base.find("[telemetry]").unwrap()];
+    for (from, to, key) in [
+        (
+            "arrival_rate = 0.02 ",
+            "arrival_rate = 1e-300 ",
+            "service.arrival_rate",
+        ),
+        (
+            "mean_hold = 400.0 ",
+            "mean_hold = 1e300 ",
+            "service.mean_hold",
+        ),
+    ] {
+        let toml = untimed.replacen(from, to, 1);
+        assert_ne!(toml, untimed);
+        assert_session_clock_names(&toml, key);
+    }
+    let trace = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/trace_replay.csv"
+    );
+    let toml = format!(
+        "name = \"stretch\"\n[arch]\nnodes = 16\nwavelengths = 4\n\
+         [workload]\nkind = \"trace\"\npath = \"{trace}\"\n\
+         [allocator]\nkind = \"dynamic\"\npolicy = \"single\"\n\
+         [service]\nstretch = 1e300\n"
+    );
+    assert_session_clock_names(&toml, "service.stretch");
 }
 
 #[test]

@@ -67,4 +67,4 @@ pub use service::{
     ADMISSION_LOG_HEADER, CostComparison, DefragPolicy, ServeError, ServeEvent, ServeEventKind,
     ServiceConfig, ServiceOutcome, ServiceReport, compare_replay_cost, serve,
 };
-pub use workload::{PoissonWorkload, SessionRequest, sessions_from_trace};
+pub use workload::{PoissonWorkload, SessionRequest, WorkloadError, sessions_from_trace};

@@ -49,16 +49,80 @@ pub struct PoissonWorkload {
     pub seed: u64,
 }
 
+/// A session workload whose clock leaves `u64` cycles.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WorkloadError {
+    /// Session `session` would arrive at cycle `cycle`, which does not fit
+    /// a `u64`.
+    Arrival {
+        /// The session's id.
+        session: u64,
+        /// Its arrival cycle.
+        cycle: f64,
+    },
+    /// Session `session` would hold its lanes for `cycles`, which does not
+    /// fit a `u64`.
+    Hold {
+        /// The session's id.
+        session: u64,
+        /// Its holding time.
+        cycles: f64,
+    },
+}
+
+impl core::fmt::Display for WorkloadError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            WorkloadError::Arrival { session, cycle } => write!(
+                f,
+                "session {session} would arrive at cycle {cycle:e}, past the last cycle a run can reach ({})",
+                u64::MAX
+            ),
+            WorkloadError::Hold { session, cycles } => write!(
+                f,
+                "session {session} would hold its lanes for {cycles:e} cycles, more than a run can count ({})",
+                u64::MAX
+            ),
+        }
+    }
+}
+
+impl std::error::Error for WorkloadError {}
+
+/// `cycles` (a whole number, or infinite) as a `u64`, or `None` when it
+/// does not fit, where `as` would saturate.
+fn whole_cycles(cycles: f64) -> Option<u64> {
+    // 2^64, the first float past `u64::MAX`.
+    const PAST_U64: f64 = 18_446_744_073_709_551_616.0;
+    (cycles < PAST_U64).then_some(cycles as u64)
+}
+
 impl PoissonWorkload {
     /// Materialises the request sequence, ordered by arrival cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`PoissonWorkload::try_generate`] panics or returns an
+    /// error.
+    #[must_use]
+    pub fn generate(&self) -> Vec<SessionRequest> {
+        self.try_generate().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Materialises the request sequence, ordered by arrival cycle.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WorkloadError`] for the first session whose arrival cycle
+    /// or holding time does not fit a `u64`: an `arrival_rate` or a
+    /// `mean_hold` too far from one session per cycle.
     ///
     /// # Panics
     ///
     /// Panics if `nodes < 2` (a session needs distinct endpoints),
     /// `max_demand == 0`, or `arrival_rate`/`mean_hold` are not
     /// strictly positive finite numbers.
-    #[must_use]
-    pub fn generate(&self) -> Vec<SessionRequest> {
+    pub fn try_generate(&self) -> Result<Vec<SessionRequest>, WorkloadError> {
         assert!(self.nodes >= 2, "sessions need at least 2 ONIs");
         assert!(self.max_demand >= 1, "max_demand must be at least 1 lane");
         assert!(
@@ -78,24 +142,34 @@ impl PoissonWorkload {
         let mut holds = root.split(0x401d_71ae);
         let mean_gap = 1.0 / self.arrival_rate;
         let mut clock = 0.0f64;
-        (0..self.sessions)
-            .map(|id| {
-                clock += exponential(&mut arrivals, mean_gap);
-                let src = endpoints.below(self.nodes);
-                let mut dst = endpoints.below(self.nodes - 1);
-                if dst >= src {
-                    dst += 1;
-                }
-                SessionRequest {
-                    id: id as u64,
-                    arrival: clock.floor() as u64,
-                    src: NodeId(src),
-                    dst: NodeId(dst),
-                    demand: 1 + demands.below(self.max_demand),
-                    hold: (exponential(&mut holds, self.mean_hold).ceil() as u64).max(1),
-                }
-            })
-            .collect()
+        let mut requests = Vec::with_capacity(self.sessions);
+        for session in 0..self.sessions as u64 {
+            clock += exponential(&mut arrivals, mean_gap);
+            let src = endpoints.below(self.nodes);
+            let mut dst = endpoints.below(self.nodes - 1);
+            if dst >= src {
+                dst += 1;
+            }
+            let arrival = clock.floor();
+            let hold = exponential(&mut holds, self.mean_hold).ceil();
+            requests.push(SessionRequest {
+                id: session,
+                arrival: whole_cycles(arrival).ok_or(WorkloadError::Arrival {
+                    session,
+                    cycle: arrival,
+                })?,
+                src: NodeId(src),
+                dst: NodeId(dst),
+                demand: 1 + demands.below(self.max_demand),
+                hold: whole_cycles(hold)
+                    .ok_or(WorkloadError::Hold {
+                        session,
+                        cycles: hold,
+                    })?
+                    .max(1),
+            });
+        }
+        Ok(requests)
     }
 }
 
@@ -114,33 +188,47 @@ fn exponential(rng: &mut TrafficRng, mean: f64) -> f64 {
 /// `stretch` scales the replayed arrival clock (2.0 = half the offered
 /// load), matching the serve CLI's rate knob.
 ///
+/// # Errors
+///
+/// Returns [`WorkloadError`] for the first session whose stretched arrival
+/// cycle or holding time does not fit a `u64`.
+///
 /// # Panics
 ///
 /// Panics if `demand == 0` or `stretch` is not a strictly positive
 /// finite number.
-#[must_use]
 pub fn sessions_from_trace(
     events: &[TrafficEvent],
     demand: usize,
     stretch: f64,
-) -> Vec<SessionRequest> {
+) -> Result<Vec<SessionRequest>, WorkloadError> {
     assert!(demand >= 1, "trace sessions need at least 1 lane");
     assert!(
         stretch.is_finite() && stretch > 0.0,
         "stretch must be positive, got {stretch}"
     );
-    events
-        .iter()
-        .enumerate()
-        .map(|(id, event)| SessionRequest {
-            id: id as u64,
-            arrival: ((event.time as f64) * stretch).floor() as u64,
+    let mut requests = Vec::with_capacity(events.len());
+    for (event, session) in events.iter().zip(0..) {
+        let arrival = ((event.time as f64) * stretch).floor();
+        let hold = (event.volume.value() / demand as f64).ceil();
+        requests.push(SessionRequest {
+            id: session,
+            arrival: whole_cycles(arrival).ok_or(WorkloadError::Arrival {
+                session,
+                cycle: arrival,
+            })?,
             src: event.src,
             dst: event.dst,
             demand,
-            hold: ((event.volume.value() / demand as f64).ceil() as u64).max(1),
-        })
-        .collect()
+            hold: whole_cycles(hold)
+                .ok_or(WorkloadError::Hold {
+                    session,
+                    cycles: hold,
+                })?
+                .max(1),
+        });
+    }
+    Ok(requests)
 }
 
 #[cfg(test)]
@@ -211,11 +299,11 @@ mod tests {
                 volume: Bits::new(1.0),
             },
         ];
-        let sessions = sessions_from_trace(&events, 2, 1.0);
+        let sessions = sessions_from_trace(&events, 2, 1.0).unwrap();
         assert_eq!(sessions[0].arrival, 10);
         assert_eq!(sessions[0].hold, 320);
         assert_eq!(sessions[1].hold, 1, "tiny volumes still hold one cycle");
-        let slowed = sessions_from_trace(&events, 2, 2.0);
+        let slowed = sessions_from_trace(&events, 2, 2.0).unwrap();
         assert_eq!(slowed[0].arrival, 20, "stretch rescales the clock");
     }
 }

@@ -13,7 +13,9 @@
 //!   WDM grid + losses + laser + detector),
 //! * [`SpectrumEngine`] — the per-wavelength power walk that evaluates the
 //!   paper's receiver equations: signal power (Eq. 6), inter-channel
-//!   crosstalk (Eq. 7) and the end-to-end path loss used by the energy model.
+//!   crosstalk (Eq. 7) and the end-to-end path loss used by the energy model;
+//!   [`SpectrumWalker`] runs that walk over a fixed route set, reused across
+//!   lane assignments.
 //!
 //! # Example
 //!
@@ -42,6 +44,12 @@ mod geometry;
 mod path;
 mod ring;
 mod spectrum;
+#[cfg(test)]
+mod spectrum_oracle;
+
+// The oracle names this crate as its dependents do.
+#[cfg(test)]
+extern crate self as onoc_topology;
 
 pub use analysis::{CrosstalkBound, worst_case_bounds};
 pub use arch::{ArchBuilder, ArchError, OnocArchitecture};
@@ -49,4 +57,6 @@ pub use budget::{PowerBudget, lone_prefix_budgets, power_budgets};
 pub use geometry::{Centimeters, Millimeters, RingGeometry};
 pub use path::{DirectedSegment, RingPath, segment_count};
 pub use ring::{Direction, NodeId, RingTopology};
-pub use spectrum::{CrosstalkModel, ReceiverReport, SpectrumEngine, SpectrumError, Transmission};
+pub use spectrum::{
+    CrosstalkModel, ReceiverReport, SpectrumEngine, SpectrumError, SpectrumWalker, Transmission,
+};

@@ -1,7 +1,7 @@
 //! Per-wavelength power walk: signal (Eq. 6), crosstalk (Eq. 7) and path loss.
 
 use onoc_photonics::{MrElement, MrState, SignalNoise, WavelengthId};
-use onoc_units::{Decibels, Milliwatts};
+use onoc_units::{DbMilliwatts, Decibels, Milliwatts};
 
 use crate::{Direction, NodeId, OnocArchitecture, RingPath};
 
@@ -58,7 +58,8 @@ pub enum CrosstalkModel {
     /// destination ONI's MR stack up to the victim MR, including the `Kp1`
     /// residual attenuation if the interferer was itself dropped at an
     /// earlier stack position. Physically tighter than the paper's model;
-    /// kept as an ablation (DESIGN.md, E9).
+    /// kept as an ablation that measures what the first-order model leaves
+    /// out.
     Elementwise,
 }
 
@@ -188,12 +189,13 @@ impl ReceiverReport {
 /// Evaluates the receiver-side optics of a set of concurrent transmissions on
 /// one [`OnocArchitecture`].
 ///
-/// The engine walks every allocated wavelength once, element by element —
-/// waveguide segments (propagation + bending loss), intermediate ONI stacks
-/// (OFF/ON MR through losses, Eqs. 2 and 4) and the destination stack (drop
-/// loss, Eq. 5) — snapshotting the loss at each node it enters, and
-/// accumulates from those snapshots the crosstalk every other
+/// The engine walks every allocated wavelength along its path, element by
+/// element — waveguide segments (propagation + bending loss), intermediate
+/// ONI stacks (OFF/ON MR through losses, Eqs. 2 and 4) and the destination
+/// stack (drop loss, Eq. 5) — and accumulates the crosstalk every other
 /// co-propagating wavelength leaks into each photodetector.
+/// [`SpectrumEngine::analyze`] runs the walk of a [`SpectrumWalker`] built
+/// for the engine's routes.
 ///
 /// # Examples
 ///
@@ -231,51 +233,12 @@ fn dir_index(direction: Direction) -> usize {
     }
 }
 
-/// One allocated lane's walk along its transmission's path.
-#[derive(Debug)]
-struct LaneWalk {
-    /// Offset of the lane's first snapshot in [`LaneWalks::entries`].
-    start: usize,
-    /// Snapshots taken: the path's hop count, or the hop of the node whose
-    /// stack intercepts the lane.
-    reached: usize,
-    /// The interception that stopped the walk early.
-    intercepted: Option<SpectrumError>,
-}
-
-/// Loss snapshots of every allocated lane, taken in one walk per lane.
-#[derive(Debug)]
-struct LaneWalks {
-    /// Per transmission: index of its first lane in `lanes`, and its hops.
-    transmissions: Vec<(usize, usize)>,
-    /// Per lane, in traffic order, then channel order.
-    lanes: Vec<LaneWalk>,
-    /// Snapshot `h - 1` of a lane: the loss from its laser to the entry of
-    /// the path's `h`-th node (segments and full intermediate stacks,
-    /// nothing of that node's own stack).
-    entries: Vec<Decibels>,
-}
-
-impl LaneWalks {
-    /// Hop count of transmission `t_idx`'s path.
-    fn hops(&self, t_idx: usize) -> usize {
-        self.transmissions[t_idx].1
-    }
-
-    /// The loss of lane `c_idx` of transmission `t_idx` at the entry of its
-    /// path's `hop`-th node, or the interception that drops the lane before
-    /// that node.
-    fn entry(&self, t_idx: usize, c_idx: usize, hop: usize) -> Result<Decibels, SpectrumError> {
-        let lane = &self.lanes[self.transmissions[t_idx].0 + c_idx];
-        if hop <= lane.reached {
-            Ok(self.entries[lane.start + hop - 1])
-        } else {
-            Err(lane
-                .intercepted
-                .clone()
-                .expect("a walk stops short only at an interception"))
-        }
-    }
+/// Propagation plus bending loss of one physical segment.
+fn segment_loss(arch: &OnocArchitecture, segment: usize) -> Decibels {
+    let geo = arch.geometry();
+    let params = arch.losses();
+    params.propagation_per_cm * geo.segment_length(segment).to_centimeters().value()
+        + params.bending_per_90deg * geo.segment_bends(segment) as f64
 }
 
 impl<'a> SpectrumEngine<'a> {
@@ -358,26 +321,6 @@ impl<'a> SpectrumEngine<'a> {
         (dir_index(direction) * nodes + node.0) * self.arch.grid().count() + channel.index()
     }
 
-    /// State of the receiver MR for `channel` at `node` on the waveguide of
-    /// `direction`, together with the owning transmission index.
-    fn receiver_at(
-        &self,
-        node: NodeId,
-        direction: Direction,
-        channel: WavelengthId,
-    ) -> Option<usize> {
-        self.receivers[self.receiver_slot(node, direction, channel)]
-    }
-
-    /// Returns `true` if any receiver MR of `node`'s stack on the waveguide
-    /// of `direction` is ON.
-    fn has_on_ring(&self, node: NodeId, direction: Direction) -> bool {
-        let row = self.receiver_slot(node, direction, WavelengthId(0));
-        self.receivers[row..row + self.arch.grid().count()]
-            .iter()
-            .any(Option::is_some)
-    }
-
     /// The MR element (channel + ON/OFF state) at stack position `channel`
     /// of the ONI at `node` on the waveguide of `direction`, under the
     /// engine's traffic.
@@ -388,131 +331,12 @@ impl<'a> SpectrumEngine<'a> {
         direction: Direction,
         channel: WavelengthId,
     ) -> MrElement {
-        self.mr_element(node, direction, channel)
-    }
-
-    fn mr_element(&self, node: NodeId, direction: Direction, channel: WavelengthId) -> MrElement {
-        let state = if self.receiver_at(node, direction, channel).is_some() {
+        let state = if self.receivers[self.receiver_slot(node, direction, channel)].is_some() {
             MrState::On
         } else {
             MrState::Off
         };
         MrElement::new(channel, state)
-    }
-
-    /// Propagation plus bending loss of one physical segment.
-    fn segment_loss(&self, segment: usize) -> Decibels {
-        let geo = self.arch.geometry();
-        let params = self.arch.losses();
-        params.propagation_per_cm * geo.segment_length(segment).to_centimeters().value()
-            + params.bending_per_90deg * geo.segment_bends(segment) as f64
-    }
-
-    /// Through loss of the full (or prefix of the) receiver MR stack at
-    /// `node` for a signal on `signal`, checking for fatal interception.
-    ///
-    /// MRs inside an ONI are ordered by channel index; `upto` limits the walk
-    /// to stack positions `< upto`.
-    fn stack_through_loss(
-        &self,
-        node: NodeId,
-        direction: Direction,
-        signal: WavelengthId,
-        upto: usize,
-        carrier: usize,
-    ) -> Result<Decibels, SpectrumError> {
-        let grid = self.arch.grid();
-        let params = self.arch.losses();
-        let mut loss = Decibels::ZERO;
-        for c in 0..upto {
-            let ch = WavelengthId(c);
-            if ch == signal {
-                if let Some(owner) = self.receiver_at(node, direction, ch) {
-                    if owner != carrier {
-                        return Err(SpectrumError::ChannelDroppedEnRoute {
-                            transmission: self.traffic[carrier].id(),
-                            channel: signal,
-                            at: node,
-                            intercepted_by: self.traffic[owner].id(),
-                        });
-                    }
-                }
-            }
-            loss += self
-                .mr_element(node, direction, ch)
-                .through_loss(signal, grid, params);
-        }
-        Ok(loss)
-    }
-
-    /// Walks every allocated lane once along its path, snapshotting the
-    /// loss at each node entry.
-    ///
-    /// The additions happen in the order of a per-receiver walk (segment
-    /// loss, then the node's full stack summed from zero), so a snapshot
-    /// equals, bit for bit, the loss such a walk reaches at that node. A
-    /// stack without an ON ring loses `Lp0` per ring for every signal, so
-    /// one all-OFF sum serves each such node. A stack that intercepts the
-    /// lane ends its walk: later nodes read that error instead.
-    fn walk_lanes(&self) -> LaneWalks {
-        let grid = self.arch.grid();
-        let params = self.arch.losses();
-        let nw = grid.count();
-        // An OFF ring's through loss does not depend on the signal.
-        let all_off: Decibels = (0..nw)
-            .map(|c| {
-                let ch = WavelengthId(c);
-                MrElement::new(ch, MrState::Off).through_loss(ch, grid, params)
-            })
-            .sum();
-        let lane_count = self.traffic.iter().map(|t| t.channels().len()).sum();
-        let mut walks = LaneWalks {
-            transmissions: Vec::with_capacity(self.traffic.len()),
-            lanes: Vec::with_capacity(lane_count),
-            entries: Vec::new(),
-        };
-        let mut route: Vec<(Decibels, NodeId)> = Vec::new();
-        for (t_idx, t) in self.traffic.iter().enumerate() {
-            let path = t.path();
-            let direction = path.direction();
-            route.clear();
-            route.extend(
-                path.segments()
-                    .zip(path.nodes().skip(1))
-                    .map(|(segment, arrival)| (self.segment_loss(segment.index), arrival)),
-            );
-            walks.transmissions.push((walks.lanes.len(), route.len()));
-            for &channel in t.channels() {
-                let start = walks.entries.len();
-                let mut loss = Decibels::ZERO;
-                let mut intercepted = None;
-                for (h, &(segment, arrival)) in route.iter().enumerate() {
-                    loss += segment;
-                    walks.entries.push(loss);
-                    if h + 1 == route.len() {
-                        break;
-                    }
-                    let stack = if self.has_on_ring(arrival, direction) {
-                        self.stack_through_loss(arrival, direction, channel, nw, t_idx)
-                    } else {
-                        Ok(all_off)
-                    };
-                    match stack {
-                        Ok(through) => loss += through,
-                        Err(e) => {
-                            intercepted = Some(e);
-                            break;
-                        }
-                    }
-                }
-                walks.lanes.push(LaneWalk {
-                    start,
-                    reached: walks.entries.len() - start,
-                    intercepted,
-                });
-            }
-        }
-        walks
     }
 
     /// Evaluates every receiver of every transmission.
@@ -524,77 +348,514 @@ impl<'a> SpectrumEngine<'a> {
     /// Returns the first [`SpectrumError`] encountered: a signal (or an
     /// interfering signal) intercepted before its destination.
     pub fn analyze(&self) -> Result<Vec<ReceiverReport>, SpectrumError> {
-        let grid = self.arch.grid();
-        let params = self.arch.losses();
-        let ring = self.arch.ring();
-        let power_on = self.arch.laser().power_on();
-        let walks = self.walk_lanes();
-        let mut reports = Vec::with_capacity(walks.lanes.len());
-        for (t_idx, t) in self.traffic.iter().enumerate() {
-            let dst = t.path().dst();
-            let direction = t.path().direction();
-            for (c_idx, &channel) in t.channels().iter().enumerate() {
+        let mut walker = SpectrumWalker::new(
+            self.arch,
+            self.traffic.iter().map(|t| (t.id(), *t.path())),
+            self.model,
+        );
+        let lanes = self
+            .traffic
+            .iter()
+            .enumerate()
+            .flat_map(|(route, t)| t.channels().iter().map(move |&ch| (route, ch)));
+        walker.analyze(lanes).map(<[ReceiverReport]>::to_vec)
+    }
+}
+
+/// The spectrum walk over one fixed set of routes, reusable across lane
+/// assignments: what [`SpectrumEngine::analyze`] runs, and what a caller
+/// that scores many allocations on the same routes keeps.
+///
+/// [`SpectrumWalker::new`] builds what does not depend on the lanes: the
+/// drop loss of the ON ring of every receiving channel for every signal
+/// channel (`Lp1` on the diagonal, the Lorentzian leakage elsewhere), each
+/// hop's segment loss and receiving stack, and the hop at which every
+/// route's destination sits on every other route.
+/// [`SpectrumWalker::analyze`] loads one assignment of lanes into ON masks,
+/// one per receiving (direction, node) stack, and reuses the buffers of the
+/// previous call.
+///
+/// Every loss makes the additions of the element-by-element walk, in its
+/// order: a stack adds its rings from zero in channel order, a lane adds a
+/// segment and then the node's whole stack at every hop, and crosstalk adds
+/// interferers in route order, then channel order.
+///
+/// # Examples
+///
+/// ```
+/// use onoc_photonics::WavelengthId;
+/// use onoc_topology::{CrosstalkModel, Direction, NodeId, OnocArchitecture, SpectrumWalker};
+///
+/// let arch = OnocArchitecture::paper_architecture(8);
+/// let routes = [
+///     (0, arch.route(NodeId(0), NodeId(3), Direction::Clockwise)),
+///     (1, arch.route(NodeId(1), NodeId(3), Direction::Clockwise)),
+/// ];
+/// let mut walker = SpectrumWalker::new(&arch, routes, CrosstalkModel::default());
+/// // Route 0 on λ1 and λ2, route 1 on λ3.
+/// let reports = walker.analyze([(0, WavelengthId(0)), (0, WavelengthId(1)), (1, WavelengthId(2))])?;
+/// assert_eq!(reports.len(), 3);
+/// assert!(reports.iter().all(|r| r.interferers == 2));
+/// # Ok::<(), onoc_topology::SpectrumError>(())
+/// ```
+#[derive(Debug)]
+pub struct SpectrumWalker {
+    model: CrosstalkModel,
+    nw: usize,
+    /// `u64` words per channel mask.
+    words: usize,
+    power_on: DbMilliwatts,
+    /// The laser's zero level, which every receiver adds to its noise.
+    power_off: Milliwatts,
+    mr_on: Decibels,
+    mr_off: Decibels,
+    crosstalk_on: Decibels,
+    /// Through loss of a stack whose rings are all OFF.
+    all_off: Decibels,
+    /// `leakage[receiver * nw + signal]`: what a signal on channel
+    /// `signal` loses into the drop port of the ON ring resonant on
+    /// `receiver`.
+    leakage: Vec<Decibels>,
+    routes: Vec<Route>,
+    /// The hops of every route, route after route.
+    hops: Vec<Hop>,
+    /// `reach[o * routes + t]`: the hop of route `t`'s destination on
+    /// route `o`, or 0 when `o` does not carry light to it (the other
+    /// waveguide, or `t`'s destination is `o`'s source or lies past its
+    /// end).
+    reach: Vec<usize>,
+    /// The node of every stack a route ends at.
+    stacks: Vec<NodeId>,
+    // What follows holds one assignment; `analyze` refills it.
+    /// Lane masks, `words` per route.
+    lanes: Vec<u64>,
+    /// ON masks, `words` per stack.
+    on: Vec<u64>,
+    /// Per stack, `nw + 1` sums: `k` holds the through loss of its first
+    /// `k` rings for a signal none of them drops.
+    prefix: Vec<Decibels>,
+    /// Per hop (the layout of `hops`): the loss from the laser to the
+    /// entry of the hop's node, shared by every lane of the route that
+    /// reaches that node.
+    entries: Vec<Decibels>,
+    /// Every lane, route after route, in channel order.
+    lane_walks: Vec<LaneWalk>,
+    /// Per route, its first lane in `lane_walks`; one more entry closes
+    /// the last route.
+    first_lane: Vec<usize>,
+    reports: Vec<ReceiverReport>,
+}
+
+/// One route of a [`SpectrumWalker`].
+#[derive(Debug)]
+struct Route {
+    /// The caller's id, used in reports and errors.
+    id: usize,
+    /// Its hops in [`SpectrumWalker::hops`].
+    hops: core::ops::Range<usize>,
+    /// The stack at its destination.
+    stack: usize,
+}
+
+/// One hop of a route: the segment into a node, and that node's stack.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    segment: Decibels,
+    /// The node's receiving stack; `None` when no route ends at the node,
+    /// so that all its rings are OFF.
+    stack: Option<usize>,
+}
+
+/// One allocated lane.
+#[derive(Debug)]
+struct LaneWalk {
+    channel: usize,
+    /// Node entries the lane reaches: its route's hop count, or the hop
+    /// of the node whose stack intercepts it.
+    reached: usize,
+    /// The interception that stops the lane early.
+    intercepted: Option<SpectrumError>,
+}
+
+/// Is channel `c` set in `mask`?
+fn has(mask: &[u64], c: usize) -> bool {
+    mask[c / 64] >> (c % 64) & 1 == 1
+}
+
+/// The channels set in `mask`, ascending.
+fn channels(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(word, &bits)| {
+        let mut rest = bits;
+        core::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                word * 64 + bit
+            })
+        })
+    })
+}
+
+impl SpectrumWalker {
+    /// Builds the walker for `routes`, each given with the id its reports
+    /// and errors carry, under `model`.
+    ///
+    /// This reads the Lorentzian of every pair of comb channels (`N_W²`
+    /// values): build one walker per route set and reuse it.
+    #[must_use]
+    pub fn new(
+        arch: &OnocArchitecture,
+        routes: impl IntoIterator<Item = (usize, RingPath)>,
+        model: CrosstalkModel,
+    ) -> Self {
+        let grid = arch.grid();
+        let params = arch.losses();
+        let ring = arch.ring();
+        let nodes = ring.node_count();
+        let nw = grid.count();
+        let words = nw.div_ceil(64);
+        let leakage = (0..nw)
+            .flat_map(|receiver| {
+                let mr = MrElement::new(WavelengthId(receiver), MrState::On);
+                (0..nw).map(move |signal| mr.drop_loss(WavelengthId(signal), grid, params))
+            })
+            .collect();
+        let mut all_off = Decibels::ZERO;
+        for _ in 0..nw {
+            all_off += params.mr_off;
+        }
+
+        let paths: Vec<(usize, RingPath)> = routes.into_iter().collect();
+        let slot = |direction: Direction, node: NodeId| dir_index(direction) * nodes + node.0;
+        let mut stack_at: Vec<Option<usize>> = vec![None; 2 * nodes];
+        let mut stacks = Vec::new();
+        for (_, path) in &paths {
+            let at = &mut stack_at[slot(path.direction(), path.dst())];
+            if at.is_none() {
+                *at = Some(stacks.len());
+                stacks.push(path.dst());
+            }
+        }
+        let mut hops = Vec::new();
+        let mut routes = Vec::with_capacity(paths.len());
+        for &(id, path) in &paths {
+            let first = hops.len();
+            for (segment, node) in path.segments().zip(path.nodes().skip(1)) {
+                hops.push(Hop {
+                    segment: segment_loss(arch, segment.index),
+                    stack: stack_at[slot(path.direction(), node)],
+                });
+            }
+            routes.push(Route {
+                id,
+                hops: first..hops.len(),
+                stack: stack_at[slot(path.direction(), path.dst())]
+                    .expect("every destination has a stack"),
+            });
+        }
+        let reach = paths
+            .iter()
+            .flat_map(|(_, other)| {
+                paths.iter().map(move |(_, path)| {
+                    if other.direction() != path.direction() {
+                        return 0;
+                    }
+                    let hop = ring.hops(other.src(), path.dst(), path.direction());
+                    if hop > other.hops() { 0 } else { hop }
+                })
+            })
+            .collect();
+
+        Self {
+            model,
+            nw,
+            words,
+            power_on: arch.laser().power_on(),
+            power_off: arch.laser().power_off().to_milliwatts(),
+            mr_on: params.mr_on,
+            mr_off: params.mr_off,
+            crosstalk_on: params.crosstalk_on,
+            all_off,
+            leakage,
+            lanes: vec![0; routes.len() * words],
+            on: vec![0; stacks.len() * words],
+            prefix: vec![Decibels::ZERO; stacks.len() * (nw + 1)],
+            entries: vec![Decibels::ZERO; hops.len()],
+            lane_walks: Vec::new(),
+            first_lane: vec![0; routes.len() + 1],
+            reports: Vec::new(),
+            routes,
+            hops,
+            reach,
+            stacks,
+        }
+    }
+
+    /// Evaluates every receiver of one lane assignment: `lanes` gives
+    /// `(route, channel)` pairs, routes numbered in the order
+    /// [`SpectrumWalker::new`] received them. A repeated pair counts once.
+    ///
+    /// Reports are ordered by route, then channel, as
+    /// [`SpectrumEngine::analyze`] orders them; the slice lives until the
+    /// next call.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`SpectrumError`] in the order of
+    /// [`SpectrumEngine::with_model`] and then [`SpectrumEngine::analyze`]:
+    /// a route without lanes, two routes ending at one stack on a common
+    /// channel, or a signal (or an interfering signal) intercepted before
+    /// its destination.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a route index is out of range or a channel lies outside
+    /// the comb.
+    pub fn analyze(
+        &mut self,
+        lanes: impl IntoIterator<Item = (usize, WavelengthId)>,
+    ) -> Result<&[ReceiverReport], SpectrumError> {
+        self.load(lanes)?;
+        self.walk_routes();
+        self.walk_receivers()?;
+        Ok(&self.reports)
+    }
+
+    /// The route that receives `channel` at `stack`.
+    fn owner(&self, stack: usize, channel: usize) -> usize {
+        let words = self.words;
+        let route = (0..self.routes.len())
+            .find(|&r| {
+                self.routes[r].stack == stack
+                    && has(&self.lanes[r * words..(r + 1) * words], channel)
+            })
+            .expect("an ON ring belongs to a route ending at its stack");
+        self.routes[route].id
+    }
+
+    /// Fills the lane and ON masks, the lane list and every stack's prefix
+    /// sums, checking what [`SpectrumEngine::with_model`] checks.
+    fn load(
+        &mut self,
+        lanes: impl IntoIterator<Item = (usize, WavelengthId)>,
+    ) -> Result<(), SpectrumError> {
+        let (nw, words) = (self.nw, self.words);
+        self.lanes.fill(0);
+        for (route, channel) in lanes {
+            let c = channel.index();
+            assert!(c < nw, "{channel} lies outside the {nw}-channel comb");
+            self.lanes[route * words + c / 64] |= 1 << (c % 64);
+        }
+        self.on.fill(0);
+        self.lane_walks.clear();
+        for (r, route) in self.routes.iter().enumerate() {
+            self.first_lane[r] = self.lane_walks.len();
+            let mask = &self.lanes[r * words..(r + 1) * words];
+            if mask.iter().all(|&w| w == 0) {
+                return Err(SpectrumError::NoChannels {
+                    transmission: route.id,
+                });
+            }
+            let on = &mut self.on[route.stack * words..(route.stack + 1) * words];
+            let clash = on.iter().zip(mask).enumerate().find_map(|(word, (a, b))| {
+                let common = a & b;
+                (common != 0).then(|| word * 64 + common.trailing_zeros() as usize)
+            });
+            if let Some(c) = clash {
+                return Err(SpectrumError::ReceiverCollision {
+                    first: self.owner(route.stack, c),
+                    second: route.id,
+                    channel: WavelengthId(c),
+                    at: self.stacks[route.stack],
+                });
+            }
+            for (on, lane) in on.iter_mut().zip(mask) {
+                *on |= lane;
+            }
+            self.lane_walks
+                .extend(channels(mask).map(|channel| LaneWalk {
+                    channel,
+                    reached: 0,
+                    intercepted: None,
+                }));
+        }
+        self.first_lane[self.routes.len()] = self.lane_walks.len();
+        for (stack, prefix) in self.prefix.chunks_exact_mut(nw + 1).enumerate() {
+            let on = &self.on[stack * words..(stack + 1) * words];
+            let mut loss = Decibels::ZERO;
+            prefix[0] = loss;
+            for c in 0..nw {
+                loss += if has(on, c) { self.mr_on } else { self.mr_off };
+                prefix[c + 1] = loss;
+            }
+        }
+        Ok(())
+    }
+
+    /// Walks every route once, recording the loss at each node entry, and
+    /// finds where each lane is intercepted.
+    ///
+    /// Every lane of a route that a stack does not intercept crosses it
+    /// with the same rings ON, so all of them reach each node with the
+    /// same loss: the sum of segment losses and full-stack losses up to it.
+    fn walk_routes(&mut self) {
+        let (nw, words) = (self.nw, self.words);
+        for r in 0..self.routes.len() {
+            let route = &self.routes[r];
+            let hops = &self.hops[route.hops.clone()];
+            let mut loss = Decibels::ZERO;
+            for (h, hop) in hops.iter().enumerate() {
+                loss += hop.segment;
+                self.entries[route.hops.start + h] = loss;
+                if h + 1 == hops.len() {
+                    break;
+                }
+                loss += match hop.stack {
+                    Some(stack) => self.prefix[stack * (nw + 1) + nw],
+                    None => self.all_off,
+                };
+            }
+            for lane in self.first_lane[r]..self.first_lane[r + 1] {
+                let channel = self.lane_walks[lane].channel;
+                let intercept = hops[..hops.len() - 1]
+                    .iter()
+                    .enumerate()
+                    .find_map(|(h, hop)| {
+                        let stack = hop.stack?;
+                        has(&self.on[stack * words..(stack + 1) * words], channel)
+                            .then_some((h + 1, stack))
+                    });
+                let walk = match intercept {
+                    Some((reached, stack)) => LaneWalk {
+                        channel,
+                        reached,
+                        intercepted: Some(SpectrumError::ChannelDroppedEnRoute {
+                            transmission: route.id,
+                            channel: WavelengthId(channel),
+                            at: self.stacks[stack],
+                            intercepted_by: self.owner(stack, channel),
+                        }),
+                    },
+                    None => LaneWalk {
+                        channel,
+                        reached: hops.len(),
+                        intercepted: None,
+                    },
+                };
+                self.lane_walks[lane] = walk;
+            }
+        }
+    }
+
+    /// The loss of `lane` of route `r` at the entry of the route's `hop`-th
+    /// node, or the interception that drops the lane before that node.
+    fn entry(&self, r: usize, lane: usize, hop: usize) -> Result<Decibels, SpectrumError> {
+        let walk = &self.lane_walks[lane];
+        if hop <= walk.reached {
+            Ok(self.entries[self.routes[r].hops.start + hop - 1])
+        } else {
+            Err(walk
+                .intercepted
+                .clone()
+                .expect("a walk stops short only at an interception"))
+        }
+    }
+
+    /// Through loss of the first `upto` rings of `stack` for a lane of
+    /// route `o` on `channel` ([`CrosstalkModel::Elementwise`]): a ring that
+    /// drops the channel leaves its `Kp1` residue when it is the lane's own
+    /// receiver, and intercepts the lane otherwise.
+    fn stack_prefix(
+        &self,
+        stack: usize,
+        upto: usize,
+        o: usize,
+        channel: usize,
+    ) -> Result<Decibels, SpectrumError> {
+        let nw = self.nw;
+        let on = &self.on[stack * self.words..(stack + 1) * self.words];
+        let prefix = &self.prefix[stack * (nw + 1)..(stack + 1) * (nw + 1)];
+        if channel >= upto || !has(on, channel) {
+            return Ok(prefix[upto]);
+        }
+        if self.routes[o].stack != stack {
+            return Err(SpectrumError::ChannelDroppedEnRoute {
+                transmission: self.routes[o].id,
+                channel: WavelengthId(channel),
+                at: self.stacks[stack],
+                intercepted_by: self.owner(stack, channel),
+            });
+        }
+        let mut loss = prefix[channel] + self.crosstalk_on;
+        for c in channel + 1..upto {
+            loss += if has(on, c) { self.mr_on } else { self.mr_off };
+        }
+        Ok(loss)
+    }
+
+    /// Evaluates every receiver into `reports` (Eqs. 6–8), keeping the
+    /// buffer's capacity whatever the outcome.
+    fn walk_receivers(&mut self) -> Result<(), SpectrumError> {
+        let mut reports = core::mem::take(&mut self.reports);
+        reports.clear();
+        let outcome = self.receivers_into(&mut reports);
+        self.reports = reports;
+        outcome
+    }
+
+    fn receivers_into(&self, reports: &mut Vec<ReceiverReport>) -> Result<(), SpectrumError> {
+        let nw = self.nw;
+        let count = self.routes.len();
+        for (t, route) in self.routes.iter().enumerate() {
+            let prefix = &self.prefix[route.stack * (nw + 1)..(route.stack + 1) * (nw + 1)];
+            for lane in self.first_lane[t]..self.first_lane[t + 1] {
+                let channel = self.lane_walks[lane].channel;
+                let leakage = &self.leakage[channel * nw..(channel + 1) * nw];
                 // --- Signal walk (Eq. 6) ------------------------------------
-                let mut loss = walks.entry(t_idx, c_idx, walks.hops(t_idx))?;
+                let mut loss = self.entry(t, lane, route.hops.len())?;
                 // Prefix of the destination stack, then the intended drop.
-                loss += self.stack_through_loss(dst, direction, channel, channel.index(), t_idx)?;
-                loss += self
-                    .mr_element(dst, direction, channel)
-                    .drop_loss(channel, grid, params);
-                let signal = (power_on + loss).to_milliwatts();
+                loss += prefix[channel];
+                loss += leakage[channel];
+                let signal = (self.power_on + loss).to_milliwatts();
 
                 // --- Crosstalk accumulation (Eq. 7) -------------------------
                 let mut crosstalk = Milliwatts::ZERO;
                 let mut interferers = 0usize;
-                let victim_mr = self.mr_element(dst, direction, channel);
-                for (o_idx, other) in self.traffic.iter().enumerate() {
-                    if other.path().direction() != direction {
+                for o in 0..count {
+                    let hop = self.reach[o * count + t];
+                    if hop == 0 {
                         continue;
                     }
-                    // The victim's ONI is the `hop`-th node of the other
-                    // path; the source (hop 0) has no receiver in its way.
-                    let hop = ring.hops(other.path().src(), dst, direction);
-                    if hop == 0 || hop > walks.hops(o_idx) {
-                        continue;
-                    }
-                    for (oc_idx, &ch) in other.channels().iter().enumerate() {
-                        if o_idx == t_idx && ch == channel {
+                    for o_lane in self.first_lane[o]..self.first_lane[o + 1] {
+                        let ch = self.lane_walks[o_lane].channel;
+                        if o == t && ch == channel {
                             continue;
                         }
-                        let mut o_loss = walks.entry(o_idx, oc_idx, hop)?;
+                        let mut o_loss = self.entry(o, o_lane, hop)?;
                         if self.model == CrosstalkModel::Elementwise {
                             // Continue through the victim ONI's stack up to
-                            // the victim MR (this applies Kp1 if `ch` was
-                            // dropped at an earlier stack position of the
-                            // same ONI).
-                            o_loss += self.stack_through_loss(
-                                dst,
-                                direction,
-                                ch,
-                                channel.index(),
-                                o_idx,
-                            )?;
+                            // the victim MR.
+                            o_loss += self.stack_prefix(route.stack, channel, o, ch)?;
                         }
                         // Lorentzian leakage into the victim photodetector.
-                        o_loss += victim_mr.drop_loss(ch, grid, params);
-                        crosstalk += (power_on + o_loss).to_milliwatts();
+                        o_loss += leakage[ch];
+                        crosstalk += (self.power_on + o_loss).to_milliwatts();
                         interferers += 1;
                     }
                 }
 
-                let noise = crosstalk + self.arch.laser().power_off().to_milliwatts();
                 reports.push(ReceiverReport {
-                    transmission: t.id(),
-                    channel,
+                    transmission: route.id,
+                    channel: WavelengthId(channel),
                     signal,
                     crosstalk,
-                    noise,
+                    noise: crosstalk + self.power_off,
                     path_loss: loss,
                     interferers,
                 });
             }
         }
-        Ok(reports)
+        Ok(())
     }
 }
 
@@ -603,102 +864,6 @@ mod tests {
     use super::*;
     use onoc_photonics::BerConvention;
     use proptest::prelude::*;
-
-    /// The per-receiver walk `analyze` replaced, kept as its oracle: every
-    /// receiver re-walks its own path and, for each interfering lane, that
-    /// lane's path up to the victim's ONI.
-    impl SpectrumEngine<'_> {
-        /// Loss accumulated by transmission `t_idx`'s wavelength `channel`
-        /// from its laser up to the *entry* of `until` (segments and full
-        /// intermediate stacks, nothing of `until`'s own stack).
-        fn loss_to_node_entry(
-            &self,
-            t_idx: usize,
-            channel: WavelengthId,
-            until: NodeId,
-        ) -> Result<Decibels, SpectrumError> {
-            let t = &self.traffic[t_idx];
-            let path = t.path();
-            let nw = self.arch.grid().count();
-            let mut loss = Decibels::ZERO;
-            let nodes: Vec<NodeId> = path.nodes().collect();
-            for (segment, arrival) in path.segments().zip(nodes.iter().skip(1)) {
-                loss += self.segment_loss(segment.index);
-                if *arrival == until {
-                    return Ok(loss);
-                }
-                loss += self.stack_through_loss(*arrival, path.direction(), channel, nw, t_idx)?;
-            }
-            panic!(
-                "loss_to_node_entry: {until} is not downstream of {} on {path}",
-                path.src()
-            );
-        }
-
-        /// Evaluates one receiver: transmission index `t_idx`, channel
-        /// `channel`.
-        fn analyze_receiver(
-            &self,
-            t_idx: usize,
-            channel: WavelengthId,
-        ) -> Result<ReceiverReport, SpectrumError> {
-            let t = &self.traffic[t_idx];
-            let grid = self.arch.grid();
-            let params = self.arch.losses();
-            let dst = t.path().dst();
-            let direction = t.path().direction();
-
-            let mut loss = self.loss_to_node_entry(t_idx, channel, dst)?;
-            loss += self.stack_through_loss(dst, direction, channel, channel.index(), t_idx)?;
-            loss += self
-                .mr_element(dst, direction, channel)
-                .drop_loss(channel, grid, params);
-            let signal = (self.arch.laser().power_on() + loss).to_milliwatts();
-
-            let mut crosstalk = Milliwatts::ZERO;
-            let mut interferers = 0usize;
-            let victim_mr = self.mr_element(dst, direction, channel);
-            for (o_idx, other) in self.traffic.iter().enumerate() {
-                if other.path().direction() != direction || !other.path().reaches_receiver(dst) {
-                    continue;
-                }
-                for &ch in other.channels() {
-                    if o_idx == t_idx && ch == channel {
-                        continue;
-                    }
-                    let mut o_loss = self.loss_to_node_entry(o_idx, ch, dst)?;
-                    if self.model == CrosstalkModel::Elementwise {
-                        o_loss +=
-                            self.stack_through_loss(dst, direction, ch, channel.index(), o_idx)?;
-                    }
-                    o_loss += victim_mr.drop_loss(ch, grid, params);
-                    crosstalk += (self.arch.laser().power_on() + o_loss).to_milliwatts();
-                    interferers += 1;
-                }
-            }
-
-            let noise = crosstalk + self.arch.laser().power_off().to_milliwatts();
-            Ok(ReceiverReport {
-                transmission: t.id(),
-                channel,
-                signal,
-                crosstalk,
-                noise,
-                path_loss: loss,
-                interferers,
-            })
-        }
-
-        fn analyze_per_receiver(&self) -> Result<Vec<ReceiverReport>, SpectrumError> {
-            let mut reports = Vec::new();
-            for (t_idx, t) in self.traffic.iter().enumerate() {
-                for &ch in t.channels() {
-                    reports.push(self.analyze_receiver(t_idx, ch)?);
-                }
-            }
-            Ok(reports)
-        }
-    }
 
     /// A report with every float replaced by its bit pattern, so `==` is
     /// bit-for-bit equality.
@@ -717,69 +882,112 @@ mod tests {
         )
     }
 
-    /// Random traffic on a `nodes`-node ring with an `nw`-channel comb:
-    /// `count` transmissions with random direction and endpoints, each on a
-    /// random set of one to four channels drawn from a narrow window of the
-    /// comb, so interceptions are common.
-    fn random_traffic(
+    /// Random routes on a `nodes`-node ring: `count` of them with random
+    /// direction and endpoints.
+    fn random_routes(
         a: &OnocArchitecture,
         count: usize,
         next: &mut impl FnMut(usize) -> usize,
-    ) -> Vec<Transmission> {
+    ) -> Vec<RingPath> {
         let nodes = a.ring().node_count();
-        let nw = a.grid().count();
-        let window = nw.min(1 + next(6));
-        let base = next(nw - window + 1);
         (0..count)
-            .map(|id| {
+            .map(|_| {
                 let src = next(nodes);
                 let dst = (src + 1 + next(nodes - 1)) % nodes;
-                let direction = Direction::BOTH[next(2)];
-                let channels = (0..1 + next(4))
-                    .map(|_| WavelengthId(base + next(window)))
-                    .collect();
-                Transmission::new(id, a.route(NodeId(src), NodeId(dst), direction), channels)
+                a.route(NodeId(src), NodeId(dst), Direction::BOTH[next(2)])
             })
             .collect()
     }
 
+    /// Random traffic over `routes` with an `nw`-channel comb: each route
+    /// on a random set of channels drawn from a narrow window of the comb,
+    /// so that interceptions are common; one route in 16 gets none.
+    fn random_lanes(
+        routes: &[RingPath],
+        nw: usize,
+        next: &mut impl FnMut(usize) -> usize,
+    ) -> Vec<Transmission> {
+        let window = nw.min(1 + next(6));
+        let base = next(nw - window + 1);
+        routes
+            .iter()
+            .enumerate()
+            .map(|(id, &path)| {
+                let lanes = if next(16) == 0 { 0 } else { 1 + next(4) };
+                let channels = (0..lanes)
+                    .map(|_| WavelengthId(base + next(window)))
+                    .collect();
+                Transmission::new(id, path, channels)
+            })
+            .collect()
+    }
+
+    /// A xorshift stream drawing `next(bound)` in `0..bound`.
+    fn draws(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut state = seed | 1;
+        move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        }
+    }
+
+    fn architecture(nodes: usize, nw: usize) -> OnocArchitecture {
+        let (rows, cols) = OnocArchitecture::near_square_grid(nodes);
+        OnocArchitecture::builder()
+            .grid_dimensions(rows, cols)
+            .wavelengths(nw)
+            .build()
+            .unwrap()
+    }
+
+    /// Comb sizes of one, two and three mask words.
+    const COMBS: [usize; 12] = [1, 2, 3, 5, 8, 12, 16, 31, 64, 65, 128, 130];
+
     proptest! {
-        /// One walk per lane reproduces the per-receiver walk bit for bit,
-        /// and fails with the same first error, under both crosstalk
-        /// models.
+        /// The walk reproduces the per-receiver walk bit for bit, and fails
+        /// with the same first error, under both crosstalk models: through
+        /// `SpectrumEngine::analyze`, and through one walker reused across
+        /// lane sets in any order (lanes fed in reverse), which must also
+        /// fail where `SpectrumEngine::with_model` fails (a route without
+        /// lanes, a receiver collision).
         #[test]
         fn lane_walks_match_the_per_receiver_walk(
             nodes in 2usize..33,
-            nw in 1usize..33,
+            comb in 0usize..COMBS.len(),
             count in 1usize..9,
             seed in 0u64..u64::MAX,
         ) {
-            let (rows, cols) = OnocArchitecture::near_square_grid(nodes);
-            let a = OnocArchitecture::builder()
-                .grid_dimensions(rows, cols)
-                .wavelengths(nw)
-                .build()
-                .unwrap();
-            let mut state = seed | 1;
-            let mut next = |bound: usize| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state % bound as u64) as usize
+            let a = architecture(nodes, COMBS[comb]);
+            let bits = |r: Result<Vec<ReceiverReport>, SpectrumError>| {
+                r.map(|r| r.iter().map(report_bits).collect::<Vec<_>>())
             };
-            // Several traffic sets per case: collisions fail at
-            // construction, before either walk runs.
-            for _ in 0..8 {
-                let traffic = random_traffic(&a, count, &mut next);
+            let mut next = draws(seed);
+            for _ in 0..3 {
+                let routes = random_routes(&a, count, &mut next);
                 for model in [CrosstalkModel::PaperFirstOrder, CrosstalkModel::Elementwise] {
-                    let Ok(engine) = SpectrumEngine::with_model(&a, &traffic, model) else {
-                        continue;
-                    };
-                    let walked = engine.analyze().map(|r| r.iter().map(report_bits).collect::<Vec<_>>());
-                    let oracle = engine
-                        .analyze_per_receiver()
-                        .map(|r| r.iter().map(report_bits).collect::<Vec<_>>());
-                    prop_assert_eq!(walked, oracle, "{} on {:?}", model, traffic);
+                    let mut walker = SpectrumWalker::new(
+                        &a,
+                        routes.iter().copied().enumerate(),
+                        model,
+                    );
+                    for _ in 0..4 {
+                        let traffic = random_lanes(&routes, a.grid().count(), &mut next);
+                        let engine = SpectrumEngine::with_model(&a, &traffic, model);
+                        let oracle = bits(engine.as_ref().map_err(Clone::clone).and_then(|_| {
+                            crate::spectrum_oracle::analyze_per_receiver(&a, &traffic, model)
+                        }));
+                        if let Ok(engine) = &engine {
+                            prop_assert_eq!(&bits(engine.analyze()), &oracle, "{} on {:?}", model, traffic);
+                        }
+                        let lanes = traffic
+                            .iter()
+                            .enumerate()
+                            .flat_map(|(r, t)| t.channels().iter().rev().map(move |&ch| (r, ch)));
+                        let walked = bits(walker.analyze(lanes).map(<[ReceiverReport]>::to_vec));
+                        prop_assert_eq!(&walked, &oracle, "reused, {} on {:?}", model, traffic);
+                    }
                 }
             }
         }

@@ -129,6 +129,16 @@ impl ValidityChecker {
     /// wavelengths in communication order, then shared wavelengths in pair
     /// order.
     pub fn check(&self, allocation: &Allocation) -> Result<(), Violation> {
+        self.check_masks(allocation, &mut Vec::new())
+    }
+
+    /// [`check`](Self::check), leaving each communication's channel mask
+    /// in `masks`, communication order, when the shape matches.
+    pub(crate) fn check_masks(
+        &self,
+        allocation: &Allocation,
+        masks: &mut Vec<u128>,
+    ) -> Result<(), Violation> {
         if allocation.comm_count() != self.comms
             || allocation.wavelength_count() != self.wavelengths
         {
@@ -137,9 +147,8 @@ impl ValidityChecker {
                 found: (allocation.comm_count(), allocation.wavelength_count()),
             });
         }
-        let masks: Vec<u128> = (0..self.comms)
-            .map(|k| allocation.channel_mask(CommId(k)))
-            .collect();
+        masks.clear();
+        masks.extend((0..self.comms).map(|k| allocation.channel_mask(CommId(k))));
         for (k, &mask) in masks.iter().enumerate() {
             if mask == 0 {
                 return Err(Violation::MissingWavelength(CommId(k)));

@@ -1,5 +1,9 @@
 //! The NSGA-II generational loop.
 
+use std::borrow::Borrow;
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -8,6 +12,7 @@ use crate::nsga2::operators::{binary_tournament, bitflip_mutation, two_point_cro
 use crate::nsga2::sort::fast_nondominated_sort;
 use crate::pareto::{FrontPoint, ParetoFront};
 use crate::{Allocation, Evaluator, ObjectiveSet, Objectives};
+use onoc_units::{Cycles, Femtojoules};
 
 /// Configuration of one NSGA-II run.
 ///
@@ -184,6 +189,7 @@ impl<'e, 'i> Nsga2<'e, 'i> {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut stats = Nsga2Stats::default();
         let mut archive = Archive::new(self.config.track_archive, self.config.objectives);
+        let mut memo = Memo::default();
 
         // Initial population: sparse random chromosomes. A per-gene density
         // of ~2/NW keeps a healthy share of §III-D-valid individuals at
@@ -193,14 +199,26 @@ impl<'e, 'i> Nsga2<'e, 'i> {
         let mut population: Vec<Individual> = Vec::with_capacity(self.config.population_size);
         if self.config.seed_with_heuristics {
             if let Ok(seeded) = crate::heuristics::first_fit(instance) {
-                population.push(self.score(seeded, &[], &mut stats, &mut archive, &mut on_eval));
+                population.push(self.score(
+                    seeded,
+                    &mut memo,
+                    &mut stats,
+                    &mut archive,
+                    &mut on_eval,
+                ));
             }
         }
         while population.len() < self.config.population_size {
             let genes: Vec<bool> = (0..genes).map(|_| rng.random_bool(density)).collect();
             let allocation =
                 Allocation::from_genes(genes, nw).expect("generated genes are aligned");
-            population.push(self.score(allocation, &[], &mut stats, &mut archive, &mut on_eval));
+            population.push(self.score(
+                allocation,
+                &mut memo,
+                &mut stats,
+                &mut archive,
+                &mut on_eval,
+            ));
         }
         let mut fitness = self.rank_population(&population);
 
@@ -217,12 +235,11 @@ impl<'e, 'i> Nsga2<'e, 'i> {
                 };
                 bitflip_mutation(&mut rng, &mut ca, pm);
                 bitflip_mutation(&mut rng, &mut cb, pm);
-                let parents = [pa, pb];
-                offspring.push(self.score(ca, &parents, &mut stats, &mut archive, &mut on_eval));
+                offspring.push(self.score(ca, &mut memo, &mut stats, &mut archive, &mut on_eval));
                 if offspring.len() < self.config.population_size {
                     offspring.push(self.score(
                         cb,
-                        &parents,
+                        &mut memo,
                         &mut stats,
                         &mut archive,
                         &mut on_eval,
@@ -244,7 +261,9 @@ impl<'e, 'i> Nsga2<'e, 'i> {
             }
         }
 
-        stats.unique_valid = archive.unique_valid();
+        if self.config.track_archive {
+            stats.unique_valid = memo.len();
+        }
         let front = if self.config.track_archive {
             archive.into_front()
         } else {
@@ -257,28 +276,29 @@ impl<'e, 'i> Nsga2<'e, 'i> {
         }
     }
 
-    /// Scores a chromosome. One whose genes equal one of its `parents`'
-    /// takes that parent's objectives, as evaluation is a pure function of
-    /// the genes; it still counts as an evaluation everywhere.
+    /// Scores a chromosome: from the memo when this run has scored the
+    /// same genes valid before (evaluation is a pure function of the
+    /// genes), else through the evaluator. It counts as an evaluation
+    /// either way.
     fn score(
         &self,
         allocation: Allocation,
-        parents: &[&Individual],
+        memo: &mut Memo,
         stats: &mut Nsga2Stats,
         archive: &mut Archive,
         on_eval: &mut impl FnMut(&Allocation, Option<&Objectives>),
     ) -> Individual {
-        let objectives = match parents
-            .iter()
-            .find(|p| p.allocation.genes() == allocation.genes())
-        {
-            Some(parent) => parent.objectives,
-            None => self.evaluator.evaluate(&allocation),
-        };
+        let objectives = memo.get(&allocation).or_else(|| {
+            let objectives = self.evaluator.evaluate(&allocation);
+            if let Some(o) = objectives {
+                memo.insert(o);
+                archive.record(&allocation, o);
+            }
+            objectives
+        });
         stats.evaluations += 1;
-        if let Some(o) = objectives {
+        if objectives.is_some() {
             stats.valid_evaluations += 1;
-            archive.record(&allocation, o);
         }
         on_eval(&allocation, objectives.as_ref());
         Individual {
@@ -335,11 +355,14 @@ impl<'e, 'i> Nsga2<'e, 'i> {
                 .then_with(|| a.cmp(&b)) // determinism
         });
         order.truncate(n);
-        let keep: std::collections::HashSet<usize> = order.iter().copied().collect();
+        let mut keep = vec![false; combined.len()];
+        for &i in &order {
+            keep[i] = true;
+        }
         let mut survivors = Vec::with_capacity(n);
         let mut survivor_fitness = Vec::with_capacity(n);
         for (i, ind) in combined.into_iter().enumerate() {
-            if keep.contains(&i) {
+            if keep[i] {
                 survivor_fitness.push(fitness[i]);
                 survivors.push(ind);
             }
@@ -363,13 +386,100 @@ impl<'e, 'i> Nsga2<'e, 'i> {
     }
 }
 
-/// Running archive of valid solutions (distinct chromosomes) and their
-/// non-dominated front.
+/// The objectives of every distinct valid chromosome a run has scored.
+///
+/// One [`Scored`] record per chromosome, looked up by its genes packed 64
+/// to a word. Hash order differs per process, so nothing iterates the set.
+#[derive(Debug, Default)]
+struct Memo {
+    scored: HashSet<Scored>,
+    /// The genes of the last [`Memo::get`], packed.
+    key: Vec<u64>,
+}
+
+impl Memo {
+    /// The objectives recorded for `allocation`'s genes; the genes stay
+    /// packed for an [`insert`](Self::insert) that follows.
+    fn get(&mut self, allocation: &Allocation) -> Option<Objectives> {
+        self.key.clear();
+        self.key.extend(allocation.genes().chunks(64).map(|chunk| {
+            chunk
+                .iter()
+                .rev()
+                .fold(0, |word, &g| word << 1 | u64::from(g))
+        }));
+        self.scored.get(self.key.as_slice()).map(Scored::objectives)
+    }
+
+    /// Records `objectives` for the genes of the last [`get`](Self::get).
+    fn insert(&mut self, objectives: Objectives) {
+        let record = self
+            .key
+            .iter()
+            .copied()
+            .chain([
+                objectives.exec_time.value().to_bits(),
+                objectives.bit_energy.value().to_bits(),
+                objectives.avg_log_ber.to_bits(),
+            ])
+            .collect();
+        self.scored.insert(Scored(record));
+    }
+
+    fn len(&self) -> usize {
+        self.scored.len()
+    }
+}
+
+/// One chromosome's packed genes followed by the bit patterns of its three
+/// objectives, in one heap block; hashed and compared on the genes alone.
+#[derive(Debug)]
+struct Scored(Box<[u64]>);
+
+impl Scored {
+    const OBJECTIVES: usize = 3;
+
+    fn genes(&self) -> &[u64] {
+        &self.0[..self.0.len() - Self::OBJECTIVES]
+    }
+
+    fn objectives(&self) -> Objectives {
+        let [exec_time, bit_energy, avg_log_ber] =
+            [0, 1, 2].map(|i| f64::from_bits(self.0[self.0.len() - Self::OBJECTIVES + i]));
+        Objectives {
+            exec_time: Cycles::new(exec_time),
+            bit_energy: Femtojoules::new(bit_energy),
+            avg_log_ber,
+        }
+    }
+}
+
+impl PartialEq for Scored {
+    fn eq(&self, other: &Self) -> bool {
+        self.genes() == other.genes()
+    }
+}
+
+impl Eq for Scored {}
+
+impl Hash for Scored {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.genes().hash(state);
+    }
+}
+
+impl Borrow<[u64]> for Scored {
+    fn borrow(&self) -> &[u64] {
+        self.genes()
+    }
+}
+
+/// The non-dominated front of the distinct valid solutions a run has
+/// scored, fed each one once.
 #[derive(Debug)]
 struct Archive {
     enabled: bool,
     set: ObjectiveSet,
-    seen: std::collections::HashSet<Vec<bool>>,
     front: ParetoFront,
 }
 
@@ -378,7 +488,6 @@ impl Archive {
         Self {
             enabled,
             set,
-            seen: std::collections::HashSet::new(),
             front: ParetoFront::default(),
         }
     }
@@ -387,18 +496,11 @@ impl Archive {
         if !self.enabled {
             return;
         }
-        if !self.seen.insert(allocation.genes().to_vec()) {
-            return;
-        }
         let _ = self.front.insert(FrontPoint {
             allocation: allocation.clone(),
             objectives,
             values: objectives.values(self.set),
         });
-    }
-
-    fn unique_valid(&self) -> usize {
-        self.seen.len()
     }
 
     fn front(&self) -> &ParetoFront {
@@ -524,6 +626,44 @@ mod tests {
         let outcome = Nsga2::new(&ev, config).run();
         assert!(!outcome.front.is_empty());
         assert_eq!(outcome.stats.unique_valid, 0); // not tracked
+    }
+
+    /// The memo stands in for the evaluator: every objective `on_eval`
+    /// sees equals a fresh evaluation of that chromosome, bit for bit, and
+    /// `unique_valid` counts the distinct valid chromosomes it saw.
+    #[test]
+    fn memoised_objectives_equal_fresh_evaluations() {
+        let bits = |o: Option<&Objectives>| {
+            o.map(|o| [o.exec_time.value(), o.bit_energy.value(), o.avg_log_ber].map(f64::to_bits))
+        };
+        for nw in [4, 8, 12] {
+            let instance = ProblemInstance::paper_with_wavelengths(nw);
+            let ev = instance.evaluator();
+            let fresh = instance.evaluator();
+            for set in [
+                ObjectiveSet::TimeEnergy,
+                ObjectiveSet::TimeBer,
+                ObjectiveSet::TimeEnergyBer,
+            ] {
+                for seed in [1, 2, 3] {
+                    let mut scored = Vec::new();
+                    let outcome = Nsga2::new(&ev, small_config(set, seed))
+                        .run_with_observers(|_, _| {}, |a, o| scored.push((a.clone(), bits(o))));
+                    let mut valid = HashSet::new();
+                    for (allocation, objectives) in &scored {
+                        assert_eq!(*objectives, bits(fresh.evaluate(allocation).as_ref()));
+                        if objectives.is_some() {
+                            valid.insert(allocation.genes().to_vec());
+                        }
+                    }
+                    assert_eq!(
+                        outcome.stats.unique_valid,
+                        valid.len(),
+                        "{nw} λ, {set}, seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
