@@ -1,156 +1,75 @@
-//! A cycle-bucketed calendar queue for the simulation hot path.
+//! The event calendar (future event list) of both simulation engines.
 //!
 //! The event loops of this crate pop events in `(time, event)` order where
 //! `event` is a small `Ord` enum whose variant order encodes the
-//! same-cycle tie-break. A `BinaryHeap<Reverse<(u64, E)>>` gives that
-//! ordering at `O(log n)` per operation with poor cache behaviour; the
-//! simulators' timestamps, however, advance monotonically and cluster
-//! tightly (transmission durations are a few hundred to a few thousand
-//! cycles), which is exactly the regime calendar queues (Brown, CACM '88)
-//! serve in `O(1)`.
-//!
-//! [`EventQueue`] keeps a ring of [`EventQueue::WINDOW`] per-cycle
-//! buckets; events scheduled further ahead than the window land in a
-//! sorted overflow heap and migrate into the ring as the cursor
-//! approaches them. Because all live events sit in `[cursor,
-//! cursor + WINDOW)` — the pop cursor trails the global minimum — each
-//! bucket holds events of exactly one timestamp, so a pop is "scan the
-//! current bucket for the minimum event", which is tiny (events per cycle
-//! are few) and allocation-free once the buckets are warm.
-//!
-//! The ordering contract is verified against the `BinaryHeap` reference
-//! implementation by a property test below.
+//! same-cycle tie-break. [`EventQueue`] is a `BinaryHeap<Reverse<(u64,
+//! E)>>` that also holds the engines to their monotone schedule: nothing
+//! may be pushed before the last popped time.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A monotone priority queue over `(u64, E)` with `O(1)` push/pop for
-/// near-future events.
+/// A min-queue over `(u64, E)`: earliest time first, same-time events in
+/// `E`'s `Ord` order.
 ///
 /// Invariant required from the caller (and upheld by event-driven
 /// simulation): an event may never be pushed with a timestamp smaller
 /// than the last popped timestamp. `push` panics (debug) on violations.
 #[derive(Debug, Clone)]
 pub(crate) struct EventQueue<E> {
-    /// `WINDOW` per-cycle buckets, indexed by `time & (WINDOW - 1)`.
-    buckets: Vec<Vec<E>>,
+    heap: BinaryHeap<Reverse<(u64, E)>>,
     /// Timestamp of the last pop (the floor of every live event).
     cursor: u64,
-    /// Lower bound on the earliest non-empty bucket's timestamp.
-    next_hint: u64,
-    /// Events currently in the bucket ring.
-    window_len: usize,
-    /// Far-future events (`time >= cursor + WINDOW`), sorted.
-    overflow: BinaryHeap<Reverse<(u64, E)>>,
+    /// Events pushed since the last [`EventQueue::clear`].
+    pushed: u64,
 }
 
-impl<E: Copy + Ord> EventQueue<E> {
-    /// Bucket-ring span in cycles (power of two). Chosen to cover typical
-    /// transmission durations so the overflow heap stays cold.
-    pub(crate) const WINDOW: u64 = 4096;
-
+impl<E: Ord> EventQueue<E> {
     pub(crate) fn new() -> Self {
         Self {
-            buckets: (0..Self::WINDOW).map(|_| Vec::new()).collect(),
+            heap: BinaryHeap::new(),
             cursor: 0,
-            next_hint: 0,
-            window_len: 0,
-            overflow: BinaryHeap::new(),
+            pushed: 0,
         }
     }
 
-    /// Empties the queue, keeping every bucket's capacity for reuse.
+    /// Empties the queue, keeping its capacity for reuse.
     pub(crate) fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
+        self.heap.clear();
         self.cursor = 0;
-        self.next_hint = 0;
-        self.window_len = 0;
-        self.overflow.clear();
+        self.pushed = 0;
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.window_len == 0 && self.overflow.is_empty()
+        self.heap.is_empty()
     }
 
-    fn bucket_insert(&mut self, time: u64, event: E) {
-        debug_assert!(time >= self.cursor && time < self.cursor + Self::WINDOW);
-        self.buckets[(time & (Self::WINDOW - 1)) as usize].push(event);
-        self.window_len += 1;
-        if time < self.next_hint {
-            self.next_hint = time;
-        }
+    /// Events pushed since the last [`EventQueue::clear`].
+    pub(crate) fn pushed(&self) -> u64 {
+        self.pushed
     }
 
     /// Schedules `event` at `time` (which must not precede the last pop).
     pub(crate) fn push(&mut self, time: u64, event: E) {
         debug_assert!(
             time >= self.cursor,
-            "event scheduled at {time} before the queue cursor {}",
+            "event scheduled at {time} before the last popped time {}",
             self.cursor
         );
-        if time < self.cursor + Self::WINDOW {
-            self.bucket_insert(time, event);
-        } else {
-            self.overflow.push(Reverse((time, event)));
-        }
+        self.pushed += 1;
+        self.heap.push(Reverse((time, event)));
     }
 
-    /// Moves every overflow event that entered the window into its bucket.
-    fn migrate_overflow(&mut self) {
-        while let Some(&Reverse((t, _))) = self.overflow.peek() {
-            if t >= self.cursor + Self::WINDOW {
-                break;
-            }
-            let Reverse((t, e)) = self.overflow.pop().expect("peeked");
-            self.bucket_insert(t, e);
-        }
-    }
-
-    /// Timestamp of the earliest event, or `None` when empty. Never moves
-    /// the cursor — peeking must not forbid pushes at times the caller is
-    /// still allowed to schedule (e.g. source events due before a
-    /// far-future wake-up).
-    pub(crate) fn peek_time(&mut self) -> Option<u64> {
-        self.migrate_overflow();
-        if self.window_len > 0 {
-            let mut t = self.next_hint.max(self.cursor);
-            while self.buckets[(t & (Self::WINDOW - 1)) as usize].is_empty() {
-                t += 1;
-                debug_assert!(t < self.cursor + Self::WINDOW, "window_len > 0 lied");
-            }
-            self.next_hint = t;
-            Some(t)
-        } else {
-            self.overflow.peek().map(|&Reverse((t, _))| t)
-        }
+    /// Timestamp of the earliest event, or `None` when empty.
+    pub(crate) fn peek_time(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse((t, _))| *t)
     }
 
     /// Removes and returns the earliest `(time, event)` pair; same-time
     /// events pop in `E`'s `Ord` order.
     pub(crate) fn pop(&mut self) -> Option<(u64, E)> {
-        let t = self.peek_time()?;
-        if self.window_len == 0 {
-            // Every live event is far-future: jump the cursor to the
-            // earliest one and pull its cohort into the ring. Safe here
-            // (unlike in peek): the caller processes this pop at `t`, so
-            // nothing may be scheduled before it anymore.
-            self.cursor = t;
-            self.next_hint = t;
-            self.migrate_overflow();
-        }
-        let bucket = &mut self.buckets[(t & (Self::WINDOW - 1)) as usize];
-        let mut best = 0;
-        for i in 1..bucket.len() {
-            if bucket[i] < bucket[best] {
-                best = i;
-            }
-        }
-        let event = bucket.swap_remove(best);
-        self.window_len -= 1;
+        let Reverse((t, event)) = self.heap.pop()?;
         self.cursor = t;
-        self.next_hint = t;
         Some((t, event))
     }
 }
@@ -158,7 +77,6 @@ impl<E: Copy + Ord> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     /// A stand-in for the engines' event enums: variant-ordered, then
     /// payload-ordered.
@@ -187,85 +105,27 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_round_trip_through_overflow() {
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        let far = EventQueue::<Ev>::WINDOW * 3 + 17;
-        q.push(far, (1, 1));
-        q.push(5, (0, 0));
-        assert_eq!(q.pop(), Some((5, (0, 0))));
-        // Mid-flight push that becomes eligible before the overflow event.
-        q.push(far - 1, (2, 2));
-        assert_eq!(q.pop(), Some((far - 1, (2, 2))));
-        assert_eq!(q.pop(), Some((far, (1, 1))));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn overflow_event_is_not_shadowed_by_later_window_push() {
-        // Regression shape: an event lands in overflow, the cursor then
-        // advances close enough that a *later* event fits the window. The
-        // earlier overflow event must still pop first.
-        let w = EventQueue::<Ev>::WINDOW;
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        q.push(w + 10, (0, 0)); // overflow relative to cursor 0
-        q.push(20, (0, 1));
-        assert_eq!(q.pop(), Some((20, (0, 1)))); // cursor now 20
-        q.push(w + 11, (0, 2)); // fits the window now
-        assert_eq!(q.pop(), Some((w + 10, (0, 0))));
-        assert_eq!(q.pop(), Some((w + 11, (0, 2))));
-    }
-
-    #[test]
     fn clear_resets_for_reuse() {
         let mut q: EventQueue<Ev> = EventQueue::new();
-        q.push(3, (0, 0));
-        q.push(EventQueue::<Ev>::WINDOW * 2, (0, 1));
+        q.push(30, (0, 0));
+        assert_eq!(q.pop(), Some((30, (0, 0))));
+        q.push(8192, (0, 1));
         q.clear();
         assert!(q.is_empty());
+        assert_eq!(q.pushed(), 0);
+        // The clear also resets the last popped time.
         q.push(1, (1, 1));
         assert_eq!(q.pop(), Some((1, (1, 1))));
+        assert_eq!(q.pushed(), 1);
     }
 
-    proptest! {
-        /// The calendar queue dequeues exactly like the `BinaryHeap`
-        /// reference under any monotone-push workload, including pushes
-        /// landing in the overflow heap and interleaved pops.
-        ///
-        /// Each raw op packs `(time delta, variant, payload, pop?)` into
-        /// one integer (the vendored proptest has no tuple strategies).
-        #[test]
-        fn matches_binary_heap_reference(
-            raw_ops in proptest::collection::vec(0u64..=u64::MAX, 1..200),
-        ) {
-            let mut calendar: EventQueue<Ev> = EventQueue::new();
-            let mut reference: BinaryHeap<Reverse<(u64, Ev)>> = BinaryHeap::new();
-            let mut clock = 0u64;
-            for raw in raw_ops {
-                // Deltas up to 8191 exercise both the 4096-cycle window
-                // and the overflow heap.
-                let delta = raw & 0x1FFF;
-                let variant = ((raw >> 13) & 3) as u8;
-                let payload = ((raw >> 15) & 63) as u32;
-                let pop_now = raw >> 63 == 1;
-                // Monotone schedule: never before the last popped time.
-                let time = clock + delta;
-                calendar.push(time, (variant, payload));
-                reference.push(Reverse((time, (variant, payload))));
-                if pop_now {
-                    let got = calendar.pop();
-                    let want = reference.pop().map(|Reverse((t, e))| (t, e));
-                    prop_assert_eq!(got, want);
-                    clock = got.expect("both queues held an event").0;
-                }
-            }
-            loop {
-                let got = calendar.pop();
-                let want = reference.pop().map(|Reverse((t, e))| (t, e));
-                prop_assert_eq!(got, want);
-                if got.is_none() {
-                    break;
-                }
-            }
-        }
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before the last popped time")]
+    fn a_push_before_the_last_pop_panics() {
+        let mut q: EventQueue<Ev> = EventQueue::new();
+        q.push(10, (0, 0));
+        q.pop();
+        q.push(9, (0, 0));
     }
 }

@@ -40,8 +40,7 @@
 //! assert!(report.conflicts.is_empty());
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use onoc_app::{CommId, MappedApplication, TaskId};
 use onoc_photonics::WavelengthId;
@@ -49,6 +48,7 @@ use onoc_topology::{DirectedSegment, segment_count};
 use onoc_units::BitsPerCycle;
 use onoc_wa::Allocation;
 
+use crate::calendar::EventQueue;
 use crate::injection::{DynamicPolicy, LaneArbiter, mask_lanes};
 use crate::{ChannelConflict, SimReport};
 
@@ -292,10 +292,7 @@ impl<'a> Simulator<'a> {
             task_spans: vec![(0, 0); nt],
             comm_spans: vec![(0, 0); nl],
             granted,
-            // Task graphs hold tens of events, so a binary heap stays the
-            // right queue here; the calendar queue pays off in the
-            // high-rate open-loop engine, not at this scale.
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
         };
         let mut pending_inputs: Vec<usize> =
             (0..nt).map(|t| graph.incoming(TaskId(t)).len()).collect();
@@ -310,7 +307,7 @@ impl<'a> Simulator<'a> {
         }
 
         let mut makespan = 0u64;
-        while let Some(Reverse((now, event))) = run.queue.pop() {
+        while let Some((now, event)) = run.queue.pop() {
             makespan = makespan.max(now);
             match event {
                 Event::TaskCompleted(t) => {
@@ -399,7 +396,7 @@ struct Run<'s, 'a> {
     task_spans: Vec<(u64, u64)>,
     comm_spans: Vec<(u64, u64)>,
     granted: Vec<Vec<WavelengthId>>,
-    queue: BinaryHeap<Reverse<(u64, Event)>>,
+    queue: EventQueue<Event>,
 }
 
 impl Run<'_, '_> {
@@ -408,7 +405,7 @@ impl Run<'_, '_> {
         let exec = self.sim.app.graph().task(t).execution_time().value();
         let end = end_cycle(now, exec, Activity::Task(t))?;
         self.task_spans[t.0] = (now, end);
-        self.queue.push(Reverse((end, Event::TaskCompleted(t.0))));
+        self.queue.push(end, Event::TaskCompleted(t.0));
         Ok(())
     }
 
@@ -425,7 +422,7 @@ impl Run<'_, '_> {
         let duration = volume / (self.granted[c.0].len() as f64 * self.sim.rate.value());
         let end = end_cycle(now, duration, Activity::Comm(c))?;
         self.comm_spans[c.0] = (now, end);
-        self.queue.push(Reverse((end, Event::CommArrived(c.0))));
+        self.queue.push(end, Event::CommArrived(c.0));
         Ok(true)
     }
 
@@ -495,6 +492,9 @@ fn detect_conflicts(
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     use super::*;
     use onoc_app::Schedule;
     use onoc_wa::ProblemInstance;

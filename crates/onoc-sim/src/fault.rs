@@ -609,7 +609,11 @@ impl SimProbe for ReliabilityProbe {
         // Retirement facts can trail their completion cycle (the engine
         // retires the message deque head-first, in id order), so a
         // record that completed *before* the outage opened is stale
-        // evidence and resolves nothing.
+        // evidence and resolves nothing. With no outage open (every
+        // fault-free run) there is nothing to look up.
+        if self.blocked_flows.is_empty() {
+            return;
+        }
         if let std::collections::hash_map::Entry::Occupied(e) =
             self.blocked_flows.entry((record.src, record.dst))
         {

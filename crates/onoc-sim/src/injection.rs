@@ -220,11 +220,23 @@ impl core::fmt::Display for DynamicPolicy {
 /// and the claims are bit masks over the comb, so claiming and releasing
 /// allocate nothing; callers keep each route's segment indices in
 /// precomputed `u16` slices.
+///
+/// The arbiter keeps the same occupancy twice: segment-major (`busy`, one
+/// lane mask per segment, which [`LaneArbiter::claim_mask`] scans) and
+/// lane-major (`lane_segs`, one segment bitset per lane, which
+/// [`LaneArbiter::frees_any`] reads). Only `claim_mask` and
+/// [`LaneArbiter::release_mask`] change occupancy, and both update both
+/// views.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneArbiter {
     wavelengths: usize,
     /// Busy mask per directed segment, dense-indexed.
     busy: Vec<u128>,
+    /// Per lane, the segments it is busy on: bit `seg % 64` of word
+    /// `lane * seg_words + seg / 64`.
+    lane_segs: Vec<u64>,
+    /// Words per segment bitset: `⌈segments / 64⌉`.
+    seg_words: usize,
     /// Lanes currently knocked out by the fault layer (ring-wide): the
     /// claim paths never grant them, while releases stay mask-based so
     /// in-flight claims drain normally when a lane dies under them.
@@ -234,21 +246,28 @@ pub(crate) struct LaneArbiter {
 impl LaneArbiter {
     /// A fully idle arbiter over `2 * nodes` directed segments.
     pub(crate) fn new(nodes: usize, wavelengths: usize) -> Self {
-        debug_assert!((1..=128).contains(&wavelengths));
-        Self {
+        let mut arbiter = Self {
             wavelengths,
-            busy: vec![0u128; onoc_topology::segment_count(nodes)],
+            busy: Vec::new(),
+            lane_segs: Vec::new(),
+            seg_words: 0,
             down: 0,
-        }
+        };
+        arbiter.reset(nodes, wavelengths);
+        arbiter
     }
 
     /// Resets to fully idle, optionally for a different geometry, keeping
-    /// the table allocation when it already fits.
+    /// the table allocations when they already fit.
     pub(crate) fn reset(&mut self, nodes: usize, wavelengths: usize) {
         debug_assert!((1..=128).contains(&wavelengths));
+        let segments = onoc_topology::segment_count(nodes);
         self.wavelengths = wavelengths;
         self.busy.clear();
-        self.busy.resize(onoc_topology::segment_count(nodes), 0);
+        self.busy.resize(segments, 0);
+        self.seg_words = segment_words(nodes);
+        self.lane_segs.clear();
+        self.lane_segs.resize(wavelengths * self.seg_words, 0);
         self.down = 0;
     }
 
@@ -270,20 +289,44 @@ impl LaneArbiter {
         }
     }
 
+    /// The lanes up and free on every dense-indexed segment of `segs`.
+    pub(crate) fn free_lanes(&self, segs: &[u16]) -> u128 {
+        let mut free = self.all_mask() & !self.down;
+        for &seg in segs {
+            if free == 0 {
+                break;
+            }
+            free &= !self.busy[seg as usize];
+        }
+        free
+    }
+
+    /// Whether some up lane of `lanes` is free on every segment of
+    /// `path`, a segment bitset of [`segment_words`] words (bit `seg % 64`
+    /// of word `seg / 64`). It reads the lane-major view: a few word ANDs
+    /// per lane of `lanes`, and it changes nothing.
+    pub(crate) fn frees_any(&self, lanes: u128, path: &[u64]) -> bool {
+        debug_assert_eq!(path.len(), self.seg_words);
+        let mut rest = lanes & self.all_mask() & !self.down;
+        while rest != 0 {
+            let lane = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let row = &self.lane_segs[lane * self.seg_words..(lane + 1) * self.seg_words];
+            if row.iter().zip(path).all(|(&busy, &on)| busy & on == 0) {
+                return true;
+            }
+        }
+        false
+    }
+
     /// Claims up to `want` lanes free on *every* dense-indexed segment of
     /// `segs` (lowest indices first) as a bit mask, or `None` if not even
     /// one lane is free. Allocation-free — this is the hot path; callers
     /// pass precomputed flat route slices.
     pub(crate) fn claim_mask(&mut self, segs: &[u16], want: usize) -> Option<u128> {
-        let mut free = self.all_mask() & !self.down;
+        let mut free = self.free_lanes(segs);
         if free == 0 {
             return None;
-        }
-        for &seg in segs {
-            free &= !self.busy[seg as usize];
-            if free == 0 {
-                return None;
-            }
         }
         let mut mask = 0u128;
         for _ in 0..want {
@@ -297,6 +340,7 @@ impl LaneArbiter {
         for &seg in segs {
             self.busy[seg as usize] |= mask;
         }
+        self.mark_lane_segs(segs, mask, true);
         Some(mask)
     }
 
@@ -305,7 +349,30 @@ impl LaneArbiter {
         for &seg in segs {
             self.busy[seg as usize] &= !mask;
         }
+        self.mark_lane_segs(segs, mask, false);
     }
+
+    /// Sets or clears the lane-major bits of `mask`'s lanes on `segs`.
+    fn mark_lane_segs(&mut self, segs: &[u16], mask: u128, busy: bool) {
+        let mut rest = mask;
+        while rest != 0 {
+            let row = rest.trailing_zeros() as usize * self.seg_words;
+            rest &= rest - 1;
+            for &seg in segs {
+                let (word, bit) = (row + seg as usize / 64, 1u64 << (seg % 64));
+                if busy {
+                    self.lane_segs[word] |= bit;
+                } else {
+                    self.lane_segs[word] &= !bit;
+                }
+            }
+        }
+    }
+}
+
+/// Words of a segment bitset on a ring of `nodes` nodes.
+pub(crate) fn segment_words(nodes: usize) -> usize {
+    onoc_topology::segment_count(nodes).div_ceil(64)
 }
 
 /// The lanes of a claim mask, lowest first.
@@ -707,5 +774,73 @@ mod tests {
         gate.in_flight_by_dst[2] = 3;
         gate.reset();
         assert!(gate.in_flight_by_dst.is_empty());
+    }
+
+    /// `segs` as a segment bitset of [`segment_words`] words.
+    fn path_bits(segs: &[u16], words: usize) -> Vec<u64> {
+        let mut bits = vec![0u64; words];
+        for &seg in segs {
+            bits[seg as usize / 64] |= 1 << (seg % 64);
+        }
+        bits
+    }
+
+    proptest::proptest! {
+        /// The lane-major view stays the transpose of the per-segment
+        /// masks through random claims, releases and outages, and
+        /// `frees_any` agrees with a claim's free set for any lane subset.
+        #[test]
+        fn lane_major_view_tracks_the_segment_masks(
+            seed in 0u64..1 << 32,
+            nodes in 2usize..80,
+            wavelengths in 1usize..129,
+            want in 1usize..5,
+        ) {
+            use proptest::prelude::*;
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let ring = RingTopology::new(nodes);
+            let words = segment_words(nodes);
+            let mut arb = LaneArbiter::new(nodes, wavelengths);
+            let mut live: Vec<(Vec<u16>, u128)> = Vec::new();
+            for _ in 0..120 {
+                let src = (next() % nodes as u64) as usize;
+                let dst = (src + 1 + (next() % (nodes as u64 - 1)) as usize) % nodes;
+                let direction = ring.shortest_direction(NodeId(src), NodeId(dst));
+                let route = segs(&RingPath::new(&ring, NodeId(src), NodeId(dst), direction));
+                match next() % 4 {
+                    0 if !live.is_empty() => {
+                        let (route, mask) = live.swap_remove((next() % live.len() as u64) as usize);
+                        arb.release_mask(&route, mask);
+                    }
+                    1 => {
+                        let lane = (next() % wavelengths as u64) as usize;
+                        arb.set_down(lane, next() % 3 == 0);
+                    }
+                    _ => {
+                        if let Some(mask) = arb.claim_mask(&route, want) {
+                            live.push((route.clone(), mask));
+                        }
+                    }
+                }
+                for lane in 0..wavelengths {
+                    for seg in 0..arb.busy.len() {
+                        let by_segment = arb.busy[seg] >> lane & 1 == 1;
+                        let by_lane = arb.lane_segs[lane * words + seg / 64] >> (seg % 64) & 1 == 1;
+                        prop_assert_eq!(by_segment, by_lane, "lane {} segment {}", lane, seg);
+                    }
+                }
+                let lanes = u128::from(next()) << 64 | u128::from(next());
+                let bits = path_bits(&route, words);
+                let free = arb.free_lanes(&route);
+                prop_assert_eq!(arb.frees_any(lanes, &bits), free & lanes != 0);
+                prop_assert_eq!(arb.frees_any(u128::MAX, &bits), free != 0);
+            }
+        }
     }
 }

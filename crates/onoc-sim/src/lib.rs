@@ -82,7 +82,8 @@ pub use openloop::{
 };
 pub use probe::{NullProbe, SimProbe, TxFact};
 pub use report::{
-    ChannelConflict, LatencyHistogram, LatencyStats, MsgRecord, OpenLoopReport, SimReport,
+    ChannelConflict, EngineCounters, EventCounts, LatencyHistogram, LatencyStats, MsgRecord,
+    OpenLoopReport, SimReport,
 };
 pub use telemetry::{
     ChromeTraceProbe, MAX_TELEMETRY_WINDOWS, TimeSeries, TimeSeriesProbe, WindowStats,

@@ -53,9 +53,9 @@ use onoc_wa::{HealPolicy, reassign_flows_on_lane_loss};
 use crate::DynamicPolicy;
 use crate::calendar::EventQueue;
 use crate::fault::{self, CorruptionModel, DropFact, FaultCause, FaultPlan, GeTimeline, HealFact};
-use crate::injection::{AimdParams, InjectionMode, LaneArbiter, SourceGate};
+use crate::injection::{AimdParams, InjectionMode, LaneArbiter, SourceGate, segment_words};
 use crate::probe::{NullProbe, ReportProbe, SimProbe, TxFact};
-use crate::report::{MsgRecord, OpenLoopReport};
+use crate::report::{EngineCounters, MsgRecord, OpenLoopReport};
 use crate::transport::TransportMode;
 
 /// One injected message: `volume` bits from `src` to `dst`, offered to the
@@ -304,7 +304,7 @@ enum Event {
     Redo(usize),
     /// Fault layer: the message is declared lost at admission time (all
     /// of its lanes are down with no recovery pending). Deferred through
-    /// the calendar so loss bookkeeping never recurses through the gate
+    /// the event queue so loss bookkeeping never recurses through the gate
     /// drains that admitted it.
     Abandon(usize),
 }
@@ -703,7 +703,7 @@ impl MsgState {
 }
 
 /// Reusable buffers for [`OpenLoopSimulator::run_with_scratch`]: the
-/// calendar queue, message window, per-source FIFOs and gates, and the
+/// event queue, message window, per-source FIFOs and gates, and the
 /// flat dense-indexed occupancy tables. Runs leave the scratch warm, so
 /// back-to-back runs on similar geometries make no allocations on the
 /// steady-state admit path.
@@ -753,6 +753,19 @@ pub struct SimScratch {
     waiter_words: usize,
     /// Per-release candidate accumulator (`waiter_words` long).
     candidates: Vec<u64>,
+    /// Dynamic mode: per source, the path of its registered blocked head
+    /// as a segment bitset (`seg_words` words per source; bit `seg % 64`
+    /// of word `seg / 64`), written when the head registers. The wake
+    /// test ANDs it with the arbiter's lane-major occupancy, so a waiter
+    /// it rejects costs no claim and no read of its NI queue.
+    head_paths: Vec<u64>,
+    /// Words per segment bitset: `⌈2 · nodes / 64⌉`.
+    seg_words: usize,
+    /// Wakes every waiter on a released segment with a full claim, as the
+    /// core did before the lane test: the oracle the filtered wake-ups
+    /// are checked against.
+    #[cfg(test)]
+    unfiltered_wake: bool,
     /// Only build route/mask rows for these flows (sorted
     /// `src * nodes + dst` indices) — other rows stay empty, which is
     /// safe when the engine provably never admits them. `run_spec` and
@@ -790,6 +803,10 @@ impl SimScratch {
             waiters: Vec::new(),
             waiter_words: 0,
             candidates: Vec::new(),
+            head_paths: Vec::new(),
+            seg_words: 0,
+            #[cfg(test)]
+            unfiltered_wake: false,
             flow_rows: None,
         }
     }
@@ -850,6 +867,11 @@ impl SimScratch {
             .resize(segment_count(nodes) * self.waiter_words, 0);
         self.candidates.clear();
         self.candidates.resize(self.waiter_words, 0);
+        self.seg_words = segment_words(nodes);
+        self.head_paths.clear();
+        if !static_mode {
+            self.head_paths.resize(nodes * self.seg_words, 0);
+        }
     }
 
     /// Builds the flat per-flow route table (and, in static mode, the
@@ -1058,6 +1080,7 @@ struct RunState<'a, P: SimProbe> {
     horizon: u64,
     /// Fault/transport state; `None` on the fault-free fast path.
     fault: Option<Box<FaultState>>,
+    counters: EngineCounters,
 }
 
 impl<'a, P: SimProbe> RunState<'a, P> {
@@ -1141,6 +1164,7 @@ impl<'a, P: SimProbe> RunState<'a, P> {
             last_time: 0,
             horizon: 0,
             fault,
+            counters: EngineCounters::default(),
         }
     }
 
@@ -1172,6 +1196,7 @@ impl<'a, P: SimProbe> RunState<'a, P> {
                 }
                 break;
             };
+            self.count_pop(event);
             if let Event::GateWake(s) = event {
                 // A wake superseded by a fresher, earlier one (the gate's
                 // `wake_at` moved on) is a no-op: every admission it could
@@ -1252,6 +1277,21 @@ impl<'a, P: SimProbe> RunState<'a, P> {
 
     fn msg(&mut self, id: usize) -> &mut MsgState {
         &mut self.s.msgs[id - self.base]
+    }
+
+    /// Counts one popped event by kind.
+    fn count_pop(&mut self, event: Event) {
+        let popped = &mut self.counters.popped;
+        match event {
+            Event::Completed(_) => popped.completed += 1,
+            Event::Started(_) => popped.started += 1,
+            Event::GateWake(_) => popped.gate_wakes += 1,
+            Event::Offered(_) => popped.offered += 1,
+            Event::LaneDown(_) => popped.lane_downs += 1,
+            Event::LaneUp(_) => popped.lane_ups += 1,
+            Event::Redo(_) => popped.redos += 1,
+            Event::Abandon(_) => popped.abandons += 1,
+        }
     }
 
     /// Directed-segment count of `flow`'s path.
@@ -1519,7 +1559,7 @@ impl<'a, P: SimProbe> RunState<'a, P> {
 
     /// An all-lanes-down static admission: park until a pending recovery
     /// if one exists, otherwise the message is lost outright (deferred
-    /// through the calendar so loss bookkeeping never recurses through
+    /// through the event queue so loss bookkeeping never recurses through
     /// the gate drain that admitted it).
     fn park_or_lose_static(&mut self, id: usize, flow: u32, mask: u128, now: u64) {
         let stochastic = self
@@ -1586,6 +1626,7 @@ impl<'a, P: SimProbe> RunState<'a, P> {
             self.s.path_offsets[flow] as usize,
             self.s.path_offsets[flow + 1] as usize,
         );
+        self.counters.claims += 1;
         let Some(mask) = self
             .s
             .arbiter
@@ -1593,6 +1634,7 @@ impl<'a, P: SimProbe> RunState<'a, P> {
         else {
             return false;
         };
+        self.counters.grants += 1;
         let lanes = mask.count_ones() as usize;
         let volume = self.msg(id).ev.volume;
         let duration = self.sim.duration(volume, lanes);
@@ -1768,7 +1810,9 @@ impl<'a, P: SimProbe> RunState<'a, P> {
             // after a release on its own path, so only sources whose head
             // waits on one of the just-released segments are candidates —
             // identical starts (in identical source order) to retrying
-            // everyone, without rescanning every wavelength × segment.
+            // everyone, without rescanning every wavelength × segment —
+            // and only a lane of `mask` can have come free for them (see
+            // `retry_source`).
             if self.waiting > 0 {
                 let words = self.s.waiter_words;
                 self.s.candidates[..words].fill(0);
@@ -1783,7 +1827,7 @@ impl<'a, P: SimProbe> RunState<'a, P> {
                     while bits != 0 {
                         let s = w * 64 + bits.trailing_zeros() as usize;
                         bits &= bits - 1;
-                        self.retry_source(s, now, policy);
+                        self.retry_source(s, now, policy, mask);
                     }
                 }
             }
@@ -2288,13 +2332,17 @@ impl<'a, P: SimProbe> RunState<'a, P> {
             if let WavelengthMode::Dynamic(policy) = &self.sim.mode {
                 let policy = *policy;
                 for s in 0..self.n {
-                    self.retry_source(s, now, policy);
+                    if !self.s.ni_queues[s].is_empty() {
+                        // The recovered lane was down, not busy, when the
+                        // heads last claimed: test every lane.
+                        self.retry_source(s, now, policy, u128::MAX);
+                    }
                 }
             }
         }
     }
 
-    /// Once the calendar runs dry, traffic stranded by permanent faults
+    /// Once the event queue runs dry, traffic stranded by permanent faults
     /// — parked messages whose recovery never came, NI heads on dead
     /// lanes, gate-held messages whose window never opened — is swept as
     /// lost at the final horizon. Sweeping one batch at a time lets the
@@ -2328,8 +2376,11 @@ impl<'a, P: SimProbe> RunState<'a, P> {
                     }
                     self.lose_message(id, flow, now);
                     if let WavelengthMode::Dynamic(policy) = &self.sim.mode {
-                        let policy = *policy;
-                        self.retry_source(s, now, policy);
+                        if !self.s.ni_queues[s].is_empty() {
+                            // The successor never claimed: test every lane.
+                            let policy = *policy;
+                            self.retry_source(s, now, policy, u128::MAX);
+                        }
                     }
                     swept = true;
                     break;
@@ -2367,7 +2418,8 @@ impl<'a, P: SimProbe> RunState<'a, P> {
     }
 
     /// Sets or clears source `s`'s waiter bit on every segment of `flow`'s
-    /// path.
+    /// path; registering also writes the path into `s`'s row of
+    /// `head_paths`.
     fn set_waiter(&mut self, s: usize, flow: u32, on: bool) {
         let words = self.s.waiter_words;
         let (word, bit) = (s / 64, 1u64 << (s % 64));
@@ -2375,21 +2427,62 @@ impl<'a, P: SimProbe> RunState<'a, P> {
             self.s.path_offsets[flow as usize] as usize,
             self.s.path_offsets[flow as usize + 1] as usize,
         );
+        let row = s * self.s.seg_words;
+        if on {
+            self.s.head_paths[row..row + self.s.seg_words].fill(0);
+        }
         for i in lo..hi {
-            let slot = self.s.path_segs[i] as usize * words + word;
+            let seg = self.s.path_segs[i] as usize;
+            let slot = seg * words + word;
             if on {
                 self.s.waiters[slot] |= bit;
+                self.s.head_paths[row + seg / 64] |= 1 << (seg % 64);
             } else {
                 self.s.waiters[slot] &= !bit;
             }
         }
     }
 
-    /// Retries source `s`'s head after a release touched its path; a
-    /// started head unblocks the next message behind it, which is tried
-    /// in turn (and becomes the newly registered blocked head if it
-    /// fails).
-    fn retry_source(&mut self, s: usize, now: u64, policy: DynamicPolicy) {
+    /// Wakes source `s`'s registered head once lanes of `released` may
+    /// have come free on its path; a started head unblocks the next
+    /// message behind it, which is tried in turn (and becomes the newly
+    /// registered blocked head if it fails).
+    ///
+    /// The head is claimed only if some up lane of `released` is free on
+    /// its whole path (`LaneArbiter::frees_any` over `head_paths`). That
+    /// test loses no start because of an invariant: a head registers only
+    /// after its claim found no up lane free on its whole path, and every
+    /// release on that path since has woken it, in the same completion.
+    /// So when a release of `released` wakes it, only a lane of
+    /// `released` can be free along its path. Two callers break the
+    /// premise and pass every lane, which makes the test exact:
+    /// `on_lane_up`, since a lane that left the down set was never among
+    /// the free lanes the heads saw, and `sweep_stranded`, whose successor
+    /// head never tried a claim. The message behind a head that started
+    /// gets a full claim, as before.
+    fn retry_source(&mut self, s: usize, now: u64, policy: DynamicPolicy, released: u128) {
+        self.counters.waiters_examined += 1;
+        #[cfg(test)]
+        let filtered = !self.s.unfiltered_wake;
+        #[cfg(not(test))]
+        let filtered = true;
+        let row = s * self.s.seg_words;
+        let path = &self.s.head_paths[row..row + self.s.seg_words];
+        if filtered && !self.s.arbiter.frees_any(released, path) {
+            debug_assert!(
+                {
+                    let &(_, flow) = self.s.ni_queues[s].front().expect("a registered head");
+                    let (lo, hi) = (
+                        self.s.path_offsets[flow as usize] as usize,
+                        self.s.path_offsets[flow as usize + 1] as usize,
+                    );
+                    self.s.arbiter.free_lanes(&self.s.path_segs[lo..hi]) == 0
+                },
+                "the wake test rejected source {s}'s head with a lane free on its path"
+            );
+            return;
+        }
+        self.counters.waiters_passed += 1;
         // The candidate's current head is registered in the waiter sets;
         // later heads in the chain are not (yet).
         let mut head_registered = true;
@@ -2522,6 +2615,10 @@ impl<'a, P: SimProbe> RunState<'a, P> {
             retransmitted_bits,
             lost_messages,
             lost_bits,
+            counters: EngineCounters {
+                pushed: self.s.queue.pushed(),
+                ..self.counters
+            },
         };
         (report, self.s)
     }
@@ -3371,6 +3468,286 @@ mod tests {
             }
             check_against_the_attempt_oracle(&sim, &events);
         }
+    }
+
+    #[test]
+    fn same_cycle_events_pop_in_tie_break_order() {
+        let tx = CompletedTx {
+            id: 9,
+            start: 0,
+            flow: 1,
+            mask: 1,
+        };
+        let order = [
+            Event::Completed(CompletedTx { id: 3, ..tx }),
+            Event::Completed(tx),
+            Event::Started((2, 1, 1)),
+            Event::Started((5, 1, 1)),
+            Event::GateWake(0),
+            Event::Offered(4),
+            Event::LaneDown(0),
+            Event::LaneUp(0),
+            Event::Redo(1),
+            Event::Abandon(1),
+        ];
+        let mut queue = EventQueue::new();
+        queue.push(8, Event::Completed(CompletedTx { id: 0, ..tx }));
+        for &event in order.iter().rev() {
+            queue.push(7, event);
+        }
+        let popped: Vec<(u64, Event)> = std::iter::from_fn(|| queue.pop()).collect();
+        let mut want: Vec<(u64, Event)> = order.iter().map(|&event| (7, event)).collect();
+        want.push((8, Event::Completed(CompletedTx { id: 0, ..tx })));
+        assert_eq!(popped, want);
+        assert_eq!(queue.pushed(), 11);
+    }
+
+    /// Every fact a run emits, in order, as `Debug` text. Floats print in
+    /// their shortest round-trip form, so equal text means equal bits.
+    #[derive(Default)]
+    struct FactLog(Vec<String>);
+
+    impl SimProbe for FactLog {
+        fn offered(&mut self, time: u64, src: NodeId) {
+            self.0.push(format!("offered {time} {src:?}"));
+        }
+
+        fn admitted(&mut self, now: u64, stall: u64, src: NodeId) {
+            self.0.push(format!("admitted {now} {stall} {src:?}"));
+        }
+
+        fn started(&mut self, fact: TxFact) {
+            self.0.push(format!("started {fact:?}"));
+        }
+
+        fn completed(&mut self, fact: TxFact) {
+            self.0.push(format!("completed {fact:?}"));
+        }
+
+        fn retired(&mut self, record: &MsgRecord, volume_bits: f64, hops: usize) {
+            self.0
+                .push(format!("retired {record:?} {volume_bits:?} {hops}"));
+        }
+
+        fn dropped(&mut self, fact: DropFact) {
+            self.0.push(format!("dropped {fact:?}"));
+        }
+
+        fn lost(&mut self, record: &MsgRecord, volume_bits: f64, attempts: u32) {
+            self.0
+                .push(format!("lost {record:?} {volume_bits:?} {attempts}"));
+        }
+
+        fn recovered(&mut self, record: &MsgRecord, attempts: u32, recovery_cycles: u64) {
+            self.0
+                .push(format!("recovered {record:?} {attempts} {recovery_cycles}"));
+        }
+
+        fn lane_event(&mut self, now: u64, lane: usize, down: bool) {
+            self.0.push(format!("lane {now} {lane} {down}"));
+        }
+
+        fn heal(&mut self, fact: HealFact) {
+            self.0.push(format!("heal {fact:?}"));
+        }
+
+        fn finished(&mut self, horizon: u64, last_injection: u64) {
+            self.0.push(format!("finished {horizon} {last_injection}"));
+        }
+    }
+
+    /// A dynamic-mode case for the wake-test oracle, drawn from `seed`:
+    /// `count` messages of 16–527 bits with gaps of `0..gap` cycles on
+    /// `nodes` × `wavelengths`, single or greedy claims, no faults /
+    /// a scheduled outage / two permanent ones / stochastic outages, no
+    /// transport or go-back-N over a corrupting channel, open or credit
+    /// injection.
+    #[allow(clippy::too_many_arguments)]
+    fn wake_case(
+        seed: u64,
+        nodes: usize,
+        wavelengths: usize,
+        greedy_cap: usize,
+        gap: u64,
+        count: usize,
+        faults: usize,
+        gbn: bool,
+        credit: usize,
+    ) -> (OpenLoopSimulator, Vec<TrafficEvent>) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let n = nodes as u64;
+        let mut time = 0u64;
+        let events: Vec<TrafficEvent> = (0..count)
+            .map(|_| {
+                time += next() % gap;
+                let src = (next() % n) as usize;
+                let dst = (src + 1 + (next() % (n - 1)) as usize) % nodes;
+                event(time, src, dst, 16.0 + (next() % 512) as f64)
+            })
+            .collect();
+        let policy = if greedy_cap < 2 {
+            DynamicPolicy::Single
+        } else {
+            DynamicPolicy::Greedy { cap: greedy_cap }
+        };
+        let injection = if credit == 0 {
+            InjectionMode::Open
+        } else {
+            InjectionMode::Credit { window: credit }
+        };
+        let mut sim = OpenLoopSimulator::with_injection(
+            RingTopology::new(nodes),
+            wavelengths,
+            rate(),
+            WavelengthMode::Dynamic(policy),
+            injection,
+        );
+        let w = wavelengths as u64;
+        let mut plan = FaultPlan::new(seed);
+        match faults {
+            1 => {
+                plan = plan.with_scheduled(fault::LaneFault {
+                    lane: (next() % w) as usize,
+                    at: next() % (time + 1),
+                    duration: 1 + next() % 600,
+                });
+            }
+            2 => {
+                for _ in 0..2 {
+                    plan = plan.with_scheduled(fault::LaneFault {
+                        lane: (next() % w) as usize,
+                        at: next() % (time + 1),
+                        duration: u64::MAX,
+                    });
+                }
+            }
+            3 => {
+                plan = plan.with_stochastic(fault::StochasticFaults {
+                    mean_up: 200.0 + (next() % 800) as f64,
+                    mean_down: 20.0 + (next() % 200) as f64,
+                    horizon: time + 1,
+                });
+            }
+            _ => {}
+        }
+        if gbn {
+            plan = plan.with_ber(1e-3);
+            sim = sim.with_transport(TransportMode::go_back_n());
+        }
+        if faults > 0 || gbn {
+            sim = sim.with_faults(plan);
+        }
+        (sim, events)
+    }
+
+    /// Runs `events` with the lane wake test and with the oracle (every
+    /// waiter on a released segment claimed in full), each on a fresh
+    /// scratch. The reports and fact streams must be equal, and the
+    /// counters equal except where the test saves claims: each waiter it
+    /// rejects is one failed claim fewer. Returns the filtered counters.
+    fn check_against_the_unfiltered_wake(
+        sim: &OpenLoopSimulator,
+        events: &[TrafficEvent],
+    ) -> EngineCounters {
+        let run = |unfiltered: bool| {
+            let mut scratch = SimScratch::new();
+            scratch.unfiltered_wake = unfiltered;
+            let mut log = FactLog::default();
+            let report = sim
+                .run_with_scratch_probed(
+                    events.iter().copied(),
+                    &mut scratch,
+                    ReportMode::Full,
+                    &mut log,
+                )
+                .unwrap();
+            (report, log.0)
+        };
+        let (filtered, filtered_facts) = run(false);
+        let (oracle, oracle_facts) = run(true);
+        let (f, o) = (filtered.counters, oracle.counters);
+        let same_counters = OpenLoopReport {
+            counters: o,
+            ..filtered
+        };
+        assert_eq!(format!("{same_counters:?}"), format!("{oracle:?}"));
+        assert_eq!(filtered_facts, oracle_facts);
+        assert_eq!(
+            EngineCounters {
+                claims: o.claims,
+                waiters_passed: o.waiters_passed,
+                ..f
+            },
+            o
+        );
+        assert!(f.claims <= o.claims && f.waiters_passed <= o.waiters_passed);
+        assert_eq!(o.waiters_passed, o.waiters_examined);
+        assert_eq!(f.claims + f.waiters_examined - f.waiters_passed, o.claims);
+        assert_eq!(f.pushed, f.popped.total(), "every pushed event pops");
+        let starts = filtered_facts
+            .iter()
+            .filter(|fact| fact.starts_with("started"))
+            .count();
+        assert_eq!(f.grants, starts as u64, "one grant per start");
+        f
+    }
+
+    proptest::proptest! {
+        /// The lane wake test against the oracle that claims every waiter
+        /// on a released segment, on 8–32-node rings below and above the
+        /// knee, under single and greedy claims, lane outages (scheduled,
+        /// permanent and stochastic), go-back-N over a corrupting channel
+        /// and credit injection.
+        #[test]
+        fn wake_test_matches_the_unfiltered_wake(
+            seed in 0u64..1 << 32,
+            nodes in 8usize..33,
+            wavelengths in 1usize..9,
+            greedy_cap in 0usize..5,
+            gap in 1u64..120,
+            count in 60usize..260,
+            faults in 0usize..4,
+            gbn in 0usize..2,
+            credit in 0usize..3,
+        ) {
+            let (sim, events) = wake_case(
+                seed, nodes, wavelengths, greedy_cap, gap, count, faults, gbn == 1, credit,
+            );
+            check_against_the_unfiltered_wake(&sim, &events);
+        }
+    }
+
+    /// A larger corpus on 64-node rings: 2 000 cases of 400 messages,
+    /// parameters drawn from the case index. Run it with
+    /// `cargo test --release -q -p onoc-sim -- --ignored`.
+    #[test]
+    #[ignore = "2 000 cases on 64-node rings; run in a release build"]
+    fn wake_test_matches_the_unfiltered_wake_on_64_node_rings() {
+        let mut saved = 0u64;
+        for case in 0..2_000u64 {
+            let draw = |stream: u64, modulus: u64| fault::hash64(case, stream, 0) % modulus;
+            #[allow(clippy::cast_possible_truncation)]
+            let (sim, events) = wake_case(
+                case,
+                64,
+                1 + draw(1, 32) as usize,
+                draw(2, 5) as usize,
+                1 + draw(3, 60),
+                400,
+                draw(4, 4) as usize,
+                draw(5, 2) == 1,
+                draw(6, 3) as usize,
+            );
+            let counters = check_against_the_unfiltered_wake(&sim, &events);
+            saved += counters.waiters_examined - counters.waiters_passed;
+        }
+        assert!(saved > 0, "the corpus blocks heads the test rejects");
     }
 
     #[test]

@@ -396,6 +396,69 @@ pub struct OpenLoopReport {
     pub lost_messages: usize,
     /// Bits of the lost messages.
     pub lost_bits: f64,
+    /// What the event core did to produce this report (no artifact
+    /// renders them).
+    pub counters: EngineCounters,
+}
+
+/// Plain counts of the open-loop event core's work in one run: events by
+/// kind, wavelength claims and the wake-ups of blocked heads. They do not
+/// feed any other report field.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineCounters {
+    /// Events pushed onto the event queue. Every run drains the queue, so
+    /// this equals [`EventCounts::total`] of `popped`.
+    pub pushed: u64,
+    /// Events popped, by kind.
+    pub popped: EventCounts,
+    /// Dynamic-mode claims: one per attempt to start a message on free
+    /// lanes along its whole path.
+    pub claims: u64,
+    /// Claims that got lanes: one per dynamic transmission start.
+    pub grants: u64,
+    /// Blocked NI heads considered for a wake-up: after a release on
+    /// their path, after a lane recovered, or after the stranded-traffic
+    /// sweep lost the head in front of them.
+    pub waiters_examined: u64,
+    /// Those whose lane test passed, so that they made a full claim
+    /// (whether or not it granted). The rest cost no claim.
+    pub waiters_passed: u64,
+}
+
+/// Events popped by the open-loop event core, one count per kind.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Transmissions that drove their last bit (delivered or failed).
+    pub completed: u64,
+    /// Static-mode transmission starts.
+    pub started: u64,
+    /// Closed-loop gate wake-ups, stale ones included.
+    pub gate_wakes: u64,
+    /// Messages offered to their source's gate.
+    pub offered: u64,
+    /// Lane outages.
+    pub lane_downs: u64,
+    /// Lane recoveries.
+    pub lane_ups: u64,
+    /// Transport retransmissions.
+    pub redos: u64,
+    /// Messages lost at admission (every lane of their flow down).
+    pub abandons: u64,
+}
+
+impl EventCounts {
+    /// Events popped of every kind.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.completed
+            + self.started
+            + self.gate_wakes
+            + self.offered
+            + self.lane_downs
+            + self.lane_ups
+            + self.redos
+            + self.abandons
+    }
 }
 
 impl OpenLoopReport {

@@ -6,7 +6,8 @@
 //! the counted window covers exactly the steady-state portion of the
 //! run — offers, admissions, transmission starts, completions and
 //! retirements interleaved — and not the run's setup or the report
-//! assembly.
+//! assembly. A saturated dynamic run keeps the wake-ups of blocked heads
+//! in that window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -59,6 +60,19 @@ fn workload() -> Vec<TrafficEvent> {
         .collect()
 }
 
+/// 256 long messages, one per cycle, on the same ring: far past its
+/// capacity, so heads block and releases wake them.
+fn saturated() -> Vec<TrafficEvent> {
+    (0..256u64)
+        .map(|k| TrafficEvent {
+            time: k,
+            src: NodeId((k * 5 % 16) as usize),
+            dst: NodeId(((k * 5 + 3 + k % 9) % 16) as usize),
+            volume: Bits::new(384.0),
+        })
+        .collect()
+}
+
 /// Arms the allocation counter after `warmup` events and disarms it when
 /// the stream ends.
 struct ArmingSource {
@@ -84,19 +98,39 @@ impl TrafficSource for ArmingSource {
 
 #[test]
 fn steady_state_admit_path_is_allocation_free() {
-    counted_run("dynamic", WavelengthMode::Dynamic(DynamicPolicy::Single));
+    counted_run(
+        "dynamic",
+        WavelengthMode::Dynamic(DynamicPolicy::Single),
+        workload,
+    );
+    for (name, policy) in [
+        ("saturated single", DynamicPolicy::Single),
+        ("saturated greedy", DynamicPolicy::Greedy { cap: 3 }),
+    ] {
+        let report = counted_run(name, WavelengthMode::Dynamic(policy), saturated);
+        let counters = report.counters;
+        assert!(
+            counters.waiters_passed > 0 && counters.waiters_examined > counters.waiters_passed,
+            "{name}: the run wakes heads and rejects some ({counters:?})"
+        );
+    }
     // Every slot of a striped map is shared, so the conflict counter
     // runs on each start and completion.
     let striped = counted_run(
         "striped",
         WavelengthMode::Static(StaticFlowMap::striped(16, 4, 1)),
+        workload,
     );
     assert!(striped.conflict_count > 0, "the workload collides");
 }
 
-/// Runs the workload on a warm scratch with the allocation counter armed
+/// Runs `workload` on a warm scratch with the allocation counter armed
 /// for its steady state, and requires zero allocations there.
-fn counted_run(name: &str, mode: WavelengthMode) -> OpenLoopReport {
+fn counted_run(
+    name: &str,
+    mode: WavelengthMode,
+    workload: fn() -> Vec<TrafficEvent>,
+) -> OpenLoopReport {
     let sim = OpenLoopSimulator::new(RingTopology::new(16), 4, BitsPerCycle::new(1.0), mode);
     let mut scratch = SimScratch::new();
     // The probes attach *inside* the counted window: per-lane, per-source
@@ -105,13 +139,14 @@ fn counted_run(name: &str, mode: WavelengthMode) -> OpenLoopReport {
     // admissions, completions and retirements must not allocate either.
     let model = EnergyModel::new(0.003, EnergyParams::paper(), 1.0);
     let mut energy = EnergyProbe::new(model, 16, 4);
-    let mut telemetry = TimeSeriesProbe::new(32, 16, 4).with_horizon_hint(1 << 14);
+    let mut telemetry = TimeSeriesProbe::new(32, 16, 4).with_horizon_hint(1 << 16);
 
-    // Warm run: sizes every buffer (window, calendar buckets, NI queues).
+    // Warm run: sizes every buffer (window, event queue, NI queues).
+    let messages = workload().len();
     let warm = sim
         .run_with_scratch(workload().into_iter(), &mut scratch, ReportMode::Streaming)
         .unwrap();
-    assert_eq!(warm.message_count, 64);
+    assert_eq!(warm.message_count, messages);
 
     // Counted run on the same warm scratch: after 8 warm-up messages the
     // counter arms, and every remaining offer/admit/start/complete must
@@ -131,7 +166,7 @@ fn counted_run(name: &str, mode: WavelengthMode) -> OpenLoopReport {
         )
         .unwrap();
     assert!(!ARMED.load(Ordering::SeqCst), "source disarmed the counter");
-    assert_eq!(report.message_count, 64);
+    assert_eq!(report.message_count, messages);
     assert_eq!(
         report, warm,
         "scratch reuse and probes must not change results"
@@ -142,10 +177,10 @@ fn counted_run(name: &str, mode: WavelengthMode) -> OpenLoopReport {
         "{name}: steady-state admit path allocated {counted} times"
     );
     let energy = energy.report();
-    assert_eq!(energy.messages, 64);
+    assert_eq!(energy.messages, messages as u64);
     assert!(energy.pj_per_bit() > 0.0);
     let series = telemetry.report();
-    assert_eq!(series.total_retired(), 64);
+    assert_eq!(series.total_retired(), messages as u64);
     assert_eq!(series.horizon, report.horizon);
     report
 }
