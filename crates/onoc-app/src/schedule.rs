@@ -138,19 +138,14 @@ impl<'a> Schedule<'a> {
                 entries: wavelengths_per_comm.len(),
             });
         }
-        let comm_time: Vec<Cycles> = self
-            .graph
-            .comms()
-            .zip(wavelengths_per_comm)
-            .map(|((id, c), &nw)| {
-                if nw == 0 {
-                    Err(ScheduleError::NoBandwidth(id))
-                } else {
-                    Ok(c.volume() / (self.rate * nw as f64))
-                }
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(self.propagate(&comm_time))
+        let mut comm_time = Vec::with_capacity(self.graph.comm_count());
+        for ((id, c), &nw) in self.graph.comms().zip(wavelengths_per_comm) {
+            if nw == 0 {
+                return Err(ScheduleError::NoBandwidth(id));
+            }
+            comm_time.push(c.volume() / (self.rate * nw as f64));
+        }
+        Ok(self.propagate(comm_time))
     }
 
     /// The makespan in the limit of unbounded bandwidth (all transmission
@@ -158,10 +153,10 @@ impl<'a> Schedule<'a> {
     #[must_use]
     pub fn min_makespan(&self) -> Cycles {
         let zeros = vec![Cycles::ZERO; self.graph.comm_count()];
-        self.propagate(&zeros).makespan
+        self.propagate(zeros).makespan
     }
 
-    fn propagate(&self, comm_time: &[Cycles]) -> ScheduleResult {
+    fn propagate(&self, comm_time: Vec<Cycles>) -> ScheduleResult {
         let mut task_end = vec![Cycles::ZERO; self.graph.task_count()];
         for &t in &self.topo {
             // Eq. 12: t_end = t_p + max over predecessors (t_end_pred + T).
@@ -176,7 +171,7 @@ impl<'a> Schedule<'a> {
         let makespan = task_end.iter().copied().fold(Cycles::ZERO, Cycles::max);
         ScheduleResult {
             task_end,
-            comm_time: comm_time.to_vec(),
+            comm_time,
             makespan,
         }
     }

@@ -95,6 +95,12 @@ pub enum ServeError {
         /// Index of the first out-of-order request.
         index: usize,
     },
+    /// A request came up for a grant while an earlier session with the
+    /// same id still held its lanes.
+    DuplicateSession {
+        /// The repeated session id.
+        session: u64,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -114,6 +120,10 @@ impl fmt::Display for ServeError {
             ServeError::UnsortedArrivals { index } => {
                 write!(f, "request {index} arrives before its predecessor")
             }
+            ServeError::DuplicateSession { session } => write!(
+                f,
+                "session {session} asks for a grant while another session with its id is live"
+            ),
         }
     }
 }
@@ -341,7 +351,13 @@ struct Loop<'a, P: SimProbe> {
     config: &'a ServiceConfig,
     ring: RingTopology,
     ledger: OccupancyLedger,
-    live: BTreeMap<u64, LiveSession>,
+    /// Granted sessions, ascending id (the ledger's order).
+    live: Vec<LiveSession>,
+    /// The arriving session's conflict neighbourhood, reused per grant.
+    conflicts: Vec<u64>,
+    /// Each live session's id and lanes before a re-pack, reused per
+    /// re-pack.
+    before: Vec<(u64, u128)>,
     /// Departures keyed `(end_cycle, session)` — min-heap via Reverse.
     departures: BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
     /// FIFO admission queue of indices into the request slice.
@@ -379,19 +395,22 @@ impl<P: SimProbe> Loop<'_, P> {
         self.frag_clock = now;
     }
 
-    /// Conflict neighbourhood of a path: every live session sharing a
-    /// directed waveguide segment with it.
-    fn conflicts_of(&self, path: &RingPath) -> Vec<u64> {
-        self.live
-            .iter()
-            .filter(|(_, s)| s.path.overlaps(path))
-            .map(|(&id, _)| id)
-            .collect()
+    /// Where `id` sits in the id-sorted live list: `Ok` when it is live,
+    /// `Err` with its insertion point otherwise.
+    fn live_position(&self, id: u64) -> Result<usize, usize> {
+        self.live.binary_search_by_key(&id, |s| s.request.id)
     }
 
-    /// Attempts one grant; on success admits the session, streams the
-    /// probe events, and schedules the departure.
-    fn try_admit(&mut self, index: usize, requests: &[SessionRequest], now: u64) -> bool {
+    /// Attempts one grant against the conflict neighbourhood of the
+    /// session's path (every live session sharing a directed waveguide
+    /// segment with it, ascending id); on success admits the session,
+    /// streams the probe events, and schedules the departure.
+    fn try_admit(
+        &mut self,
+        index: usize,
+        requests: &[SessionRequest],
+        now: u64,
+    ) -> Result<bool, ServeError> {
         let request = requests[index];
         let path = RingPath::new(
             &self.ring,
@@ -399,12 +418,16 @@ impl<P: SimProbe> Loop<'_, P> {
             request.dst,
             self.ring.shortest_direction(request.src, request.dst),
         );
-        let conflicts = self.conflicts_of(&path);
+        self.conflicts.clear();
+        let overlapping = self.live.iter().filter(|s| s.path.overlaps(&path));
+        self.conflicts.extend(overlapping.map(|s| s.request.id));
         self.incremental_packs += 1;
-        match self
-            .ledger
-            .grant(request.id, request.demand, &conflicts, self.config.policy)
-        {
+        match self.ledger.grant(
+            request.id,
+            request.demand,
+            &self.conflicts,
+            self.config.policy,
+        ) {
             Ok(grant) => {
                 self.full_repack_packs += self.live.len() as u64 + 1;
                 self.shared_grants += grant.shared;
@@ -423,8 +446,11 @@ impl<P: SimProbe> Loop<'_, P> {
                     marked: false,
                 });
                 self.departures.push(std::cmp::Reverse((end, request.id)));
+                let at = self
+                    .live_position(request.id)
+                    .expect_err("the ledger refuses live ids");
                 self.live.insert(
-                    request.id,
+                    at,
                     LiveSession {
                         request,
                         path,
@@ -443,12 +469,17 @@ impl<P: SimProbe> Loop<'_, P> {
                     depth: self.queue.len(),
                 });
                 self.dirty = true;
-                true
+                Ok(true)
             }
-            Err(GrantError::Exhausted { .. }) => false,
-            // Unique ids and a conflict set drawn from the live map make
-            // the other refusals unreachable.
-            Err(e) => unreachable!("internal ledger refusal: {e}"),
+            Err(GrantError::Exhausted { .. }) => Ok(false),
+            Err(GrantError::DuplicateSession(session)) => {
+                Err(ServeError::DuplicateSession { session })
+            }
+            // A conflict set drawn from the live list names live sessions
+            // only.
+            Err(e @ GrantError::UnknownConflict { .. }) => {
+                unreachable!("internal ledger refusal: {e}")
+            }
         }
     }
 
@@ -472,11 +503,12 @@ impl<P: SimProbe> Loop<'_, P> {
     /// Runs one re-pack and streams it as a heal-shaped probe event.
     fn run_defrag(&mut self, now: u64) -> bool {
         self.dirty = false;
-        let before: Vec<(u64, u128)> = self
-            .live
-            .keys()
-            .map(|&id| (id, self.ledger.session_mask(id).unwrap_or(0)))
-            .collect();
+        self.before.clear();
+        let masks = self.live.iter().map(|s| {
+            let id = s.request.id;
+            (id, self.ledger.session_mask(id).unwrap_or(0))
+        });
+        self.before.extend(masks);
         let Some(outcome) = self.ledger.defrag(self.config.policy) else {
             return false;
         };
@@ -507,12 +539,13 @@ impl<P: SimProbe> Loop<'_, P> {
             wait: outcome.shared as u64,
             depth: self.queue.len(),
         });
-        // One Move row per re-homed session (ascending id — the live map
+        // One Move row per re-homed session (ascending id — the live list
         // is ordered), so log replays always know the current lane map.
-        for (id, old_mask) in before {
+        for k in 0..self.before.len() {
+            let (id, old_mask) = self.before[k];
             let new_mask = self.ledger.session_mask(id).unwrap_or(0);
             if new_mask != old_mask {
-                let request = self.live[&id].request;
+                let request = self.live[k].request;
                 self.push_event(ServeEvent {
                     time: now,
                     kind: ServeEventKind::Move,
@@ -531,18 +564,27 @@ impl<P: SimProbe> Loop<'_, P> {
 
     /// Admits queued requests in FIFO order until the head fails (and a
     /// threshold re-pack, if any, fails to unblock it).
-    fn drain_queue(&mut self, requests: &[SessionRequest], now: u64) {
+    fn drain_queue(&mut self, requests: &[SessionRequest], now: u64) -> Result<(), ServeError> {
         while let Some(&index) = self.queue.front() {
-            if self.try_admit(index, requests, now) {
+            if self.admit(index, requests, now)? {
                 self.queue.pop_front();
-                continue;
+            } else {
+                break;
             }
-            if self.threshold_defrag(now) && self.try_admit(index, requests, now) {
-                self.queue.pop_front();
-                continue;
-            }
-            break;
         }
+        Ok(())
+    }
+
+    /// One grant attempt and, if it fails, a threshold re-pack (if the
+    /// policy calls for one) and a second attempt.
+    fn admit(
+        &mut self,
+        index: usize,
+        requests: &[SessionRequest],
+        now: u64,
+    ) -> Result<bool, ServeError> {
+        Ok(self.try_admit(index, requests, now)?
+            || (self.threshold_defrag(now) && self.try_admit(index, requests, now)?))
     }
 
     /// Records a blocked session.
@@ -581,7 +623,8 @@ impl<P: SimProbe> Loop<'_, P> {
 
     /// Releases one departed session and streams its retirement.
     fn release(&mut self, id: u64, now: u64) {
-        let session = self.live.remove(&id).expect("departure of a live session");
+        let at = self.live_position(id).expect("departure of a live session");
+        let session = self.live.remove(at);
         let mask = self
             .ledger
             .release(id)
@@ -640,7 +683,9 @@ impl<P: SimProbe> Loop<'_, P> {
 /// # Errors
 ///
 /// Returns a [`ServeError`] if the workload is unsorted, names
-/// endpoints off the ring, or asks for more lanes than the comb holds.
+/// endpoints off the ring, asks for more lanes than the comb holds, or
+/// brings a session up for a grant while another session with its id is
+/// live.
 pub fn serve<P: SimProbe>(
     config: &ServiceConfig,
     requests: &[SessionRequest],
@@ -671,7 +716,9 @@ pub fn serve<P: SimProbe>(
         config,
         ring: RingTopology::new(config.nodes),
         ledger: OccupancyLedger::new(config.wavelengths),
-        live: BTreeMap::new(),
+        live: Vec::new(),
+        conflicts: Vec::new(),
+        before: Vec::new(),
         departures: BinaryHeap::new(),
         queue: VecDeque::new(),
         probe,
@@ -721,7 +768,7 @@ pub fn serve<P: SimProbe>(
             state.advance_clock(at);
             now = at;
             state.run_defrag(at);
-            state.drain_queue(requests, at);
+            state.drain_queue(requests, at)?;
             continue;
         }
 
@@ -739,7 +786,7 @@ pub fn serve<P: SimProbe>(
             released = true;
         }
         if released {
-            state.drain_queue(requests, t);
+            state.drain_queue(requests, t)?;
         }
 
         // 2. Max-wait expiries at t (the FIFO is arrival-ordered, so
@@ -771,9 +818,7 @@ pub fn serve<P: SimProbe>(
                 wait: 0,
                 depth: state.queue.len(),
             });
-            let admitted = state.queue.is_empty()
-                && (state.try_admit(index, requests, t)
-                    || (state.threshold_defrag(t) && state.try_admit(index, requests, t)));
+            let admitted = state.queue.is_empty() && state.admit(index, requests, t)?;
             if !admitted {
                 state.queue.push_back(index);
                 state.peak_queue_depth = state.peak_queue_depth.max(state.queue.len());
@@ -790,7 +835,7 @@ pub fn serve<P: SimProbe>(
     state.advance_clock(now);
     state.probe.finished(now, last_arrival);
 
-    let mut waits = state.waits.clone();
+    let mut waits = std::mem::take(&mut state.waits);
     waits.sort_unstable();
     let horizon = now;
     let frag = state.ledger.fragmentation();
@@ -1098,6 +1143,55 @@ mod tests {
             .unwrap();
         assert_eq!(defrag.time, 211, "fires `idle` cycles after the release");
         assert_eq!(defrag.demand, 1, "session 2 compacts from lane 2 to lane 1");
+    }
+
+    #[test]
+    fn a_duplicate_live_session_id_is_a_typed_error() {
+        // Two sessions with id 7 arrive at cycles 0 and 10, each holding
+        // its lanes for 100 cycles: the second comes up for a grant while
+        // the first is live, on an overlapping path or not.
+        for (src, dst) in [(0, 3), (4, 6)] {
+            let requests = vec![
+                request(7, 0, 0, 3, 1, 100),
+                request(7, 10, src, dst, 1, 100),
+            ];
+            assert_eq!(
+                serve(&config(2, DefragPolicy::Never), &requests, &mut NullProbe),
+                Err(ServeError::DuplicateSession { session: 7 })
+            );
+        }
+        // Once the first has departed, its id may come back.
+        let later = vec![request(7, 0, 0, 3, 1, 100), request(7, 200, 0, 3, 1, 100)];
+        let outcome = serve(&config(2, DefragPolicy::Never), &later, &mut NullProbe).unwrap();
+        assert_eq!(outcome.report.admitted, 2);
+    }
+
+    #[test]
+    fn serve_errors_name_the_offending_request() {
+        for (error, text) in [
+            (
+                ServeError::BadEndpoints { session: 3 },
+                "session 3 has invalid endpoints",
+            ),
+            (
+                ServeError::DemandTooLarge {
+                    session: 4,
+                    requested: 9,
+                    wavelengths: 8,
+                },
+                "session 4 asks for 9 lanes of a 8-λ comb",
+            ),
+            (
+                ServeError::UnsortedArrivals { index: 2 },
+                "request 2 arrives before its predecessor",
+            ),
+            (
+                ServeError::DuplicateSession { session: 7 },
+                "session 7 asks for a grant while another session with its id is live",
+            ),
+        ] {
+            assert_eq!(error.to_string(), text);
+        }
     }
 
     #[test]

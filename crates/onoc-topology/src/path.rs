@@ -129,7 +129,20 @@ impl RingPath {
     /// Number of waveguide segments crossed.
     #[must_use]
     pub fn hops(&self) -> usize {
-        RingTopology::new(self.ring_size).hops(self.src, self.dst, self.direction)
+        self.arc().1
+    }
+
+    /// The physical segments crossed, as an arc `(start, hops)`: the
+    /// segment indices `start, start + 1, …, start + hops − 1`, wrapping
+    /// at the ring size. A clockwise path drives its arc from `src`; a
+    /// counter-clockwise one drives the same kind of arc from `dst` back
+    /// to `src`.
+    fn arc(&self) -> (usize, usize) {
+        let (from, to) = match self.direction {
+            Direction::Clockwise => (self.src.0, self.dst.0),
+            Direction::CounterClockwise => (self.dst.0, self.src.0),
+        };
+        (from, ring_offset(from, to, self.ring_size))
     }
 
     /// All visited nodes in traversal order, source first, destination last.
@@ -170,20 +183,35 @@ impl RingPath {
     }
 
     /// Returns `true` if the path crosses the given directed segment.
+    ///
+    /// Constant time: the segment lies on the path's arc iff its offset
+    /// from the arc's start is below the hop count.
     #[must_use]
     pub fn contains_segment(&self, segment: DirectedSegment) -> bool {
-        segment.direction == self.direction && self.segments().any(|s| s == segment)
+        let (start, hops) = self.arc();
+        segment.direction == self.direction
+            && segment.index < self.ring_size
+            && ring_offset(start, segment.index, self.ring_size) < hops
     }
 
     /// Returns `true` if the two paths share at least one directed segment —
     /// i.e. their signals co-propagate somewhere and must use disjoint
     /// wavelengths (the paper's validity constraint, §III-D).
+    ///
+    /// Constant time: two arcs on one waveguide share a segment iff one
+    /// starts on the other.
     #[must_use]
     pub fn overlaps(&self, other: &RingPath) -> bool {
+        debug_assert_eq!(
+            self.ring_size, other.ring_size,
+            "overlap of paths on rings of different sizes"
+        );
         if self.direction != other.direction {
             return false;
         }
-        other.segments().any(|s| self.contains_segment(s))
+        let (a, a_hops) = self.arc();
+        let (b, b_hops) = other.arc();
+        ring_offset(a, b, self.ring_size) < a_hops || ring_offset(b, a, self.ring_size) < b_hops
     }
 
     /// Returns `true` if `node` lies strictly inside the path (crossed but
@@ -201,6 +229,13 @@ impl RingPath {
     }
 }
 
+/// Clockwise distance from ring position `from` to `to` on an `n`-node
+/// ring: `(to − from) mod n`, for `from, to < n`.
+fn ring_offset(from: usize, to: usize, n: usize) -> usize {
+    let d = to + n - from;
+    if d >= n { d - n } else { d }
+}
+
 impl core::fmt::Display for RingPath {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "{}→{} ({})", self.src, self.dst, self.direction)
@@ -214,6 +249,119 @@ mod tests {
 
     fn ring16() -> RingTopology {
         RingTopology::new(16)
+    }
+
+    /// `RingPath::contains_segment` before the arc test: a walk over the
+    /// path's segments, kept as its oracle.
+    fn walk_contains_segment(path: &RingPath, segment: DirectedSegment) -> bool {
+        segment.direction == path.direction && path.segments().any(|s| s == segment)
+    }
+
+    /// `RingPath::overlaps` before the arc test: for each segment of
+    /// `other`, a walk over the segments of `path`.
+    fn walk_overlaps(path: &RingPath, other: &RingPath) -> bool {
+        if path.direction != other.direction {
+            return false;
+        }
+        other.segments().any(|s| walk_contains_segment(path, s))
+    }
+
+    /// Every path on an `n`-node ring.
+    fn all_paths(n: usize) -> Vec<RingPath> {
+        let ring = RingTopology::new(n);
+        let mut paths = Vec::new();
+        for src in 0..n {
+            for dst in (0..n).filter(|&dst| dst != src) {
+                for d in Direction::BOTH {
+                    paths.push(RingPath::new(&ring, NodeId(src), NodeId(dst), d));
+                }
+            }
+        }
+        paths
+    }
+
+    /// Compares `overlaps` (both ways round) and `contains_segment` on
+    /// the segment `index` in both directions with the walks.
+    fn check_against_walk(p: &RingPath, q: &RingPath, index: usize) -> Result<(), String> {
+        let walked = walk_overlaps(p, q);
+        if p.overlaps(q) != walked || q.overlaps(p) != walked {
+            return Err(format!("{p} and {q}: the walk says overlap = {walked}"));
+        }
+        for direction in Direction::BOTH {
+            let segment = DirectedSegment { index, direction };
+            let walked = walk_contains_segment(p, segment);
+            if p.contains_segment(segment) != walked {
+                return Err(format!("{p} and {segment}: the walk says {walked}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks the arc test on random paths of rings of up to 1 024 nodes:
+    /// `overlaps` against the walk, and `contains_segment` on a random
+    /// index, on the indices around both ends of the first path's arc and
+    /// on the two indices past the ring.
+    fn check_random_pair(draws: [u64; 6]) -> Result<(), String> {
+        let n = 2 + (draws[0] % 1_023) as usize;
+        let ring = RingTopology::new(n);
+        let endpoints = |a: u64, b: u64| {
+            let src = (a % n as u64) as usize;
+            let dst = (src + 1 + (b % (n as u64 - 1)) as usize) % n;
+            (NodeId(src), NodeId(dst))
+        };
+        let direction = |bit: u64| Direction::BOTH[(bit & 1) as usize];
+        let (a, b) = endpoints(draws[1], draws[2]);
+        let (c, d) = endpoints(draws[3], draws[4]);
+        let p = RingPath::new(&ring, a, b, direction(draws[5]));
+        let q = RingPath::new(&ring, c, d, direction(draws[5] >> 1));
+        let (start, hops) = p.arc();
+        let random = (draws[5] >> 2) as usize % (n + 2);
+        let ends = [start + n - 1, start, start + hops - 1, start + hops].map(|i| i % n);
+        for index in [random, n, n + 1].into_iter().chain(ends) {
+            check_against_walk(&p, &q, index)?;
+        }
+        Ok(())
+    }
+
+    /// The arc test agrees with the segment walk on every pair of paths
+    /// of every ring of 2–24 nodes, and `contains_segment` on every
+    /// segment index in `0..n + 2` (the last two off the ring).
+    #[test]
+    fn arc_overlap_matches_segment_walk() {
+        for n in 2..=24 {
+            let paths = all_paths(n);
+            for (i, p) in paths.iter().enumerate() {
+                for q in &paths[i..] {
+                    if let Err(e) = check_against_walk(p, q, 0) {
+                        panic!("{n}-node ring: {e}");
+                    }
+                }
+                for index in 0..n + 2 {
+                    if let Err(e) = check_against_walk(p, p, index) {
+                        panic!("{n}-node ring: {e}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`check_random_pair`] on 10 000 seeded draws.
+    #[test]
+    #[ignore = "10 000 cases; run in release with --ignored"]
+    fn arc_overlap_matches_segment_walk_at_10000_cases() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..10_000 {
+            let draws = [next(), next(), next(), next(), next(), next()];
+            if let Err(e) = check_random_pair(draws) {
+                panic!("case {case}: {e}");
+            }
+        }
     }
 
     #[test]
@@ -342,6 +490,16 @@ mod tests {
                 let p = RingPath::new(&ring, NodeId(a), NodeId(b), d);
                 let set: std::collections::HashSet<_> = p.segments().collect();
                 prop_assert_eq!(set.len(), p.hops());
+            }
+        }
+
+        #[test]
+        fn arc_overlap_matches_segment_walk_on_large_rings(
+            draws in prop::collection::vec(0u64..=u64::MAX, 6),
+        ) {
+            let draws: [u64; 6] = draws.try_into().expect("six draws");
+            if let Err(e) = check_random_pair(draws) {
+                prop_assert!(false, "{}", e);
             }
         }
 

@@ -25,14 +25,13 @@
 //! per-lane claim counts — and [`OccupancyLedger::defrag`] re-packs every
 //! live session from scratch in session-id order, the
 //! `reassign_flows_on_lane_loss`-style move a serving policy triggers on
-//! threshold or idle.
+//! threshold or idle. The ledger keeps the per-lane claim counts as it
+//! goes (grant, release and each defrag move update them), so a
+//! fragmentation snapshot costs one pass over the comb, whatever the
+//! number of live sessions.
 //!
 //! [`assign_disjoint_lanes`]: crate::heuristics::assign_disjoint_lanes
 //! [`assign_shared_lanes`]: crate::heuristics::assign_shared_lanes
-
-use std::collections::BTreeMap;
-
-use onoc_photonics::WavelengthId;
 
 use crate::heuristics::{ConflictGraph, comb_mask, lanes, pack_batch, pack_item};
 
@@ -121,11 +120,9 @@ impl core::fmt::Display for GrantError {
 impl std::error::Error for GrantError {}
 
 /// A successful [`OccupancyLedger::grant`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grant {
-    /// Lanes the session holds, lowest index first.
-    pub lanes: Vec<WavelengthId>,
-    /// The same lanes as a bit mask.
+    /// Lanes the session holds, as a bit mask (bit `w` is lane `w`).
     pub mask: u128,
     /// Sharing pairs accepted (always 0 under [`GrantPolicy::Disjoint`]).
     pub shared: usize,
@@ -159,6 +156,7 @@ pub struct DefragOutcome {
 
 #[derive(Debug, Clone)]
 struct Session {
+    id: u64,
     mask: u128,
     demand: usize,
     /// Live conflict neighbours, kept symmetric by grant/release.
@@ -174,7 +172,14 @@ struct Session {
 #[derive(Debug, Clone, Default)]
 pub struct OccupancyLedger {
     wavelengths: usize,
-    sessions: BTreeMap<u64, Session>,
+    /// Live sessions, ascending id. Ids may arrive in any order; each
+    /// grant inserts at its sorted position.
+    sessions: Vec<Session>,
+    /// Live sessions holding each lane.
+    claims: Vec<usize>,
+    /// Emptied conflict lists of released sessions, which later grants
+    /// reuse instead of allocating.
+    spare: Vec<Vec<u64>>,
 }
 
 impl OccupancyLedger {
@@ -192,8 +197,21 @@ impl OccupancyLedger {
         );
         OccupancyLedger {
             wavelengths,
-            sessions: BTreeMap::new(),
+            sessions: Vec::new(),
+            claims: vec![0; wavelengths],
+            spare: Vec::new(),
         }
+    }
+
+    /// Where `id` sits in the id-sorted session list: `Ok` when it is
+    /// live, `Err` with its insertion point otherwise.
+    fn position(&self, id: u64) -> Result<usize, usize> {
+        self.sessions.binary_search_by_key(&id, |s| s.id)
+    }
+
+    /// The live session `id`, if there is one.
+    fn session(&self, id: u64) -> Option<&Session> {
+        self.position(id).ok().map(|k| &self.sessions[k])
     }
 
     /// Comb size the ledger packs into.
@@ -211,19 +229,23 @@ impl OccupancyLedger {
     /// Union of every live session's lane mask.
     #[must_use]
     pub fn occupancy_mask(&self) -> u128 {
-        self.sessions.values().fold(0, |m, s| m | s.mask)
+        self.claims
+            .iter()
+            .enumerate()
+            .filter(|&(_, &claims)| claims > 0)
+            .fold(0, |m, (lane, _)| m | 1 << lane)
     }
 
     /// Lane mask of one live session, or `None` when the id is not live.
     #[must_use]
     pub fn session_mask(&self, id: u64) -> Option<u128> {
-        self.sessions.get(&id).map(|s| s.mask)
+        self.session(id).map(|s| s.mask)
     }
 
     /// Ids of the live sessions, ascending.
     #[must_use]
     pub fn session_ids(&self) -> Vec<u64> {
-        self.sessions.keys().copied().collect()
+        self.sessions.iter().map(|s| s.id).collect()
     }
 
     /// Admit a session: pack `demand` lanes disjoint from (or, under
@@ -250,19 +272,19 @@ impl OccupancyLedger {
         conflicts: &[u64],
         policy: GrantPolicy,
     ) -> Result<Grant, GrantError> {
-        if self.sessions.contains_key(&id) {
+        let Err(at) = self.position(id) else {
             return Err(GrantError::DuplicateSession(id));
-        }
-        for &neighbour in conflicts {
-            if !self.sessions.contains_key(&neighbour) {
-                return Err(GrantError::UnknownConflict {
-                    session: id,
-                    neighbour,
-                });
-            }
+        };
+        if let Some(&neighbour) = conflicts.iter().find(|&&n| self.position(n).is_err()) {
+            return Err(GrantError::UnknownConflict {
+                session: id,
+                neighbour,
+            });
         }
         let mut shared = 0usize;
-        let held = conflicts.iter().map(|n| self.sessions[n].mask);
+        let held = conflicts
+            .iter()
+            .map(|&n| self.session(n).expect("checked live above").mask);
         let share = policy == GrantPolicy::Shared;
         let comb = comb_mask(self.wavelengths);
         let packed = pack_item(held, 0, comb, demand, share, |_, holders| shared += holders);
@@ -270,56 +292,336 @@ impl OccupancyLedger {
             requested: demand,
             available,
         })?;
-        for neighbour in conflicts {
-            let entry = self
-                .sessions
-                .get_mut(neighbour)
-                .expect("checked live above");
-            if !entry.conflicts.contains(&id) {
-                entry.conflicts.push(id);
+        for &neighbour in conflicts {
+            let k = self.position(neighbour).expect("checked live above");
+            let entry = &mut self.sessions[k].conflicts;
+            if !entry.contains(&id) {
+                entry.push(id);
             }
         }
-        let mut conflicts: Vec<u64> = conflicts.to_vec();
-        conflicts.sort_unstable();
-        conflicts.dedup();
+        let mut list = self.spare.pop().unwrap_or_default();
+        list.extend_from_slice(conflicts);
+        list.sort_unstable();
+        list.dedup();
+        claim(&mut self.claims, mask);
         self.sessions.insert(
-            id,
+            at,
             Session {
+                id,
                 mask,
                 demand: mask.count_ones() as usize,
-                conflicts,
+                conflicts: list,
             },
         );
-        Ok(Grant {
-            lanes: lanes(mask).map(WavelengthId).collect(),
-            mask,
-            shared,
-        })
+        Ok(Grant { mask, shared })
     }
 
     /// Retire a session, freeing its lanes and unlinking it from its
     /// neighbours' conflict lists. Returns the freed mask, or `None` when
     /// the id was not live.
     pub fn release(&mut self, id: u64) -> Option<u128> {
-        let session = self.sessions.remove(&id)?;
-        for neighbour in &session.conflicts {
-            if let Some(entry) = self.sessions.get_mut(neighbour) {
-                entry.conflicts.retain(|&c| c != id);
+        let mut session = self.sessions.remove(self.position(id).ok()?);
+        for &neighbour in &session.conflicts {
+            if let Ok(k) = self.position(neighbour) {
+                self.sessions[k].conflicts.retain(|&c| c != id);
             }
         }
+        unclaim(&mut self.claims, session.mask);
+        session.conflicts.clear();
+        self.spare.push(session.conflicts);
         Some(session.mask)
     }
 
     /// Fragmentation snapshot of the live occupancy (see
-    /// [`Fragmentation`]). All three components are 1.0 on an idle comb.
+    /// [`Fragmentation`]), read from the per-lane claim counts. All three
+    /// components are 1.0 on an idle comb.
     #[must_use]
     pub fn fragmentation(&self) -> Fragmentation {
         let comb = self.wavelengths;
-        let occupied = self.occupancy_mask();
+        let (mut free, mut run, mut largest_run) = (0usize, 0usize, 0usize);
+        let (mut sum, mut sum_sq) = (0usize, 0usize);
+        for &claims in &self.claims {
+            sum += claims;
+            sum_sq += claims * claims;
+            if claims == 0 {
+                free += 1;
+                run += 1;
+                largest_run = largest_run.max(run);
+            } else {
+                run = 0;
+            }
+        }
+        // Both sums stay far below 2^53, so converting them once gives
+        // the bits a lane-by-lane `f64` sum gives.
+        let (sum, sum_sq) = (sum as f64, sum_sq as f64);
+        let occupancy_jain = if sum_sq == 0.0 {
+            1.0
+        } else {
+            (sum * sum) / (comb as f64 * sum_sq)
+        };
+        Fragmentation {
+            free_fraction: free as f64 / comb as f64,
+            largest_free_run_fraction: largest_run as f64 / comb as f64,
+            occupancy_jain,
+        }
+    }
+
+    /// Re-pack every live session from scratch in ascending id order with
+    /// the same lowest-index greedy engine grants use — the
+    /// defragmentation move a serving policy triggers on threshold or
+    /// idle. Demands and the conflict graph are preserved; only lane
+    /// choices change.
+    ///
+    /// Under [`GrantPolicy::Disjoint`] the re-pack is all-or-nothing: if
+    /// any session cannot recover its full demand disjointly in greedy
+    /// order, no session moves and `None` is returned (mirroring
+    /// `HealPolicy::RePackStrict`). Under [`GrantPolicy::Shared`] the
+    /// re-pack always succeeds, sharing where the comb runs out.
+    #[must_use]
+    pub fn defrag(&mut self, policy: GrantPolicy) -> Option<DefragOutcome> {
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for (i, session) in self.sessions.iter().enumerate() {
+            for &neighbour in &session.conflicts {
+                let j = self.position(neighbour).expect("neighbours are live");
+                if i < j {
+                    pairs.push((i, j));
+                }
+            }
+        }
+        let graph = ConflictGraph::new(self.sessions.len(), &pairs);
+        let demands: Vec<usize> = self.sessions.iter().map(|s| s.demand).collect();
+        let share = policy == GrantPolicy::Shared;
+        let (masks, shared) = pack_batch(&demands, &graph, self.wavelengths, share).ok()?;
+        let mut moved = 0usize;
+        for (session, &mask) in self.sessions.iter_mut().zip(&masks) {
+            if session.mask != mask {
+                unclaim(&mut self.claims, session.mask);
+                claim(&mut self.claims, mask);
+                session.mask = mask;
+                moved += 1;
+            }
+        }
+        Some(DefragOutcome {
+            moved,
+            shared: shared.len(),
+        })
+    }
+}
+
+/// Adds one claim on each lane of `mask`.
+fn claim(claims: &mut [usize], mask: u128) {
+    for lane in lanes(mask) {
+        claims[lane] += 1;
+    }
+}
+
+/// Drops one claim from each lane of `mask`.
+fn unclaim(claims: &mut [usize], mask: u128) {
+    for lane in lanes(mask) {
+        claims[lane] -= 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use onoc_photonics::WavelengthId;
+
+    use super::*;
+    use crate::heuristics::list_scan::{conflict_neighbour_mask, fill_free_lanes};
+
+    /// A session of [`ListScanLedger`].
+    #[derive(Debug, Clone)]
+    struct MapSession {
+        mask: u128,
+        demand: usize,
+        conflicts: Vec<u64>,
+    }
+
+    /// The ledger before the one packing step and the claim counts, kept
+    /// as the oracle: sessions in a `BTreeMap`, grants and defrags by list
+    /// scans, and fragmentation rebuilt from every live mask.
+    #[derive(Debug, Clone)]
+    struct ListScanLedger {
+        wavelengths: usize,
+        sessions: BTreeMap<u64, MapSession>,
+    }
+
+    impl ListScanLedger {
+        fn new(wavelengths: usize) -> Self {
+            ListScanLedger {
+                wavelengths,
+                sessions: BTreeMap::new(),
+            }
+        }
+
+        /// `OccupancyLedger::grant` before the one packing step: its own
+        /// free fill and least-claimed loop over the live conflict list.
+        fn grant(
+            &mut self,
+            id: u64,
+            demand: usize,
+            conflicts: &[u64],
+            policy: GrantPolicy,
+        ) -> Result<Grant, GrantError> {
+            if self.sessions.contains_key(&id) {
+                return Err(GrantError::DuplicateSession(id));
+            }
+            for &neighbour in conflicts {
+                if !self.sessions.contains_key(&neighbour) {
+                    return Err(GrantError::UnknownConflict {
+                        session: id,
+                        neighbour,
+                    });
+                }
+            }
+            let count = match policy {
+                GrantPolicy::Disjoint => demand,
+                GrantPolicy::Shared => demand.min(self.wavelengths),
+            };
+            let occupied = conflicts
+                .iter()
+                .fold(0u128, |m, n| m | self.sessions[n].mask);
+            let mut lanes = Vec::new();
+            let mut mask = 0u128;
+            let assigned =
+                fill_free_lanes(occupied, count, self.wavelengths, &mut lanes, &mut mask);
+            let mut shared = 0usize;
+            if assigned < count {
+                if policy == GrantPolicy::Disjoint {
+                    return Err(GrantError::Exhausted {
+                        requested: count,
+                        available: assigned,
+                    });
+                }
+                let claims = |w: usize| -> usize {
+                    let bit = 1u128 << w;
+                    conflicts
+                        .iter()
+                        .filter(|n| self.sessions[*n].mask & bit != 0)
+                        .count()
+                };
+                for _ in assigned..count {
+                    let choice = (0..self.wavelengths)
+                        .filter(|&w| mask & (1 << w) == 0)
+                        .min_by_key(|&w| claims(w))
+                        .expect("count is clamped to the comb size");
+                    shared += claims(choice);
+                    mask |= 1 << choice;
+                }
+            }
+            for neighbour in conflicts {
+                let entry = self.sessions.get_mut(neighbour).unwrap();
+                if !entry.conflicts.contains(&id) {
+                    entry.conflicts.push(id);
+                }
+            }
+            let mut conflicts: Vec<u64> = conflicts.to_vec();
+            conflicts.sort_unstable();
+            conflicts.dedup();
+            let session = MapSession {
+                mask,
+                demand: count,
+                conflicts,
+            };
+            self.sessions.insert(id, session);
+            Ok(Grant { mask, shared })
+        }
+
+        /// `OccupancyLedger::release` on the map.
+        fn release(&mut self, id: u64) -> Option<u128> {
+            let session = self.sessions.remove(&id)?;
+            for neighbour in &session.conflicts {
+                if let Some(entry) = self.sessions.get_mut(neighbour) {
+                    entry.conflicts.retain(|&c| c != id);
+                }
+            }
+            Some(session.mask)
+        }
+
+        /// `OccupancyLedger::defrag` before the one packing step: a pair
+        /// list that every session rescans, for its free fill and for
+        /// each claim count.
+        fn defrag(&mut self, policy: GrantPolicy) -> Option<DefragOutcome> {
+            let ids: Vec<u64> = self.sessions.keys().copied().collect();
+            let index_of: BTreeMap<u64, usize> =
+                ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+            let mut pairs: Vec<(usize, usize)> = Vec::new();
+            for (i, id) in ids.iter().enumerate() {
+                for neighbour in &self.sessions[id].conflicts {
+                    let j = index_of[neighbour];
+                    if i < j {
+                        pairs.push((i, j));
+                    }
+                }
+            }
+            let mut masks = vec![0u128; ids.len()];
+            let mut shared_total = 0usize;
+            let mut scratch: Vec<WavelengthId> = Vec::new();
+            for (k, id) in ids.iter().enumerate() {
+                let count = self.sessions[id].demand;
+                let occupied = conflict_neighbour_mask(k, &pairs, &masks);
+                scratch.clear();
+                let wavelengths = self.wavelengths;
+                let assigned =
+                    fill_free_lanes(occupied, count, wavelengths, &mut scratch, &mut masks[k]);
+                if assigned < count {
+                    if policy == GrantPolicy::Disjoint {
+                        return None;
+                    }
+                    let claims = |w: usize, masks: &[u128]| -> usize {
+                        let bit = 1u128 << w;
+                        pairs
+                            .iter()
+                            .filter(|&&(a, b)| {
+                                (a == k && masks[b] & bit != 0) || (b == k && masks[a] & bit != 0)
+                            })
+                            .count()
+                    };
+                    for _ in assigned..count {
+                        let choice = (0..wavelengths)
+                            .filter(|&w| masks[k] & (1 << w) == 0)
+                            .min_by_key(|&w| claims(w, &masks))
+                            .expect("demand is clamped to the comb size at grant time");
+                        shared_total += claims(choice, &masks);
+                        masks[k] |= 1 << choice;
+                    }
+                }
+            }
+            let mut moved = 0usize;
+            for (k, id) in ids.iter().enumerate() {
+                let session = self.sessions.get_mut(id).expect("id is live");
+                if session.mask != masks[k] {
+                    session.mask = masks[k];
+                    moved += 1;
+                }
+            }
+            Some(DefragOutcome {
+                moved,
+                shared: shared_total,
+            })
+        }
+
+        /// Every session's state: id, mask, stored demand and conflict
+        /// list.
+        fn sessions(&self) -> Vec<(u64, u128, usize, Vec<u64>)> {
+            self.sessions
+                .iter()
+                .map(|(&id, s)| (id, s.mask, s.demand, s.conflicts.clone()))
+                .collect()
+        }
+    }
+
+    /// `OccupancyLedger::fragmentation` before the claim counts: per-lane
+    /// claims rebuilt from the live masks, summed lane by lane as `f64`.
+    fn fragmentation_oracle(wavelengths: usize, masks: &[u128]) -> Fragmentation {
+        let comb = wavelengths;
+        let occupied = masks.iter().fold(0, |m, mask| m | mask);
         let mut claims = vec![0usize; comb];
-        for session in self.sessions.values() {
+        for mask in masks {
             for (w, claim) in claims.iter_mut().enumerate() {
-                *claim += usize::from(session.mask & (1 << w) != 0);
+                *claim += usize::from(mask & (1 << w) != 0);
             }
         }
         let free = comb - (occupied.count_ones() as usize);
@@ -347,204 +649,22 @@ impl OccupancyLedger {
         }
     }
 
-    /// Re-pack every live session from scratch in ascending id order with
-    /// the same lowest-index greedy engine grants use — the
-    /// defragmentation move a serving policy triggers on threshold or
-    /// idle. Demands and the conflict graph are preserved; only lane
-    /// choices change.
-    ///
-    /// Under [`GrantPolicy::Disjoint`] the re-pack is all-or-nothing: if
-    /// any session cannot recover its full demand disjointly in greedy
-    /// order, no session moves and `None` is returned (mirroring
-    /// `HealPolicy::RePackStrict`). Under [`GrantPolicy::Shared`] the
-    /// re-pack always succeeds, sharing where the comb runs out.
-    #[must_use]
-    pub fn defrag(&mut self, policy: GrantPolicy) -> Option<DefragOutcome> {
-        let ids: Vec<u64> = self.sessions.keys().copied().collect();
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            for neighbour in &self.sessions[id].conflicts {
-                let j = ids.binary_search(neighbour).expect("neighbours are live");
-                if i < j {
-                    pairs.push((i, j));
-                }
-            }
-        }
-        let graph = ConflictGraph::new(ids.len(), &pairs);
-        let demands: Vec<usize> = ids.iter().map(|id| self.sessions[id].demand).collect();
-        let share = policy == GrantPolicy::Shared;
-        let (masks, shared) = pack_batch(&demands, &graph, self.wavelengths, share).ok()?;
-        let mut moved = 0usize;
-        for (k, id) in ids.iter().enumerate() {
-            let session = self.sessions.get_mut(id).expect("id is live");
-            if session.mask != masks[k] {
-                session.mask = masks[k];
-                moved += 1;
-            }
-        }
-        Some(DefragOutcome {
-            moved,
-            shared: shared.len(),
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::heuristics::list_scan::{conflict_neighbour_mask, fill_free_lanes};
-
-    /// `OccupancyLedger::grant` before the one packing step: its own free
-    /// fill and least-claimed loop over the live conflict list.
-    fn list_scan_grant(
-        ledger: &mut OccupancyLedger,
-        id: u64,
-        demand: usize,
-        conflicts: &[u64],
-        policy: GrantPolicy,
-    ) -> Result<Grant, GrantError> {
-        if ledger.sessions.contains_key(&id) {
-            return Err(GrantError::DuplicateSession(id));
-        }
-        for &neighbour in conflicts {
-            if !ledger.sessions.contains_key(&neighbour) {
-                return Err(GrantError::UnknownConflict {
-                    session: id,
-                    neighbour,
-                });
-            }
-        }
-        let count = match policy {
-            GrantPolicy::Disjoint => demand,
-            GrantPolicy::Shared => demand.min(ledger.wavelengths),
-        };
-        let occupied = conflicts
-            .iter()
-            .fold(0u128, |m, n| m | ledger.sessions[n].mask);
-        let mut lanes = Vec::new();
-        let mut mask = 0u128;
-        let assigned = fill_free_lanes(occupied, count, ledger.wavelengths, &mut lanes, &mut mask);
-        let mut shared = 0usize;
-        if assigned < count {
-            if policy == GrantPolicy::Disjoint {
-                return Err(GrantError::Exhausted {
-                    requested: count,
-                    available: assigned,
-                });
-            }
-            let claims = |w: usize| -> usize {
-                let bit = 1u128 << w;
-                conflicts
-                    .iter()
-                    .filter(|n| ledger.sessions[*n].mask & bit != 0)
-                    .count()
-            };
-            for _ in assigned..count {
-                let choice = (0..ledger.wavelengths)
-                    .filter(|&w| mask & (1 << w) == 0)
-                    .min_by_key(|&w| claims(w))
-                    .expect("count is clamped to the comb size");
-                shared += claims(choice);
-                lanes.push(WavelengthId(choice));
-                mask |= 1 << choice;
-            }
-            lanes.sort_unstable_by_key(|w| w.index());
-        }
-        for neighbour in conflicts {
-            let entry = ledger.sessions.get_mut(neighbour).unwrap();
-            if !entry.conflicts.contains(&id) {
-                entry.conflicts.push(id);
-            }
-        }
-        let mut conflicts: Vec<u64> = conflicts.to_vec();
-        conflicts.sort_unstable();
-        conflicts.dedup();
-        let session = Session {
-            mask,
-            demand: count,
-            conflicts,
-        };
-        ledger.sessions.insert(id, session);
-        Ok(Grant {
-            lanes,
-            mask,
-            shared,
-        })
-    }
-
-    /// `OccupancyLedger::defrag` before the one packing step: a pair
-    /// list that every session rescans, for its free fill and for each
-    /// claim count.
-    fn list_scan_defrag(
-        ledger: &mut OccupancyLedger,
-        policy: GrantPolicy,
-    ) -> Option<DefragOutcome> {
-        let ids: Vec<u64> = ledger.sessions.keys().copied().collect();
-        let index_of: BTreeMap<u64, usize> =
-            ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            for neighbour in &ledger.sessions[id].conflicts {
-                let j = index_of[neighbour];
-                if i < j {
-                    pairs.push((i, j));
-                }
-            }
-        }
-        let mut masks = vec![0u128; ids.len()];
-        let mut shared_total = 0usize;
-        let mut scratch: Vec<WavelengthId> = Vec::new();
-        for (k, id) in ids.iter().enumerate() {
-            let count = ledger.sessions[id].demand;
-            let occupied = conflict_neighbour_mask(k, &pairs, &masks);
-            scratch.clear();
-            let wavelengths = ledger.wavelengths;
-            let assigned =
-                fill_free_lanes(occupied, count, wavelengths, &mut scratch, &mut masks[k]);
-            if assigned < count {
-                if policy == GrantPolicy::Disjoint {
-                    return None;
-                }
-                let claims = |w: usize, masks: &[u128]| -> usize {
-                    let bit = 1u128 << w;
-                    pairs
-                        .iter()
-                        .filter(|&&(a, b)| {
-                            (a == k && masks[b] & bit != 0) || (b == k && masks[a] & bit != 0)
-                        })
-                        .count()
-                };
-                for _ in assigned..count {
-                    let choice = (0..wavelengths)
-                        .filter(|&w| masks[k] & (1 << w) == 0)
-                        .min_by_key(|&w| claims(w, &masks))
-                        .expect("demand is clamped to the comb size at grant time");
-                    shared_total += claims(choice, &masks);
-                    masks[k] |= 1 << choice;
-                }
-            }
-        }
-        let mut moved = 0usize;
-        for (k, id) in ids.iter().enumerate() {
-            let session = ledger.sessions.get_mut(id).expect("id is live");
-            if session.mask != masks[k] {
-                session.mask = masks[k];
-                moved += 1;
-            }
-        }
-        Some(DefragOutcome {
-            moved,
-            shared: shared_total,
-        })
-    }
-
     /// Every session's state: id, mask, stored demand and conflict list.
     fn sessions(ledger: &OccupancyLedger) -> Vec<(u64, u128, usize, Vec<u64>)> {
         ledger
             .sessions
             .iter()
-            .map(|(&id, s)| (id, s.mask, s.demand, s.conflicts.clone()))
+            .map(|s| (s.id, s.mask, s.demand, s.conflicts.clone()))
             .collect()
+    }
+
+    /// The three fragmentation figures as bits.
+    fn bits(frag: Fragmentation) -> [u64; 3] {
+        [
+            frag.free_fraction.to_bits(),
+            frag.largest_free_run_fraction.to_bits(),
+            frag.occupancy_jain.to_bits(),
+        ]
     }
 
     /// Deterministic xorshift stream for the oracle corpus.
@@ -559,22 +679,26 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Grants and defrags keep the list-scan packers' lanes, masks,
-        /// `moved` and `shared` counts and refusals under both policies,
-        /// on random churn: demands up to two above the comb, conflict
-        /// lists with repeated neighbours (and, rarely, the arriving
-        /// session itself), releases, and defrags under either policy.
+        /// Grants and defrags keep the list-scan ledger's masks, `moved`
+        /// and `shared` counts and refusals under both policies, on random
+        /// churn: ids drawn in any order (live ones again, now and then),
+        /// demands up to two above the comb, conflict lists with repeated
+        /// neighbours (and, rarely, the arriving session itself),
+        /// releases, and defrags under either policy. After every step
+        /// `fragmentation()` has the oracle's bits and `occupancy_mask()`
+        /// is the union of the session masks.
         #[test]
         fn grant_and_defrag_match_the_list_scan_packers(seed in 0u64..1_000_000) {
             let mut next = stream(seed);
             let wavelengths = 1 + (next() % 8) as usize;
             for policy in [GrantPolicy::Disjoint, GrantPolicy::Shared] {
                 let mut ledger = OccupancyLedger::new(wavelengths);
-                let mut oracle = ledger.clone();
+                let mut oracle = ListScanLedger::new(wavelengths);
                 let mut live: Vec<u64> = Vec::new();
-                for id in 0..48u64 {
+                for _ in 0..48 {
                     match next() % 6 {
                         0..=2 => {
+                            let id = next() % 64;
                             let demand = (next() % (wavelengths as u64 + 3)) as usize;
                             let mut conflicts = live.clone();
                             conflicts.retain(|_| !next().is_multiple_of(3));
@@ -584,7 +708,7 @@ mod tests {
                                 _ => {}
                             }
                             let got = ledger.grant(id, demand, &conflicts, policy);
-                            let want = list_scan_grant(&mut oracle, id, demand, &conflicts, policy);
+                            let want = oracle.grant(id, demand, &conflicts, policy);
                             proptest::prop_assert_eq!(&got, &want, "grant {} of {}", id, demand);
                             if got.is_ok() {
                                 live.push(id);
@@ -597,11 +721,17 @@ mod tests {
                         _ => {
                             let strict = next().is_multiple_of(2);
                             let pick = if strict { GrantPolicy::Disjoint } else { policy };
-                            let got = ledger.defrag(pick);
-                            proptest::prop_assert_eq!(got, list_scan_defrag(&mut oracle, pick));
+                            proptest::prop_assert_eq!(ledger.defrag(pick), oracle.defrag(pick));
                         }
                     }
-                    proptest::prop_assert_eq!(sessions(&ledger), sessions(&oracle));
+                    proptest::prop_assert_eq!(sessions(&ledger), oracle.sessions());
+                    let masks: Vec<u128> = ledger.sessions.iter().map(|s| s.mask).collect();
+                    proptest::prop_assert_eq!(
+                        bits(ledger.fragmentation()),
+                        bits(fragmentation_oracle(wavelengths, &masks))
+                    );
+                    let union = masks.iter().fold(0, |m, mask| m | mask);
+                    proptest::prop_assert_eq!(ledger.occupancy_mask(), union);
                 }
             }
         }
@@ -614,9 +744,9 @@ mod tests {
         let b = ledger.grant(1, 1, &[0], GrantPolicy::Disjoint).unwrap();
         let c = ledger.grant(2, 2, &[], GrantPolicy::Disjoint).unwrap();
         // Identical to assign_disjoint_lanes(&[2, 1, 2], &[(0, 1)], 4).
-        assert_eq!(a.lanes, vec![WavelengthId(0), WavelengthId(1)]);
-        assert_eq!(b.lanes, vec![WavelengthId(2)]);
-        assert_eq!(c.lanes, vec![WavelengthId(0), WavelengthId(1)]);
+        assert_eq!(a.mask, 0b011);
+        assert_eq!(b.mask, 0b100);
+        assert_eq!(c.mask, 0b011);
         assert_eq!(a.shared + b.shared + c.shared, 0);
     }
 
@@ -645,7 +775,7 @@ mod tests {
         ledger.grant(2, 1, &[0, 1], GrantPolicy::Shared).unwrap(); // λ1 free
         let g = ledger.grant(3, 1, &[0, 1, 2], GrantPolicy::Shared).unwrap();
         // λ0 has two claiming neighbours, λ1 one: sharing lands on λ1.
-        assert_eq!(g.lanes, vec![WavelengthId(1)]);
+        assert_eq!(g.mask, 0b10);
         assert_eq!(g.shared, 1);
     }
 
@@ -656,7 +786,7 @@ mod tests {
         assert!(ledger.grant(1, 1, &[0], GrantPolicy::Disjoint).is_err());
         assert_eq!(ledger.release(0), Some(0b11));
         let g = ledger.grant(1, 1, &[], GrantPolicy::Disjoint).unwrap();
-        assert_eq!(g.lanes, vec![WavelengthId(0)]);
+        assert_eq!(g.mask, 0b1);
         assert_eq!(ledger.release(42), None, "dead ids release nothing");
     }
 

@@ -10,6 +10,7 @@
 //!   `assign_disjoint_lanes` exactly (same lanes, same failure point), so
 //!   the incremental and batch packers are one algorithm.
 
+use onoc_photonics::WavelengthId;
 use onoc_wa::heuristics::{ConflictGraph, assign_disjoint_lanes};
 use onoc_wa::ledger::{GrantPolicy, OccupancyLedger};
 
@@ -23,6 +24,14 @@ fn stream(seed: u64) -> impl FnMut() -> u64 {
         state ^= state << 17;
         state
     }
+}
+
+/// The lanes set in `mask`, lowest first.
+fn lanes_of(mask: u128) -> Vec<WavelengthId> {
+    (0..128)
+        .filter(|&w| mask >> w & 1 == 1)
+        .map(WavelengthId)
+        .collect()
 }
 
 proptest::proptest! {
@@ -149,7 +158,7 @@ proptest::proptest! {
                 })
                 .collect();
             match ledger.grant(k as u64, demand, &neighbours, GrantPolicy::Disjoint) {
-                Ok(grant) => lanes.push(grant.lanes),
+                Ok(grant) => lanes.push(lanes_of(grant.mask)),
                 Err(_) => {
                     failed_at = Some(k);
                     break;
